@@ -2,7 +2,11 @@
 
     The S-box is derived at module initialisation from the GF(2^8) inverse
     plus the affine transform rather than pasted in as a table; test vectors
-    from FIPS-197 Appendix B/C verify the construction.
+    from FIPS-197 Appendix B/C verify the construction.  Rounds are
+    word-oriented: four 256-entry tables per direction, derived from the
+    S-box at module initialisation and never written, so any number of
+    domains may use the cipher at once.  Table lookups are indexed by
+    key-dependent bytes, so the cipher is not constant-time.
 
     SecModule uses this cipher to protect module text segments: every text
     byte outside a relocation site is encrypted with a key that lives only

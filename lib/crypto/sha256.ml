@@ -1,30 +1,33 @@
-(* All word arithmetic is on Int32 to match the specification exactly. *)
+(* Words are native ints.  Every word stored in the state or the message
+   schedule is masked to 32 bits; values computed in between may carry
+   junk above bit 31, which cannot reach the low 32 bits of a sum and is
+   dropped by the mask at the store. *)
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let ( +% ) = Int32.add
+let mask32 = 0xFFFFFFFF
+
+(* [x] must be a stored (masked) word; the result has junk above bit 31. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-    0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-    0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-    0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-    0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-    0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-    0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-    0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-    0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array;
+  h : int array;
   buf : Bytes.t;  (* one 64-byte block being assembled *)
   mutable buf_len : int;
-  mutable total : int64;  (* total message bytes *)
+  mutable total : int;  (* total message bytes *)
   mutable finalized : bool;
 }
 
@@ -32,62 +35,57 @@ let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl; 0x9b05688cl;
-        0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+        0x5be0cd19;
       |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     finalized = false;
   }
 
-let word_at b off =
-  let g i = Int32.of_int (Char.code (Bytes.get b (off + i))) in
-  Int32.logor
-    (Int32.shift_left (g 0) 24)
-    (Int32.logor (Int32.shift_left (g 1) 16) (Int32.logor (Int32.shift_left (g 2) 8) (g 3)))
-
 let compress ctx block off =
-  let w = Array.make 64 0l in
+  let w = Array.make 64 0 in
   for t = 0 to 15 do
-    w.(t) <- word_at block (off + (4 * t))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask32
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^^ rotr w.(t - 15) 18 ^^ Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^^ rotr w.(t - 2) 19 ^^ Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
   done;
   let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
   let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^^ rotr !e 11 ^^ rotr !e 25 in
-    let ch = (!e &&& !f) ^^ (Int32.lognot !e &&& !g) in
-    let t1 = !h +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^^ rotr !a 13 ^^ rotr !a 22 in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let t2 = s0 +% maj in
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = !h + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
     h := !g;
     g := !f;
     f := !e;
-    e := !d +% t1;
+    e := (!d + t1) land mask32;
     d := !c;
     c := !b;
     b := !a;
-    a := t1 +% t2
+    a := (t1 + s0 + maj) land mask32
   done;
-  ctx.h.(0) <- ctx.h.(0) +% !a;
-  ctx.h.(1) <- ctx.h.(1) +% !b;
-  ctx.h.(2) <- ctx.h.(2) +% !c;
-  ctx.h.(3) <- ctx.h.(3) +% !d;
-  ctx.h.(4) <- ctx.h.(4) +% !e;
-  ctx.h.(5) <- ctx.h.(5) +% !f;
-  ctx.h.(6) <- ctx.h.(6) +% !g;
-  ctx.h.(7) <- ctx.h.(7) +% !h
+  let add i v = ctx.h.(i) <- (ctx.h.(i) + v) land mask32 in
+  add 0 !a;
+  add 1 !b;
+  add 2 !c;
+  add 3 !d;
+  add 4 !e;
+  add 5 !f;
+  add 6 !g;
+  add 7 !h
 
 let update ctx data =
   assert (not ctx.finalized);
   let n = Bytes.length data in
-  ctx.total <- Int64.add ctx.total (Int64.of_int n);
+  ctx.total <- ctx.total + n;
   let pos = ref 0 in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -109,12 +107,12 @@ let update ctx data =
     ctx.buf_len <- n - !pos
   end
 
-let update_string ctx s = update ctx (Bytes.of_string s)
+(* [update] only reads its input, so the string need not be copied. *)
+let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
 let finalize ctx =
   assert (not ctx.finalized);
   ctx.finalized <- true;
-  let bit_len = Int64.mul ctx.total 8L in
   (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
   let pad_len =
     let rem = (ctx.buf_len + 1 + 8) mod 64 in
@@ -122,11 +120,7 @@ let finalize ctx =
   in
   let tail = Bytes.make (pad_len + 8) '\000' in
   Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set tail (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xffL)))
-  done;
+  Bytes.set_int64_be tail pad_len (Int64.of_int (ctx.total * 8));
   (* Feed the padding through the normal path, without recounting length. *)
   let saved_total = ctx.total in
   ctx.finalized <- false;
@@ -135,15 +129,7 @@ let finalize ctx =
   ctx.total <- saved_total;
   assert (ctx.buf_len = 0);
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let w = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff));
-    Bytes.set out ((4 * i) + 1)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
-    Bytes.set out ((4 * i) + 2)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int w land 0xff))
-  done;
+  Array.iteri (fun i w -> Bytes.set_int32_be out (4 * i) (Int32.of_int w)) ctx.h;
   out
 
 let digest data =

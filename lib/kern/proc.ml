@@ -45,6 +45,9 @@ let is_blocked t = match t.state with Blocked _ -> true | _ -> false
 let is_smod_handle t = match t.role with Smod_handle _ -> true | _ -> false
 let is_smod_client t = match t.role with Smod_client _ -> true | _ -> false
 
+let add_exit_hook t hook = t.exit_hooks <- hook :: t.exit_hooks
+let remove_exit_hook t hook = t.exit_hooks <- List.filter (fun h -> h != hook) t.exit_hooks
+
 let push_word t v =
   t.sp <- t.sp - 4;
   Aspace.write_word t.aspace ~addr:t.sp v

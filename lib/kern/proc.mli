@@ -52,6 +52,13 @@ val is_zombie : t -> bool
 val is_blocked : t -> bool
 val is_smod_handle : t -> bool
 val is_smod_client : t -> bool
+val add_exit_hook : t -> (t -> unit) -> unit
+(** Run the hook when the process finishes, before hooks added earlier. *)
+
+val remove_exit_hook : t -> (t -> unit) -> unit
+(** Unregister a hook given to {!add_exit_hook} (compared physically), for
+    a hook whose job is done before the process exits. *)
+
 val push_word : t -> int -> unit
 (** Decrement [sp] by 4 and store a 32-bit word at the new [sp]. *)
 

@@ -312,10 +312,13 @@ let acquire t (p : Proc.t) (entry : Registry.entry) =
         Queue.add w mp.mp_waiters;
         t.total_waiters <- t.total_waiters + 1;
         Smod_metrics.Counter.incr m_waits;
-        p.Proc.exit_hooks <- (fun _ -> waiter_client_exited t w) :: p.Proc.exit_hooks;
+        let hook _ = waiter_client_exited t w in
+        Proc.add_exit_hook p hook;
         while w.w_granted = None && not w.w_cancelled do
           Effect.perform (Sched.Block (Sched.Custom "smodd-admission"))
         done;
+        (* A kill while blocked unwinds past here, leaving the hook to run. *)
+        Proc.remove_exit_hook p hook;
         w.w_done <- true;
         match w.w_granted with
         | Some ph when not (Smod.pooled_handle_dead ph) -> ph

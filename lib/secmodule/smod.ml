@@ -61,6 +61,7 @@ type session = {
       (* (policy_rev, keystore_gen, transport) -> armed batch context.
          Transport is part of the key because [origin_transport] differs
          per admission path and one session can mix paths. *)
+  mutable client_exit_hook : (Proc.t -> unit) option;
 }
 
 (* A reusable handle co-process managed by the smodd service layer
@@ -312,6 +313,12 @@ let ring_doorbell_mtype = 3
 let detach_session t session =
   if not session.detached then begin
     session.detached <- true;
+    (* Unregister the client's exit hook, or a client that opens and
+       closes sessions in a loop keeps every closed one alive. *)
+    (match (session.client_exit_hook, Machine.proc t.machine session.client_pid) with
+    | Some hook, Some client -> Proc.remove_exit_hook client hook
+    | _ -> ());
+    session.client_exit_hook <- None;
     Smod_metrics.Counter.incr m_sessions_detached;
     let clock = Machine.clock t.machine in
     Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel" "detach session %d (module %s)"
@@ -418,6 +425,13 @@ let detach_session t session =
       | None -> ())
     end
   end
+
+(* A session lives as long as its client: the client's exit detaches it,
+   and detaching unregisters the hook. *)
+let detach_on_client_exit t (p : Proc.t) session =
+  let hook _ = detach_session t session in
+  session.client_exit_hook <- Some hook;
+  Proc.add_exit_hook p hook
 
 (* ------------------------------------------------------------------ *)
 (* The handle body: smod_std_handle() (§4, step 2)                     *)
@@ -964,8 +978,7 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
   in
   ph_ref := Some ph;
   Hashtbl.replace t.pooled_handles_by_pid handle.Proc.pid ph;
-  handle.Proc.exit_hooks <-
-    (fun h ->
+  Proc.add_exit_hook handle (fun h ->
       ph.ph_dead <- true;
       (* Died mid-session (killed, faulted): tear the session down fully
          so the client is not left talking to a corpse. *)
@@ -976,8 +989,7 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
       Hashtbl.remove t.pooled_handles_by_pid ph.ph_pid;
       (try Machine.msgctl_remove t.machine h ~qid:ph.ph_req_qid with Errno.Error _ -> ());
       (try Machine.msgctl_remove t.machine h ~qid:ph.ph_rep_qid with Errno.Error _ -> ());
-      ph.ph_on_death ph)
-    :: handle.Proc.exit_hooks;
+      ph.ph_on_death ph);
   Trace.emitf (Machine.trace t.machine) ~clock ~actor:"smodd"
     "spawned pooled handle pid=%d for module %s" handle.Proc.pid mod_name;
   ph
@@ -1041,6 +1053,7 @@ let attach_pooled t (p : Proc.t) ph ~credential =
       cred_digest = None;
       compiled_memo = None;
       fused_memo = None;
+      client_exit_hook = None;
     }
   in
   ph.ph_session <- Some session;
@@ -1051,7 +1064,7 @@ let attach_pooled t (p : Proc.t) ph ~credential =
   p.Proc.role <- Proc.Smod_client { handle_pid = ph.ph_pid };
   Hashtbl.replace t.sessions_by_client p.Proc.pid session;
   Hashtbl.replace t.sessions_by_handle ph.ph_pid session;
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
+  detach_on_client_exit t p session;
   Clock.charge clock Cost.Pool_admission;
   (* A parked handle is blocked on Pool_park; a fresh spawn is already
      ready and this is a no-op. *)
@@ -1114,6 +1127,7 @@ let cold_start_session t (p : Proc.t) entry credential =
       cred_digest = None;
       compiled_memo = None;
       fused_memo = None;
+      client_exit_hook = None;
     }
   in
   let handle =
@@ -1137,8 +1151,8 @@ let cold_start_session t (p : Proc.t) entry credential =
   (* The simplest policy allows access for the lifetime of p: tear the
      session down when the client goes away — and equally if the handle
      dies, so no client is left waiting on a dead enforcement point. *)
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
-  handle.Proc.exit_hooks <- (fun _ -> detach_session t session) :: handle.Proc.exit_hooks;
+  detach_on_client_exit t p session;
+  Proc.add_exit_hook handle (fun _ -> detach_session t session);
   Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel"
     "start_session sid=%d module=%s client=%d handle=%d" sid
     entry.Registry.image.Smof.mod_name p.Proc.pid handle.Proc.pid;
@@ -1348,6 +1362,7 @@ let mux_attach t (p : Proc.t) entry credential =
       cred_digest = None;
       compiled_memo = None;
       fused_memo = None;
+      client_exit_hook = None;
     }
   in
   (* The handshake happens inline: there is one mux proc for all fibers,
@@ -1360,7 +1375,7 @@ let mux_attach t (p : Proc.t) entry credential =
   (* Only the client index: thousands of fibers share the mux pid, so the
      by-handle index (a 1:1 map) stays out of it. *)
   Hashtbl.replace t.sessions_by_client p.Proc.pid session;
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
+  detach_on_client_exit t p session;
   let ms =
     {
       ms_session = session;

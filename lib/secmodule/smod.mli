@@ -69,6 +69,9 @@ type session = {
           (["msgq"]/["ring"]/["poller"]) because [origin_transport]
           differs per admission path; same invalidation discipline as
           [compiled_memo] *)
+  mutable client_exit_hook : (Smod_kern.Proc.t -> unit) option;
+      (** the hook that detaches the session when its client exits;
+          removed from the client when the session detaches *)
 }
 
 exception Access_denied of string

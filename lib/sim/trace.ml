@@ -1,36 +1,54 @@
 type event = { timestamp_us : float; actor : string; label : string }
 
+(* A ring of the newest [count] events starting at [first].  [buf] grows
+   by doubling until it reaches [capacity] — most traces stay short, so
+   none pays for the full ring up front — and only then wraps. *)
 type t = {
   capacity : int;
   mutable enabled : bool;
-  mutable events : event list;  (* newest first *)
+  mutable buf : event array;
+  mutable first : int;  (* index of the oldest event *)
   mutable count : int;
 }
 
 let create ?(capacity = 4096) ?(enabled = true) () =
-  { capacity; enabled; events = []; count = 0 }
+  { capacity; enabled; buf = [||]; first = 0; count = 0 }
 
 let enable t = t.enabled <- true
 let disable t = t.enabled <- false
 
 let emit t ~clock ~actor label =
-  if t.enabled then begin
+  if t.enabled && t.capacity > 0 then begin
     let e = { timestamp_us = Clock.now_us clock; actor; label } in
-    t.events <- e :: t.events;
-    t.count <- t.count + 1;
-    if t.count > t.capacity then begin
-      (* Drop the oldest event; the list is newest-first. *)
-      t.events <- List.filteri (fun i _ -> i < t.capacity) t.events;
-      t.count <- t.capacity
+    let len = Array.length t.buf in
+    if t.count = len && len < t.capacity then begin
+      (* Grow; [first] stays 0 until the ring is full. *)
+      let buf = Array.make (min t.capacity (max 16 (2 * len))) e in
+      Array.blit t.buf 0 buf 0 len;
+      t.buf <- buf
+    end;
+    if t.count < Array.length t.buf then begin
+      t.buf.(t.count) <- e;
+      t.count <- t.count + 1
+    end
+    else begin
+      (* Full: overwrite the oldest event. *)
+      t.buf.(t.first) <- e;
+      t.first <- (t.first + 1) mod t.count
     end
   end
 
 let emitf t ~clock ~actor fmt = Format.kasprintf (fun s -> emit t ~clock ~actor s) fmt
-let events t = List.rev t.events
+
+let events t =
+  let len = Array.length t.buf in
+  List.init t.count (fun i -> t.buf.((t.first + i) mod len))
+
 let labels t = List.map (fun e -> e.label) (events t)
 
 let clear t =
-  t.events <- [];
+  t.buf <- [||];
+  t.first <- 0;
   t.count <- 0
 
 let pp ppf t =

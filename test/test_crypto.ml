@@ -1,11 +1,14 @@
-(* Tests for Smod_crypto: FIPS-197 / FIPS 180-4 / RFC 4231 vectors plus
-   algebraic properties of the GF(2^8) field and the cipher modes. *)
+(* Tests for Smod_crypto: FIPS-197 / FIPS 180-4 / RFC 4231 vectors,
+   algebraic properties of the GF(2^8) field and the cipher modes, and
+   seeded differential checks of the table-driven AES against a
+   byte-oriented reference. *)
 
 module Gf = Smod_crypto.Gf256
 module Aes = Smod_crypto.Aes
 module Sha256 = Smod_crypto.Sha256
 module Hmac = Smod_crypto.Hmac
 module Hex = Smod_util.Hexdump
+module Smof = Smod_modfmt.Smof
 
 let hex = Hex.of_hex
 let to_hex = Hex.to_hex
@@ -237,6 +240,272 @@ let test_sha256_block_boundaries () =
         (to_hex (Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
+(* ------------------------ reference cipher -------------------------- *)
+
+(* The FIPS-197 forward cipher step by step on a byte state: its own
+   S-box and key schedule, then SubBytes, ShiftRows, MixColumns over
+   Gf256.mul and AddRoundKey.  Slow, and sharing no tables with Aes. *)
+module Ref = struct
+  let rotl8 x k = ((x lsl k) lor (x lsr (8 - k))) land 0xff
+
+  let sbox =
+    Array.init 256 (fun i ->
+        let x = Gf.inv i in
+        x lxor rotl8 x 1 lxor rotl8 x 2 lxor rotl8 x 3 lxor rotl8 x 4 lxor 0x63)
+
+  let sub_word w =
+    (sbox.((w lsr 24) land 0xff) lsl 24)
+    lor (sbox.((w lsr 16) land 0xff) lsl 16)
+    lor (sbox.((w lsr 8) land 0xff) lsl 8)
+    lor sbox.(w land 0xff)
+
+  let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xFFFFFFFF
+
+  (* Round keys as 4 (nr + 1) big-endian words (FIPS-197 §5.2). *)
+  let expand raw =
+    let nk = String.length raw / 4 in
+    let nr = nk + 6 in
+    let w = Array.make (4 * (nr + 1)) 0 in
+    for i = 0 to nk - 1 do
+      for j = 0 to 3 do
+        w.(i) <- (w.(i) lsl 8) lor Char.code raw.[(4 * i) + j]
+      done
+    done;
+    let rcon = ref 1 in
+    for i = nk to Array.length w - 1 do
+      let temp = w.(i - 1) in
+      let temp =
+        if i mod nk = 0 then begin
+          let t = sub_word (rot_word temp) lxor (!rcon lsl 24) in
+          rcon := Gf.xtime !rcon;
+          t
+        end
+        else if nk > 6 && i mod nk = 4 then sub_word temp
+        else temp
+      in
+      w.(i) <- w.(i - nk) lxor temp
+    done;
+    (w, nr)
+
+  (* state.(r + 4c) is byte r of column c. *)
+  let add_round_key state w round =
+    for c = 0 to 3 do
+      for r = 0 to 3 do
+        let k = (w.((4 * round) + c) lsr (24 - (8 * r))) land 0xff in
+        state.(r + (4 * c)) <- state.(r + (4 * c)) lxor k
+      done
+    done
+
+  let sub_bytes state = Array.iteri (fun i b -> state.(i) <- sbox.(b)) state
+
+  (* Row r rotates left by r. *)
+  let shift_rows state =
+    let tmp = Array.copy state in
+    for r = 1 to 3 do
+      for c = 0 to 3 do
+        state.(r + (4 * c)) <- tmp.(r + (4 * ((c + r) mod 4)))
+      done
+    done
+
+  let mix_columns state =
+    let m = Gf.mul in
+    for c = 0 to 3 do
+      let b = 4 * c in
+      let s0 = state.(b) and s1 = state.(b + 1) and s2 = state.(b + 2) and s3 = state.(b + 3) in
+      state.(b) <- m 2 s0 lxor m 3 s1 lxor s2 lxor s3;
+      state.(b + 1) <- s0 lxor m 2 s1 lxor m 3 s2 lxor s3;
+      state.(b + 2) <- s0 lxor s1 lxor m 2 s2 lxor m 3 s3;
+      state.(b + 3) <- m 3 s0 lxor s1 lxor s2 lxor m 2 s3
+    done
+
+  let encrypt_block (w, nr) block =
+    let state = Array.init 16 (fun i -> Char.code (Bytes.get block i)) in
+    add_round_key state w 0;
+    for round = 1 to nr - 1 do
+      sub_bytes state;
+      shift_rows state;
+      mix_columns state;
+      add_round_key state w round
+    done;
+    sub_bytes state;
+    shift_rows state;
+    add_round_key state w nr;
+    Bytes.init 16 (fun i -> Char.chr state.(i))
+
+  (* CTR: keystream block j is the cipher of nonce + j, a big-endian
+     128-bit counter that wraps. *)
+  let ctr key ~nonce data =
+    let counter = Bytes.copy nonce and out = Bytes.copy data in
+    let rec bump i =
+      if i >= 0 then begin
+        let v = (Char.code (Bytes.get counter i) + 1) land 0xff in
+        Bytes.set counter i (Char.chr v);
+        if v = 0 then bump (i - 1)
+      end
+    in
+    let n = Bytes.length data in
+    for blk = 0 to ((n + 15) / 16) - 1 do
+      let ks = encrypt_block key counter in
+      for j = 0 to min 16 (n - (16 * blk)) - 1 do
+        let i = (16 * blk) + j in
+        Bytes.set out i (Char.chr (Char.code (Bytes.get out i) lxor Char.code (Bytes.get ks j)))
+      done;
+      bump 15
+    done;
+    out
+end
+
+let test_ref_fips () =
+  (* The reference itself reproduces FIPS-197 Appendix C. *)
+  List.iter
+    (fun (key, cipher) ->
+      let k = Ref.expand (Bytes.to_string (hex key)) in
+      Alcotest.(check string) key cipher
+        (to_hex (Ref.encrypt_block k (hex "00112233445566778899aabbccddeeff"))))
+    [
+      ("000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a");
+      ("000102030405060708090a0b0c0d0e0f1011121314151617", "dda97ca4864cdfe06eaf70a0ec0d7191");
+      ( "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        "8ea2b7ca516745bfeafc49904b496089" );
+    ]
+
+(* ----------------------- differential checks ------------------------ *)
+
+let random_bytes st n = Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+let key_sizes = [| 16; 24; 32 |]
+
+let test_blocks_match_reference () =
+  let st = Random.State.make [| 197 |] in
+  for i = 0 to 1999 do
+    let raw = Bytes.to_string (random_bytes st key_sizes.(i mod 3)) in
+    let pt = random_bytes st 16 in
+    let key = Aes.expand raw in
+    let expected = Ref.encrypt_block (Ref.expand raw) pt in
+    let ct = Bytes.create 16 in
+    Aes.encrypt_block key pt ~src_off:0 ct ~dst_off:0;
+    let case = Printf.sprintf "case %d (%d-bit key %s, block %s)" i (8 * String.length raw) in
+    let case = case (Hex.to_hex (Bytes.of_string raw)) (to_hex pt) in
+    Alcotest.(check string) (case ^ " encrypt") (to_hex expected) (to_hex ct);
+    (* Decrypt in place: src and dst may alias. *)
+    Aes.decrypt_block key ct ~src_off:0 ct ~dst_off:0;
+    Alcotest.(check string) (case ^ " decrypt") (to_hex pt) (to_hex ct)
+  done
+
+let test_ctr_matches_reference () =
+  let st = Random.State.make [| 38 |] in
+  let nonces =
+    [
+      ("random", random_bytes st 16);
+      ("ends in 8 x ff", Bytes.cat (random_bytes st 8) (Bytes.make 8 '\xff'));
+      ("all ff (wraps)", Bytes.make 16 '\xff');
+    ]
+  in
+  let lengths =
+    List.init 81 Fun.id @ List.init 30 (fun _ -> 81 + Random.State.int st 4919) @ [ 4096; 5000 ]
+  in
+  List.iteri
+    (fun i n ->
+      let raw = Bytes.to_string (random_bytes st key_sizes.(i mod 3)) in
+      let data = random_bytes st n in
+      List.iter
+        (fun (what, nonce) ->
+          Alcotest.(check string)
+            (Printf.sprintf "length %d, nonce %s" n what)
+            (to_hex (Ref.ctr (Ref.expand raw) ~nonce data))
+            (to_hex (Aes.Mode.ctr_transform (Aes.expand raw) ~nonce data)))
+        nonces)
+    lengths
+
+(* Feed [data] to one context in chunks cut at random points. *)
+let digest_in_pieces st data =
+  let ctx = Sha256.init () in
+  let n = Bytes.length data in
+  let pos = ref 0 in
+  while !pos < n do
+    let take = min (n - !pos) (Random.State.int st 80) in
+    Sha256.update ctx (Bytes.sub data !pos take);
+    pos := !pos + take
+  done;
+  Sha256.finalize ctx
+
+let test_sha256_split_invariance () =
+  let st = Random.State.make [| 180 |] in
+  for n = 0 to 200 do
+    let data = random_bytes st n in
+    let whole = to_hex (Sha256.digest data) in
+    for split = 1 to 5 do
+      Alcotest.(check string)
+        (Printf.sprintf "length %d, split %d" n split)
+        whole
+        (to_hex (digest_in_pieces st data))
+    done
+  done;
+  (* The FIPS 180-4 long-message vector, fed in random pieces of up to
+     tens of thousands of bytes. *)
+  let ctx = Sha256.init () in
+  let left = ref 1_000_000 in
+  while !left > 0 do
+    let take = min !left (Random.State.int st 40_000) in
+    Sha256.update_string ctx (String.make take 'a');
+    left := !left - take
+  done;
+  Alcotest.(check string) "million a in pieces"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (to_hex (Sha256.finalize ctx))
+
+(* Module text encryption leaves relocation sites in the clear and is the
+   reference keystream everywhere else; decryption restores the image and
+   passes its digest check. *)
+let smof_roundtrip image =
+  let key = "kernel-held key!" and nonce = Bytes.of_string "per-module nonce" in
+  let enc = Smof.encrypt_text image ~key ~nonce in
+  let keystream = Ref.ctr (Ref.expand key) ~nonce image.Smof.text in
+  let in_reloc i =
+    List.exists
+      (fun r -> i >= r.Smof.rel_offset && i < r.Smof.rel_offset + r.Smof.rel_size)
+      image.Smof.relocs
+  in
+  Bytes.iteri
+    (fun i c ->
+      let expected = Bytes.get (if in_reloc i then image.Smof.text else keystream) i in
+      if c <> expected then Alcotest.failf "%s: ciphertext byte %d" image.Smof.mod_name i)
+    enc.Smof.text;
+  let dec = Smof.decrypt_text enc ~key ~nonce in
+  Alcotest.(check bool) "decrypted" false dec.Smof.encrypted;
+  Alcotest.(check string) (image.Smof.mod_name ^ " text restored") (to_hex image.Smof.text)
+    (to_hex dec.Smof.text)
+
+let test_smof_roundtrip_seclibc () = smof_roundtrip (Smod_libc.Seclibc.image ())
+
+let test_smof_roundtrip_128_functions () =
+  (* Every fourth function calls its predecessor, so the text carries
+     relocation holes. *)
+  let image =
+    Secmodule.Toolchain.assemble_module ~name:"wide" ~version:1
+      (List.init 128 (fun k ->
+           let call = if k mod 4 = 3 then Printf.sprintf "call f%d\n" (k - 1) else "" in
+           (Printf.sprintf "f%d" k, Printf.sprintf "loadarg 0\n%spush %d\nadd\nret\n" call k)))
+  in
+  Alcotest.(check int) "functions" 128 (List.length (Smof.function_symbols image));
+  Alcotest.(check bool) "has relocations" true (image.Smof.relocs <> []);
+  smof_roundtrip image
+
+let test_ctr_two_domains () =
+  (* The cipher's tables are shared, read-only state: two domains running
+     CTR at once get exactly the sequential output. *)
+  let key = Aes.expand "a 32-byte key for the domain run" in
+  let inputs =
+    List.init 8 (fun i -> Bytes.init (1000 + (517 * i)) (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let run () = List.map (fun d -> Aes.Mode.ctr_transform key ~nonce:iv16 d) inputs in
+  let sequential = run () in
+  let worker () =
+    List.for_all (fun _ -> List.for_all2 Bytes.equal sequential (run ())) (List.init 40 Fun.id)
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  Alcotest.(check bool) "domain 1 matches" true (Domain.join d1);
+  Alcotest.(check bool) "domain 2 matches" true (Domain.join d2)
+
 (* ------------------------------- HMAC ------------------------------ *)
 
 let test_hmac_rfc4231_case1 () =
@@ -322,6 +591,16 @@ let () =
           tc "million a" test_sha256_million_a;
           tc "incremental" test_sha256_incremental;
           tc "padding boundaries" test_sha256_block_boundaries;
+        ] );
+      ( "oracle",
+        [
+          tc "reference reproduces FIPS-197" test_ref_fips;
+          tc "2000 blocks vs reference" test_blocks_match_reference;
+          tc "ctr lengths 0-5000 vs reference" test_ctr_matches_reference;
+          tc "sha256 random split points" test_sha256_split_invariance;
+          tc "smof round trip: seclibc" test_smof_roundtrip_seclibc;
+          tc "smof round trip: 128 functions" test_smof_roundtrip_128_functions;
+          tc "ctr on two domains" test_ctr_two_domains;
         ] );
       ( "hmac",
         [

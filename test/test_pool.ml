@@ -650,6 +650,47 @@ let test_pooled_churn_no_frame_leak () =
         (live <= !baseline + 8)
   done
 
+(* A client that opens and closes sessions in a loop keeps a flat
+   exit-hook list: a hook left behind by a closed session pins that
+   session for the client's lifetime.  1,000 cold sessions, then 1,000
+   pooled ones once smodd is installed on the same subsystem; the
+   session still open when the client exits is detached by its hook. *)
+let test_session_churn_keeps_exit_hooks_flat () =
+  let world = World.create ~with_rpc:false () in
+  let smod = world.World.smod in
+  let brokered () = counter "pool.hit" + counter "pool.miss" in
+  let brokered0 = brokered () in
+  let base = ref (-1) and peak = ref 0 in
+  ignore
+    (M.spawn world.World.machine ~name:"churn" (fun p ->
+         base := List.length p.Proc.exit_hooks;
+         let churn () =
+           for i = 1 to 1000 do
+             let conn =
+               Stub.connect smod p ~module_name:Smod_libc.Seclibc.module_name
+                 ~version:Smod_libc.Seclibc.version
+                 ~credential:(Credential.make ~principal:"churn" ())
+             in
+             if i mod 250 = 0 then
+               Alcotest.(check int) "session serves" (i + 1)
+                 (Smod_libc.Seclibc.Client.test_incr conn i);
+             Stub.close conn;
+             peak := max !peak (List.length p.Proc.exit_hooks)
+           done
+         in
+         churn ();
+         ignore (Smodd.install smod ());
+         churn ();
+         ignore
+           (Stub.connect smod p ~module_name:Smod_libc.Seclibc.module_name
+              ~version:Smod_libc.Seclibc.version
+              ~credential:(Credential.make ~principal:"churn" ()))));
+  World.run world;
+  Alcotest.(check int) "no hook outlives its session" !base !peak;
+  Alcotest.(check int) "exit detaches the open session" 0
+    (List.length (Smod.active_sessions smod));
+  Alcotest.(check int) "second half pooled" 1001 (brokered () - brokered0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "pool"
@@ -677,5 +718,6 @@ let () =
           tc "sys_smod_remove retires pooled handles" test_remove_module_retires_pool;
           tc "uninstall wakes queued waiters" test_uninstall_wakes_waiters;
           tc "no frame leaks across pooled churn" test_pooled_churn_no_frame_leak;
+          tc "session churn keeps exit hooks flat" test_session_churn_keeps_exit_hooks_flat;
         ] );
     ]

@@ -103,9 +103,28 @@ let test_trace_order_and_labels () =
 
 let test_trace_capacity_drops_oldest () =
   let c = Clock.create () in
+  let emit t n = Trace.emit t ~clock:c ~actor:"x" (string_of_int n) in
+  let labels_from lo hi = List.init (hi - lo + 1) (fun i -> string_of_int (lo + i)) in
   let t = Trace.create ~capacity:3 () in
-  List.iter (fun l -> Trace.emit t ~clock:c ~actor:"x" l) [ "1"; "2"; "3"; "4"; "5" ];
-  Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ] (Trace.labels t)
+  List.iter (emit t) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ] (Trace.labels t);
+  (* The ring grows in steps and then wraps many times over; after every
+     emit it holds exactly the newest [capacity] events, oldest first. *)
+  let t = Trace.create ~capacity:100 () in
+  for n = 1 to 1000 do
+    emit t n;
+    Alcotest.(check (list string))
+      (Printf.sprintf "after %d emits" n)
+      (labels_from (max 1 (n - 99)) n)
+      (Trace.labels t)
+  done;
+  Trace.clear t;
+  Alcotest.(check (list string)) "clear after wrap-around" [] (Trace.labels t);
+  List.iter (emit t) [ 1; 2 ];
+  Alcotest.(check (list string)) "refills from empty" [ "1"; "2" ] (Trace.labels t);
+  let t = Trace.create ~capacity:1 () in
+  List.iter (emit t) [ 1; 2; 3 ];
+  Alcotest.(check (list string)) "capacity 1 keeps the newest" [ "3" ] (Trace.labels t)
 
 let test_trace_disable () =
   let c = Clock.create () in
