@@ -353,13 +353,6 @@ let compile ?origin ~policy ~credentials ~requesters ~levels () =
 (* The interpreter loop                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Same comparison rule as [Eval]: numeric iff both sides parse as
-   integers, lexicographic otherwise; absent attributes read as "". *)
-let compare_values a b =
-  match (int_of_string_opt a, int_of_string_opt b) with
-  | Some ia, Some ib -> compare ia ib
-  | _ -> compare a b
-
 let m_scope = Smod_metrics.scope "keynote"
 let m_compiled_runs = Smod_metrics.Scope.counter m_scope "compiled_runs"
 let m_compiled_ops = Smod_metrics.Scope.counter m_scope "compiled_ops"
@@ -389,7 +382,7 @@ let run t ~attrs =
     incr ops;
     match t.instrs.(!pc) with
     | Test (a, op, b) ->
-        let c = compare_values (operand_value a) (operand_value b) in
+        let c = Eval.compare_values (operand_value a) (operand_value b) in
         let holds =
           match op with
           | Ast.Eq -> c = 0

@@ -100,10 +100,6 @@ val run : t -> attrs:(string * string) list -> outcome
     never raises, and [index] is always a valid index into the compiled
     [levels]. *)
 
-val compare_values : string -> string -> int
-(** The comparison rule shared by [Eval], [run], and [Fuse]: numeric iff
-    both sides parse as integers, lexicographic otherwise. *)
-
 val kth_largest : int -> int list -> int
 
 val length : t -> int

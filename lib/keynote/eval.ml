@@ -12,8 +12,16 @@ let term_value ~attrs = function
   | Ast.Int i -> string_of_int i
   | Ast.Attr a -> ( match List.assoc_opt a attrs with Some v -> v | None -> "")
 
+(* [int_of_string] can only succeed when a digit follows the optional
+   sign, so every other value — a function or module name, say — is
+   answered here instead of by a raised and caught [Failure]. *)
+let int_value s =
+  let n = String.length s in
+  let i = if n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  if i < n && s.[i] >= '0' && s.[i] <= '9' then int_of_string_opt s else None
+
 let compare_values a b =
-  match (int_of_string_opt a, int_of_string_opt b) with
+  match (int_value a, int_value b) with
   | Some ia, Some ib -> compare ia ib
   | _ -> compare a b
 

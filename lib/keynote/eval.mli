@@ -21,6 +21,11 @@ type result = {
           prediction (§5) *)
 }
 
+val compare_values : string -> string -> int
+(** The comparison rule shared by {!eval_expr} and the compiled, fused
+    and vectorized engines: numeric iff both sides parse as integers
+    ([int_of_string]), lexicographic otherwise.  Never raises. *)
+
 val eval_expr : attrs:(string * string) list -> Ast.expr -> bool
 (** Guard evaluation: comparisons are numeric when both sides are integer
     literals or attribute values that parse as integers, lexicographic

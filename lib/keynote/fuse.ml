@@ -438,9 +438,9 @@ let exec_seg ops ~nodes ~origin ~attrs ~stack ~ops_count =
     | Compile.O_attr a -> (
         match List.assoc_opt a attrs with Some v -> v | None -> "")
   in
-  let test a op b = holds op (Compile.compare_values (operand_value a) (operand_value b)) in
+  let test a op b = holds op (Eval.compare_values (operand_value a) (operand_value b)) in
   let otest f op b =
-    holds op (Compile.compare_values (origin_value origin f) (operand_value b))
+    holds op (Eval.compare_values (origin_value origin f) (operand_value b))
   in
   let acc = ref 0 in
   let pc = ref 0 in

@@ -122,7 +122,7 @@ val max_seg : t -> int
 
 val origin_value : origin -> ofield -> string
 val holds : Ast.cmp -> int -> bool
-(** [holds cmp c] applies [cmp] to a [Compile.compare_values] result —
+(** [holds cmp c] applies [cmp] to an {!Eval.compare_values} result —
     exported so every engine shares one comparison semantics. *)
 
 val residue_reads : t -> string list -> bool

@@ -65,11 +65,11 @@ let run_residue plan snapshot ~width ~lanes =
           match List.assoc_opt a lanes.(k).l_attrs with Some v -> v | None -> "")
     in
     let test k a op b =
-      Fuse.holds op (Compile.compare_values (operand_value k a) (operand_value k b))
+      Fuse.holds op (Eval.compare_values (operand_value k a) (operand_value k b))
     in
     let otest k f op b =
       Fuse.holds op
-        (Compile.compare_values
+        (Eval.compare_values
            (Fuse.origin_value lanes.(k).l_origin f)
            (operand_value k b))
     in

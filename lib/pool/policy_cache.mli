@@ -6,14 +6,17 @@
     functions of their inputs ({!Secmodule.Policy.cacheable}), smodd
     memoises the outcome under the key
 
-      (credential digest, function, m_id, policy revision, keystore
-       generation)
+      (credential digest, function, m_id)
 
-    so the steady-state call path pays one cache probe instead of a
-    credential check plus a full policy walk.  Entries expire after a TTL
-    of simulated time, are evicted FIFO at capacity, and are invalidated
-    explicitly when the module is removed, its policy swapped (revision
-    key), or the keystore changes (generation key + flush). *)
+    and records in the entry the policy revision and keystore generation
+    it was decided under, so the steady-state call path pays one cache
+    probe instead of a credential check plus a full policy walk.  A
+    lookup under any other revision or generation is a plain miss, and
+    the store that follows overwrites the entry in place, keeping its
+    FIFO position: superseded decisions never accumulate.  Entries
+    expire after a TTL of simulated time, are evicted FIFO at capacity,
+    and are invalidated explicitly when the module is removed or the
+    keystore changes (flush). *)
 
 type t
 
@@ -26,10 +29,6 @@ val ttl_us : t -> float
 val capacity : t -> int
 val size : t -> int
 
-val credential_digest : Secmodule.Credential.t -> string
-(** SHA-256 over the credential's canonical byte form — the cache's
-    identity for "same principal presenting the same assertions". *)
-
 val lookup :
   t ->
   cred_digest:string ->
@@ -39,9 +38,10 @@ val lookup :
   keystore_gen:int ->
   decision option
 (** Charges one {!Smod_sim.Cost_model.Policy_cache_probe}; counts a
-    [policy_cache.hits] or [policy_cache.misses] metric.  An entry older
-    than the TTL counts as a miss ([policy_cache.expirations]) and is
-    dropped. *)
+    [policy_cache.hits] or [policy_cache.misses] metric.  An entry made
+    under another [policy_rev] or [keystore_gen] is a plain miss and
+    stays until the next {!store} overwrites it.  An entry older than the
+    TTL counts as a miss ([policy_cache.expirations]) and is dropped. *)
 
 val store :
   t ->
@@ -52,16 +52,18 @@ val store :
   keystore_gen:int ->
   decision ->
   unit
-(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; evicts the
-    oldest entry first when at capacity ([policy_cache.evictions]). *)
+(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}.  A key
+    already present is overwritten in place, whatever revision it held,
+    and keeps its FIFO position; a new key evicts the oldest entry first
+    when at capacity ([policy_cache.evictions]). *)
 
 (** {2 Compiled-program handles}
 
     Decision programs ({!Secmodule.Policy.compiled}) cached pool-side, so
     every session a credential opens — across pooled handles — reuses one
-    compilation.  Keyed by (credential digest, m_id, policy revision,
-    keystore generation); no TTL, since a program is immutable and its
-    key pins exactly the inputs it was compiled against. *)
+    compilation.  Keyed by (credential digest, m_id), one program per
+    key, valid only for the policy revision and keystore generation it
+    was compiled against; no TTL, since a program is immutable. *)
 
 val lookup_compiled :
   t ->
@@ -72,7 +74,8 @@ val lookup_compiled :
   Secmodule.Policy.compiled option
 (** Charges nothing (the dispatch layer charges one probe per
     session-memo miss); counts [policy_cache.compiled_hits] /
-    [policy_cache.compiled_misses]. *)
+    [policy_cache.compiled_misses].  A program compiled under another
+    revision or generation is a miss. *)
 
 val store_compiled :
   t ->
@@ -82,8 +85,9 @@ val store_compiled :
   keystore_gen:int ->
   Secmodule.Policy.compiled ->
   unit
-(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; FIFO-evicts
-    at [capacity]. *)
+(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; supersedes a
+    key's program in place, as {!store} does, and FIFO-evicts at
+    [capacity]. *)
 
 val compiled_size : t -> int
 

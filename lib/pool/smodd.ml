@@ -79,7 +79,6 @@ type t = {
   mutable total_handles : int;
   mutable total_waiters : int;  (* live (non-cancelled) queued clients *)
   cache : Policy_cache.t option;
-  cred_digests : (int, string) Hashtbl.t;  (* sid -> credential digest *)
   mutable remove_hook : (m_id:int -> unit) option;
       (* the hook registered on the Smod.t, deregistered by uninstall *)
 }
@@ -335,10 +334,6 @@ let broker t p entry credential =
   Smod_metrics.Histogram.observe m_wait_us (Clock.now_us clock -. t0);
   let sid = Smod.attach_pooled t.smod p ph ~credential in
   Smod_metrics.Counter.incr m_attaches;
-  if t.cache <> None then begin
-    if Hashtbl.length t.cred_digests > 8192 then Hashtbl.reset t.cred_digests;
-    Hashtbl.replace t.cred_digests sid (Policy_cache.credential_digest credential)
-  end;
   Some sid
 
 (* sys_smod_remove: every handle of the module dies (parked ones now,
@@ -372,25 +367,15 @@ let on_module_remove t ~m_id =
       pump t
 
 (* Map the kernel-side cache hooks onto the cache proper.  The digest is
-   memoised per session: the credential bytes were already hashed during
-   signature verification at establishment, so the probe itself is the
-   only per-call cost. *)
-let digest_for t (session : Smod.session) =
-  match Hashtbl.find_opt t.cred_digests session.Smod.sid with
-  | Some d -> d
-  | None ->
-      let d = Policy_cache.credential_digest session.Smod.credential in
-      if Hashtbl.length t.cred_digests > 8192 then Hashtbl.reset t.cred_digests;
-      Hashtbl.replace t.cred_digests session.Smod.sid d;
-      d
-
+   the session's own memo, shared with the compiled-program path, so the
+   probe itself is the only per-call cost. *)
 let cache_hooks t cache =
   let keystore_gen () = Keystore.generation (Smod.keystore t.smod) in
   {
     Smod.cache_lookup =
       (fun session ~func_name ->
         match
-          Policy_cache.lookup cache ~cred_digest:(digest_for t session) ~func_name
+          Policy_cache.lookup cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
             ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
             ~keystore_gen:(keystore_gen ())
         with
@@ -404,17 +389,17 @@ let cache_hooks t cache =
           | Smod.Cache_allow -> Policy_cache.Allow
           | Smod.Cache_deny reason -> Policy_cache.Deny reason
         in
-        Policy_cache.store cache ~cred_digest:(digest_for t session) ~func_name
+        Policy_cache.store cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
           ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
           ~keystore_gen:(keystore_gen ()) decision);
     Smod.compiled_lookup =
       (fun session ->
-        Policy_cache.lookup_compiled cache ~cred_digest:(digest_for t session)
+        Policy_cache.lookup_compiled cache ~cred_digest:(Smod.session_cred_digest session)
           ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
           ~keystore_gen:(keystore_gen ()));
     Smod.compiled_store =
       (fun session compiled ->
-        Policy_cache.store_compiled cache ~cred_digest:(digest_for t session)
+        Policy_cache.store_compiled cache ~cred_digest:(Smod.session_cred_digest session)
           ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
           ~keystore_gen:(keystore_gen ()) compiled);
   }
@@ -438,7 +423,6 @@ let install smod ?(config = default_config) () =
       total_handles = 0;
       total_waiters = 0;
       cache;
-      cred_digests = Hashtbl.create 64;
       remove_hook = None;
     }
   in
@@ -446,8 +430,8 @@ let install smod ?(config = default_config) () =
   (match cache with
    | Some c ->
        Smod.set_policy_cache smod (Some (cache_hooks t c));
-       (* Generation is in the key, so a keystore change already misses;
-          the flush additionally reclaims the dead entries' space. *)
+       (* Entries record their generation, so a keystore change already
+          misses; the flush additionally reclaims the dead entries' space. *)
        Keystore.on_change (Smod.keystore smod) (fun () -> ignore (Policy_cache.flush c))
    | None -> ());
   let remove_hook ~m_id = on_module_remove t ~m_id in
@@ -487,8 +471,7 @@ let uninstall t =
       ignore (unaccount t ph);
       Smod.retire_pooled_handle t.smod ph)
     victims;
-  (match t.cache with Some c -> ignore (Policy_cache.flush c) | None -> ());
-  Hashtbl.reset t.cred_digests
+  match t.cache with Some c -> ignore (Policy_cache.flush c) | None -> ()
 
 type module_status = {
   ms_m_id : int;

@@ -60,7 +60,7 @@ type session = {
   mutable ring : ring_state option;
   mutable cred_digest : string option;
       (** lazily computed SHA-256 of the wire credential; part of every
-          compiled-program cache key *)
+          policy-cache key *)
   mutable compiled_memo : (int * int * Policy.compiled) option;
       (** the session's compiled policy, valid while the stamped
           (policy_rev, keystore generation) pair still matches *)
@@ -253,6 +253,11 @@ type policy_cache_hooks = {
           instead of re-verifying and re-interpreting *)
   compiled_store : session -> Policy.compiled -> unit;
 }
+
+val session_cred_digest : session -> string
+(** SHA-256 over the session credential's canonical byte form, computed
+    once and memoised in the session — the caches' identity for "same
+    principal presenting the same assertions". *)
 
 val set_policy_cache : t -> policy_cache_hooks option -> unit
 (** Install smodd's policy-decision cache on the [sys_smod_call] path.

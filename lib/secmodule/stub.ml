@@ -28,31 +28,35 @@ let write_to_stack (p : Proc.t) data =
 
 let connect smod proc ~module_name ~version ~credential =
   let machine = Smod.machine smod in
-  (* Step 1 (Figure 1): ask the kernel whether the module exists. *)
+  (* Every step writes below the saved stack pointer; the words are
+     dropped again whether the handshake completes or a step fails. *)
   let saved_sp = proc.Proc.sp in
-  let name_addr = write_to_stack proc (Bytes.of_string (module_name ^ "\000")) in
-  let m_id = Machine.syscall machine proc Sysno.smod_find [| name_addr; version |] in
-  ignore m_id;
-  (* Write the session descriptor into client memory and start the
-     session; the kernel forcibly forks the handle. *)
-  let desc =
-    Wire.descriptor_to_bytes
-      {
-        Wire.module_name;
-        module_version = version;
-        credential = Credential.to_bytes credential;
-      }
-  in
-  let desc_addr = write_to_stack proc desc in
-  let _sid = Machine.syscall machine proc Sysno.smod_start_session [| desc_addr |] in
-  (* Complete the handshake; the kernel writes the handle info back. *)
-  let info_addr = write_to_stack proc (Bytes.make Wire.handle_info_size '\000') in
-  ignore (Machine.syscall machine proc Sysno.smod_handle_info [| info_addr |]);
   let info =
-    Wire.handle_info_of_bytes
-      (Aspace.read_bytes proc.Proc.aspace ~addr:info_addr ~len:Wire.handle_info_size)
+    Fun.protect
+      ~finally:(fun () -> proc.Proc.sp <- saved_sp)
+      (fun () ->
+        (* Step 1 (Figure 1): ask the kernel whether the module exists. *)
+        let name_addr = write_to_stack proc (Bytes.of_string (module_name ^ "\000")) in
+        let m_id = Machine.syscall machine proc Sysno.smod_find [| name_addr; version |] in
+        ignore m_id;
+        (* Write the session descriptor into client memory and start the
+           session; the kernel forcibly forks the handle. *)
+        let desc =
+          Wire.descriptor_to_bytes
+            {
+              Wire.module_name;
+              module_version = version;
+              credential = Credential.to_bytes credential;
+            }
+        in
+        let desc_addr = write_to_stack proc desc in
+        let _sid = Machine.syscall machine proc Sysno.smod_start_session [| desc_addr |] in
+        (* Complete the handshake; the kernel writes the handle info back. *)
+        let info_addr = write_to_stack proc (Bytes.make Wire.handle_info_size '\000') in
+        ignore (Machine.syscall machine proc Sysno.smod_handle_info [| info_addr |]);
+        Wire.handle_info_of_bytes
+          (Aspace.read_bytes proc.Proc.aspace ~addr:info_addr ~len:Wire.handle_info_size))
   in
-  proc.Proc.sp <- saved_sp;
   let session =
     match Smod.session_of_client smod ~client_pid:proc.Proc.pid with
     | Some s -> s
@@ -92,8 +96,17 @@ let call_id ?on_step c ~func_id args =
   Proc.push_word p entry_fp;
   (match on_step with Some f -> f 2 | None -> ());
   let result =
-    Machine.syscall machine p Sysno.smod_call
-      [| p.Proc.fp; synthetic_return_address; c.info.Wire.m_id; func_id |]
+    match
+      Machine.syscall machine p Sysno.smod_call
+        [| p.Proc.fp; synthetic_return_address; c.info.Wire.m_id; func_id |]
+    with
+    | r -> r
+    | exception e ->
+        (* A failed call (EACCES, EFAULT, EIDRM, ...) drops the whole frame
+           by restoring the entry registers, without reading it back. *)
+        p.Proc.sp <- entry_sp;
+        p.Proc.fp <- entry_fp;
+        raise e
   in
   (* Unwind: drop the duplicates and ids, restore FP, drop the frame. *)
   ignore (Proc.pop_word p);

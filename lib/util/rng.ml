@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words, held unboxed in one 32-byte buffer
+   so that advancing the state allocates nothing. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (8 * i)
+let set t i v = Bytes.set_int64_le t (8 * i) v
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -10,6 +15,14 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
+
 let create seed =
   let state = ref seed in
   let s0 = splitmix64 state in
@@ -17,22 +30,23 @@ let create seed =
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
   (* xoshiro256** must not start from the all-zero state. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
+(* Inlined into the draws below, so their int64 intermediates stay
+   unboxed too; only a result returned across a call is boxed. *)
 let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 and s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 1 (Int64.logxor s1 s2);
+  set t 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
+[@@inline]
 
 let bits64 = next_int64
 
@@ -48,6 +62,7 @@ let int_in t lo hi =
 let unit_float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+[@@inline]
 
 let float t bound = unit_float t *. bound
 

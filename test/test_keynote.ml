@@ -168,6 +168,39 @@ let test_expr_boolean_structure () =
 let test_expr_negative_numbers () =
   Alcotest.(check bool) "negative literal" true (eval_true "t > -5" [ ("t", "-3") ])
 
+(* The rule as it stood before [Eval.compare_values] stopped calling
+   [int_of_string_opt] on values that cannot be integers: the oracle. *)
+let old_compare_values a b =
+  match (int_of_string_opt a, int_of_string_opt b) with
+  | Some ia, Some ib -> compare ia ib
+  | _ -> compare a b
+
+let test_compare_values_differential () =
+  let fixed =
+    [ ""; "-"; "+"; "+7"; "-7"; "7"; "0"; "-0"; "+0"; "0x1F"; "-0x1f"; "0X1F"; "0b101";
+      "0B11"; "0o17"; "0O17"; "0u5"; "0U5"; "1_000"; "_1"; "1_"; " 1"; "1 "; "--1"; "+-1";
+      "x1"; "0x"; "0xg"; "9223372036854775807"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+      "99999999999999999999999"; "0x7FFFFFFFFFFFFFFF"; "0xFFFFFFFFFFFFFFFFF"; "abs";
+      "test_incr"; "seclibc"; "msgq" ]
+  in
+  let alphabet = "0123456789-+_xXbBoOuU aZ" in
+  let rng = Random.State.make [| 13 |] in
+  let random_value () =
+    String.init (Random.State.int rng 7) (fun _ ->
+        alphabet.[Random.State.int rng (String.length alphabet)])
+  in
+  let values = fixed @ List.init 400 (fun _ -> random_value ()) in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let want = old_compare_values a b and got = Eval.compare_values a b in
+          if got <> want then
+            Alcotest.failf "compare_values %S %S = %d, old rule %d" a b got want)
+        values)
+    values
+
 (* ------------------------ compliance checker ----------------------- *)
 
 let query ~policy ~credentials ~attrs ~requesters =
@@ -441,6 +474,7 @@ let () =
           tc "numeric compare" test_expr_numeric_compare;
           tc "boolean structure" test_expr_boolean_structure;
           tc "negative numbers" test_expr_negative_numbers;
+          tc "compare_values = old rule" test_compare_values_differential;
         ] );
       ( "compliance",
         [

@@ -12,6 +12,7 @@ module Layout = Smod_vmem.Layout
 module Clock = Smod_sim.Clock
 module Cost = Smod_sim.Cost_model
 module Keystore = Smod_keynote.Keystore
+module Parse = Smod_keynote.Parse
 module Smof = Smod_modfmt.Smof
 module World = Smod_bench_kit.World
 module Smodd = Smod_pool.Smodd
@@ -576,6 +577,139 @@ let test_keystore_change_flushes () =
   Alcotest.(check (option int)) "repopulated under the new generation" (Some 1)
     st.Smodd.st_cache_size
 
+let any_program clock =
+  Policy.compile ~clock ~keystore:(Keystore.create ())
+    ~credential:(Credential.make ~principal:"a" ())
+    Policy.Always_allow
+
+(* Revision and generation live in the entries, not the keys: 1,000
+   policy revisions for one (credential, function, module) leave one
+   decision and one program, and only the current pair is served. *)
+let test_cache_revisions_supersede_in_place () =
+  let clock = Clock.create ~jitter:0.0 () in
+  let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:16 in
+  let program = any_program clock in
+  for rev = 1 to 1_000 do
+    Policy_cache.store cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
+      ~keystore_gen:0 Policy_cache.Allow;
+    Policy_cache.store_compiled cache ~cred_digest:"d" ~m_id:1 ~policy_rev:rev ~keystore_gen:0
+      program
+  done;
+  Alcotest.(check int) "one decision" 1 (Policy_cache.size cache);
+  Alcotest.(check int) "one program" 1 (Policy_cache.compiled_size cache);
+  let exp0 = counter "policy_cache.expirations" in
+  let hit ~rev ~gen =
+    let d =
+      Policy_cache.lookup cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
+        ~keystore_gen:gen
+    and c =
+      Policy_cache.lookup_compiled cache ~cred_digest:"d" ~m_id:1 ~policy_rev:rev
+        ~keystore_gen:gen
+    in
+    match (d, c) with
+    | Some Policy_cache.Allow, Some c when c == program -> true
+    | None, None -> false
+    | _ -> Alcotest.failf "rev %d gen %d: decision and program disagree" rev gen
+  in
+  Alcotest.(check bool) "current revision hits" true (hit ~rev:1_000 ~gen:0);
+  List.iter
+    (fun (rev, gen) ->
+      Alcotest.(check bool) (Printf.sprintf "rev %d gen %d misses" rev gen) false
+        (hit ~rev ~gen))
+    [ (1, 0); (999, 0); (1_001, 0); (1_000, 1); (1_000, -1); (999, 1) ];
+  Alcotest.(check int) "a stale revision is no expiration" 0
+    (counter "policy_cache.expirations" - exp0);
+  Alcotest.(check int) "the stale entry waits for its next store" 1 (Policy_cache.size cache)
+
+(* A store under a new revision overwrites its key in place: one insert
+   charge, no eviction of another key at capacity, and the key keeps its
+   FIFO slot, so it is still the first to go. *)
+let test_cache_supersede_charges_one_insert () =
+  let clock = Clock.create ~jitter:0.0 () in
+  let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:2 in
+  let program = any_program clock in
+  let put d rev =
+    Policy_cache.store cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
+      ~keystore_gen:0 Policy_cache.Allow;
+    Policy_cache.store_compiled cache ~cred_digest:d ~m_id:1 ~policy_rev:rev ~keystore_gen:0
+      program
+  in
+  let held d rev =
+    Policy_cache.lookup cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
+      ~keystore_gen:0
+    = Some Policy_cache.Allow
+    && Policy_cache.lookup_compiled cache ~cred_digest:d ~m_id:1 ~policy_rev:rev
+         ~keystore_gen:0
+       <> None
+  in
+  put "a" 1;
+  put "b" 1;
+  let ev0 = counter "policy_cache.evictions"
+  and ins0 = counter "policy_cache.inserts"
+  and cins0 = counter "policy_cache.compiled_inserts" in
+  let c0 = Clock.now_cycles clock in
+  Policy_cache.store cache ~cred_digest:"a" ~func_name:"f" ~m_id:1 ~policy_rev:2
+    ~keystore_gen:0 Policy_cache.Allow;
+  Alcotest.(check (float 1e-9)) "one insert charge" (Cost.cycles Cost.Policy_cache_insert)
+    (Clock.now_cycles clock -. c0);
+  let c1 = Clock.now_cycles clock in
+  Policy_cache.store_compiled cache ~cred_digest:"a" ~m_id:1 ~policy_rev:2 ~keystore_gen:0
+    program;
+  Alcotest.(check (float 1e-9)) "one compiled insert charge"
+    (Cost.cycles Cost.Policy_cache_insert)
+    (Clock.now_cycles clock -. c1);
+  Alcotest.(check int) "one insert" 1 (counter "policy_cache.inserts" - ins0);
+  Alcotest.(check int) "one compiled insert" 1
+    (counter "policy_cache.compiled_inserts" - cins0);
+  Alcotest.(check int) "nothing evicted" 0 (counter "policy_cache.evictions" - ev0);
+  Alcotest.(check bool) "b untouched" true (held "b" 1);
+  Alcotest.(check bool) "a superseded" true (held "a" 2);
+  put "c" 1;
+  Alcotest.(check bool) "a kept the oldest slot and went first" false (held "a" 2);
+  Alcotest.(check bool) "b kept" true (held "b" 1);
+  Alcotest.(check bool) "c stored" true (held "c" 1)
+
+(* The same through smodd: 40 policy updates, each followed by fresh
+   pooled sessions of two principals calling two functions, leave the
+   pool's tables at the keys in use — 2 x 2 decisions, 2 programs. *)
+let test_set_policy_churn_keeps_cache_flat () =
+  let policy round =
+    Policy.Keynote
+      {
+        policy =
+          [
+            Parse.assertion_of_string
+              (Printf.sprintf
+                 "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"alice\" || \"bob\"\n\
+                  conditions: module == \"seclibc\" || round == \"%d\" -> \"allow\";\n"
+                 round);
+          ];
+        levels = [| "deny"; "allow" |];
+        min_level = "allow";
+        attrs = [];
+      }
+  in
+  let world = World.create ~pool:Smodd.default_config ~with_rpc:false ~policy:(policy 0) () in
+  Smod.set_policy_compile world.World.smod true;
+  let pool = Option.get world.World.pool in
+  let calls = ref 0 in
+  for round = 1 to 40 do
+    Registry.set_policy world.World.libc_entry (policy round);
+    List.iter
+      (fun principal ->
+        World.spawn_seclibc_client world ~name:principal ~principal (fun _p conn ->
+            if Smod_libc.Seclibc.Client.test_incr conn round = round + 1 then incr calls;
+            if Smod_libc.Seclibc.Client.abs conn (-round) = round then incr calls))
+      [ "alice"; "bob" ];
+    World.run world;
+    let st = Smodd.status pool in
+    Alcotest.(check (option int)) (Printf.sprintf "round %d decisions" round) (Some 4)
+      st.Smodd.st_cache_size;
+    Alcotest.(check (option int)) (Printf.sprintf "round %d programs" round) (Some 2)
+      st.Smodd.st_cache_compiled
+  done;
+  Alcotest.(check int) "every call served" 160 !calls
+
 (* ----------------------- module removal ------------------------------ *)
 
 let test_remove_module_retires_pool () =
@@ -712,6 +846,9 @@ let () =
           tc "TTL, FIFO eviction, invalidation" test_cache_ttl_and_eviction;
           tc "re-stored key keeps FIFO order" test_cache_refresh_keeps_fifo_order;
           tc "keystore change flushes" test_keystore_change_flushes;
+          tc "revisions supersede in place" test_cache_revisions_supersede_in_place;
+          tc "superseding store charges one insert" test_cache_supersede_charges_one_insert;
+          tc "set_policy churn keeps the cache flat" test_set_policy_churn_keeps_cache_flat;
         ] );
       ( "lifecycle",
         [

@@ -340,6 +340,65 @@ let test_stack_choreography_words () =
       Alcotest.(check int) "result" 42 result;
       Alcotest.(check int) "all steps observed" 3 !checked)
 
+(* A keynote policy that licenses alice for every function but add2. *)
+let deny_add2 =
+  Policy.Keynote
+    {
+      policy =
+        [
+          Parse.assertion_of_string
+            "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"alice\"\n\
+             conditions: function != \"add2\" -> \"allow\";\n";
+        ];
+      levels = [| "deny"; "allow" |];
+      min_level = "allow";
+      attrs = [];
+    }
+
+(* A call that fails in the kernel unwinds its whole frame: 20,000
+   denials (and a few faults) would otherwise leave 8 words each on the
+   client stack, overrunning its 64 pages. *)
+let test_failed_calls_unwind_frame () =
+  let m, smod, _ = setup ~policy:deny_add2 () in
+  let finished = ref false in
+  in_client m smod (fun p conn ->
+      let sp0 = p.Proc.sp and fp0 = p.Proc.fp in
+      let pages0 = Aspace.mapped_page_count p.Proc.aspace in
+      let denied = ref 0 and faulted = ref 0 in
+      for i = 1 to 20_000 do
+        match Stub.call conn ~func:"add2" [| i; i |] with
+        | _ -> ()
+        | exception Errno.Error (Errno.EACCES, _) -> incr denied
+      done;
+      for _ = 1 to 100 do
+        match Stub.call conn ~func:"crashy" [||] with
+        | _ -> ()
+        | exception Errno.Error (Errno.EFAULT, _) -> incr faulted
+      done;
+      Alcotest.(check int) "every add2 denied" 20_000 !denied;
+      Alcotest.(check int) "every crashy faulted" 100 !faulted;
+      Alcotest.(check int) "sp unchanged" sp0 p.Proc.sp;
+      Alcotest.(check int) "fp unchanged" fp0 p.Proc.fp;
+      Alcotest.(check int) "no stack pages mapped" pages0
+        (Aspace.mapped_page_count p.Proc.aspace);
+      Alcotest.(check int) "next call works" 42 (Stub.call conn ~func:"test_incr" [| 41 |]);
+      finished := true);
+  Alcotest.(check bool) "client ran to the end" true !finished
+
+let test_denied_connect_restores_sp () =
+  let m, smod, _ = setup ~policy:deny_add2 () in
+  let outcome = ref `Not_run in
+  ignore
+    (M.spawn m ~name:"mallory" (fun p ->
+         let sp0 = p.Proc.sp in
+         match
+           Stub.connect smod p ~module_name:"testmod" ~version:1 ~credential:(cred "mallory")
+         with
+         | _ -> outcome := `Connected
+         | exception Errno.Error (Errno.EACCES, _) -> outcome := `Denied (p.Proc.sp - sp0)));
+  M.run m;
+  Alcotest.(check bool) "denied with sp restored" true (!outcome = `Denied 0)
+
 let test_args_read_from_shared_stack () =
   (* The handle reads args from the client's stack memory, not a copy:
      overwrite the stack slot from the handle side via a module function
@@ -1262,6 +1321,8 @@ let () =
           tc "args via shared stack" test_args_read_from_shared_stack;
           tc "unknown function" test_unknown_function_rejected;
           tc "module fault -> EFAULT" test_module_fault_becomes_efault;
+          tc "failed calls unwind the frame" test_failed_calls_unwind_frame;
+          tc "denied connect restores sp" test_denied_connect_restores_sp;
         ] );
       ( "policy enforcement",
         [

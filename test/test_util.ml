@@ -89,6 +89,93 @@ let test_rng_bytes () =
   let b = Rng.bytes r 100 in
   Alcotest.(check int) "length" 100 (Bytes.length b)
 
+(* The generator as it stood with its state in four boxed int64 fields:
+   the oracle for the stream the unboxed state must reproduce. *)
+module Ref_rng = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let splitmix64 state =
+    state := Int64.add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed =
+    let state = ref seed in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
+      { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
+    else { s0; s1; s2; s3 }
+
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+
+  let next_int64 t =
+    let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
+    let tmp = Int64.shift_left t.s1 17 in
+    t.s2 <- Int64.logxor t.s2 t.s0;
+    t.s3 <- Int64.logxor t.s3 t.s1;
+    t.s1 <- Int64.logxor t.s1 t.s2;
+    t.s0 <- Int64.logxor t.s0 t.s3;
+    t.s2 <- Int64.logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = create (next_int64 t)
+end
+
+let check_stream name ~n r o =
+  for i = 1 to n do
+    let got = Rng.next_int64 r and want = Ref_rng.next_int64 o in
+    if got <> want then Alcotest.failf "%s: output %d is %Ld, oracle %Ld" name i got want
+  done
+
+(* Seed 0x61C8864680B583EB (minus splitmix64's increment) makes the first
+   state word zero, the nearest a seed can come to the all-zero state:
+   splitmix64's mixer is a bijection fixing 0, so of four consecutive
+   words at most one is zero and the fallback state cannot be reached
+   from [create]. *)
+let oracle_seeds = [ 0L; 1L; 42L; -1L; Int64.min_int; Int64.max_int; 0x61C8864680B583EBL ]
+
+let test_rng_oracle_stream () =
+  List.iter
+    (fun seed ->
+      check_stream (Printf.sprintf "seed %Ld" seed) ~n:100_000 (Rng.create seed)
+        (Ref_rng.create seed))
+    oracle_seeds
+
+let test_rng_oracle_copy_split () =
+  List.iter
+    (fun seed ->
+      let r = Rng.create seed and o = Ref_rng.create seed in
+      check_stream "warm-up" ~n:1_000 r o;
+      let rc = Rng.copy r and oc = Ref_rng.copy o in
+      check_stream "original after copy" ~n:1_000 r o;
+      (* The copy starts where the original stood and is not advanced by it. *)
+      check_stream "copy" ~n:2_000 rc oc;
+      let rs = Rng.split r and os = Ref_rng.split o in
+      check_stream "split child" ~n:10_000 rs os;
+      check_stream "parent after split" ~n:10_000 r o)
+    oracle_seeds
+
+let test_rng_draws_do_not_allocate () =
+  if Sys.backend_type = Sys.Native then begin
+    let r = Rng.create 7L in
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Rng.int r 1000))
+    done;
+    let words = Gc.minor_words () -. w0 in
+    if words >= float_of_int n then
+      Alcotest.failf "%d draws of Rng.int allocated %.0f words" n words
+  end
+
 (* ------------------------------ Stats ------------------------------ *)
 
 let test_stats_mean () = check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |])
@@ -257,6 +344,9 @@ let () =
           tc "split independent" test_rng_split_independent;
           tc "copy" test_rng_copy;
           tc "bytes length" test_rng_bytes;
+          tc "oracle stream" test_rng_oracle_stream;
+          tc "oracle copy and split" test_rng_oracle_copy_split;
+          tc "draws do not allocate" test_rng_draws_do_not_allocate;
         ] );
       ( "stats",
         [
