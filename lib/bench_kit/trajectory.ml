@@ -182,13 +182,9 @@ let of_string s = of_json (Json.of_string s)
 (* History                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Dated snapshot file names sort chronologically, so (date, commit,
-   snapshot) gives a stable history order even with several captures on
-   one day. *)
-let sorted entries =
-  List.sort
-    (fun a b -> compare (a.t_date, a.t_commit, a.t_snapshot) (b.t_date, b.t_commit, b.t_snapshot))
-    entries
+(* By date only, and stable: captures from one day keep the order they
+   were appended in, which a short sha says nothing about. *)
+let sorted entries = List.stable_sort (fun a b -> compare a.t_date b.t_date) entries
 
 let append entries e =
   let dup x = x.t_date = e.t_date && x.t_commit = e.t_commit && x.t_snapshot = e.t_snapshot in

@@ -19,7 +19,9 @@ type entry = {
 val headline_keys : string list
 (** In order: [e1_test_incr_us], [e9_slope_us], [e9_slope_compiled_us],
     [e16_attach_us], [e18_ring_b16_us], [e19_compiled_kn16_us],
-    [e20_ring_k8_kcalls]. *)
+    [e20_ring_k8_kcalls], [e21_ring_k8_storm_kcalls],
+    [e22_poller_traps_per_call], [e24_fused_batch64_kn16],
+    [e25_vector_batch64_kn16]. *)
 
 val entry_of_doc : snapshot:string -> Bench_json.doc -> entry
 (** Distil a bench document into a trajectory entry.  The E9 slopes are
@@ -35,11 +37,12 @@ val of_string : string -> entry list
     unknown schema/version. *)
 
 val sorted : entry list -> entry list
-(** History order: by (date, commit, snapshot name). *)
+(** History order: by date; entries of one day keep their list order. *)
 
 val append : entry list -> entry -> entry list
-(** Append-and-sort; a duplicate (same date, commit and snapshot) is
-    dropped so re-promoting a snapshot is idempotent. *)
+(** Append-and-sort, so a same-day entry lands after the day's earlier
+    appends; a duplicate (same date, commit and snapshot) is dropped so
+    re-promoting a snapshot is idempotent. *)
 
 val render : entry list -> string
 (** The metric-history table ([benchdiff --trajectory]). *)

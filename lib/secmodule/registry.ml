@@ -11,10 +11,12 @@ type entry = {
   mutable policy : Policy.t;
   mutable policy_rev : int;
   admin_principal : string;
-  mutable kernel_key : string option;
-  mutable kernel_nonce : bytes option;
+  kernel_key : string option;
+  kernel_nonce : bytes option;
   natives : (string, native_fn) Hashtbl.t;
   functions : Smof.symbol array;
+  func_ids : (string, int) Hashtbl.t;
+  mutable linked : Smof.t option;
   (* Compiled-policy cache: Policy.compiled keyed by
      "<credential digest>\x00<policy_rev>\x00<keystore generation>", so a
      stale program can never be returned — but stale entries are also
@@ -49,6 +51,12 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
   | None -> ());
   if image.Smof.encrypted && kernel_key = None then
     invalid_arg "Registry.add: encrypted image requires a kernel key";
+  let functions = Array.of_list (Smof.function_symbols image) in
+  (* A duplicate name maps to the later symbol in text order. *)
+  let func_ids = Hashtbl.create (Array.length functions) in
+  Array.iteri
+    (fun id (sym : Smof.symbol) -> Hashtbl.replace func_ids sym.Smof.sym_name id)
+    functions;
   let entry =
     {
       m_id = t.next_id;
@@ -60,7 +68,9 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
       kernel_key;
       kernel_nonce;
       natives = Hashtbl.create 8;
-      functions = Array.of_list (Smof.function_symbols image);
+      functions;
+      func_ids;
+      linked = None;
       compiled_cache = Hashtbl.create 8;
       compile_hits = 0;
       compile_misses = 0;
@@ -79,21 +89,28 @@ let remove t ~m_id =
 let find_by_id t m_id = Hashtbl.find_opt t.by_id m_id
 let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_id []
 
-let plaintext_image e =
-  if not e.image.Smof.encrypted then e.image
-  else begin
-    match (e.kernel_key, e.kernel_nonce) with
-    | Some key, Some nonce -> Smof.decrypt_text e.image ~key ~nonce
-    | _ -> raise (Smof.Malformed "encrypted module has no kernel key")
-  end
+(* Image, key and nonce never change after [add], so the first success is
+   the answer for good; a failure stores nothing and fails again. *)
+let linked_image e =
+  match e.linked with
+  | Some linked -> linked
+  | None ->
+      let plaintext =
+        match (e.image.Smof.encrypted, e.kernel_key, e.kernel_nonce) with
+        | false, _, _ -> e.image
+        | true, Some key, Some nonce -> Smof.decrypt_text e.image ~key ~nonce
+        | true, _, _ -> raise (Smof.Malformed "encrypted module has no kernel key")
+      in
+      let resolve name =
+        match Smof.find_symbol plaintext name with
+        | Some sym -> Smod_vmem.Layout.module_text_base + sym.Smof.sym_offset
+        | None -> 0
+      in
+      let linked = Smof.apply_relocations plaintext ~resolve in
+      e.linked <- Some linked;
+      linked
 
-let func_id e name =
-  let rec scan i =
-    if i >= Array.length e.functions then None
-    else if e.functions.(i).Smof.sym_name = name then Some i
-    else scan (i + 1)
-  in
-  scan 0
+let func_id e name = Hashtbl.find_opt e.func_ids name
 
 let symbol_of_func_id e id =
   if id >= 0 && id < Array.length e.functions then Some e.functions.(id) else None

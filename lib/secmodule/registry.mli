@@ -24,10 +24,15 @@ type entry = {
       (** revision counter keying cached policy decisions (lib/pool);
           bumped by {!set_policy} *)
   admin_principal : string;  (** who may [sys_smod_remove] this module *)
-  mutable kernel_key : string option;
-  mutable kernel_nonce : bytes option;
+  kernel_key : string option;
+  kernel_nonce : bytes option;
   natives : (string, native_fn) Hashtbl.t;
-  functions : Smod_modfmt.Smof.symbol array;  (** index = funcID *)
+  functions : Smod_modfmt.Smof.symbol array;  (** index = funcID, in text order *)
+  func_ids : (string, int) Hashtbl.t;
+      (** name → funcID, read by {!func_id}; a duplicate name maps to the
+          last such symbol in text order *)
+  mutable linked : Smod_modfmt.Smof.t option;
+      (** set once by {!linked_image}; its bytes are only ever copied *)
   compiled_cache : (string, Policy.compiled) Hashtbl.t;
       (** compiled decision programs, keyed with {!compiled_key} *)
   mutable compile_hits : int;
@@ -60,9 +65,14 @@ val find : t -> name:string -> version:int -> entry option
 val find_by_id : t -> int -> entry option
 val entries : t -> entry list
 
-val plaintext_image : entry -> Smod_modfmt.Smof.t
-(** Decrypts with the kernel-held key when the entry is [Encrypted]
-    (raises {!Smod_modfmt.Smof.Malformed} if the key is wrong). *)
+val linked_image : entry -> Smod_modfmt.Smof.t
+(** The module as every handle maps it: text decrypted with the
+    kernel-held key (when the image is encrypted), checked against its
+    masked digest and relocated against
+    {!Smod_vmem.Layout.module_text_base}.  Built on first use and
+    returned physically equal afterwards; installs copy it into frames
+    and charge the decryption per install.  Raises
+    {!Smod_modfmt.Smof.Malformed} if the key is wrong, storing nothing. *)
 
 val set_policy : entry -> Policy.t -> unit
 (** Replace the module's access policy and bump [policy_rev] so stale
@@ -84,6 +94,8 @@ val flush_compiled : entry -> int
     how many entries were evicted (added to [compile_invalidations]). *)
 
 val func_id : entry -> string -> int option
+(** One lookup in [func_ids]: the client stubs use the same table. *)
+
 val symbol_of_func_id : entry -> int -> Smod_modfmt.Smof.symbol option
 val bind_native : entry -> name:string -> native_fn -> unit
 val native : entry -> string -> native_fn option

@@ -73,8 +73,6 @@ type pooled_handle = {
   ph_req_qid : int;
   ph_rep_qid : int;
   ph_aspace : Aspace.t;
-  ph_data_image : bytes;
-      (** pristine (linked) module data segment, re-installed between tenants *)
   mutable ph_session : session option;
   mutable ph_dead : bool;
   mutable ph_reserved : bool;
@@ -263,11 +261,6 @@ let set_vector_width t w =
 let vector_width t = t.vector_width
 let toctou_mitigation t = t.toctou
 
-(* Where module images land inside the handle's address space: text below
-   the client text limit (never inside the shared range), module-private
-   data just above it. *)
-let module_text_base_addr = 0x0060_0000
-let module_data_base_addr = 0x0300_0000
 let secret_stack_top = Layout.secret_base + (Layout.secret_pages * Layout.page_size)
 
 (* The kernel caches the client's pid at the base of the secret segment so
@@ -280,9 +273,11 @@ let session_of_handle t ~handle_pid = Hashtbl.find_opt t.sessions_by_handle hand
 let active_sessions t =
   Hashtbl.fold (fun _ s acc -> if s.detached then acc else s :: acc) t.sessions_by_client []
 
-let handle_aspace t session =
-  let handle = Machine.proc_exn t.machine session.handle_pid in
-  handle.Proc.aspace
+(* A mux session's handle context is its fiber's, not the mux daemon's. *)
+let handle_aspace t (session : session) =
+  match t.mux with
+  | Some mx when session.mux -> (Hashtbl.find mx.mx_sessions session.sid).ms_aspace
+  | Some _ | None -> (Machine.proc_exn t.machine session.handle_pid).Proc.aspace
 
 (* ------------------------------------------------------------------ *)
 (* Registration (trusted tool chain)                                   *)
@@ -653,15 +648,16 @@ let scrub_pooled_handle t ph =
      module globals, so a pooled handle must not let one tenant's writes
      (state or data) survive into the next session.  Zero first so the
      page-aligned slack beyond the image is covered too. *)
-  let data_len = Bytes.length ph.ph_data_image in
+  let data = (Registry.linked_image ph.ph_entry).Smof.data in
+  let data_len = Bytes.length data in
   let data_cleared =
     if data_len = 0 then 0
     else begin
       let cleared =
-        Aspace.zero_materialized ph.ph_aspace ~start_addr:module_data_base_addr
+        Aspace.zero_materialized ph.ph_aspace ~start_addr:Layout.module_data_base
           ~size:(Layout.page_align_up data_len)
       in
-      Aspace.write_bytes ph.ph_aspace ~addr:module_data_base_addr ph.ph_data_image;
+      Aspace.write_bytes ph.ph_aspace ~addr:Layout.module_data_base data;
       cleared + data_len
     end
   in
@@ -891,40 +887,62 @@ let fused_of t session ~transport =
             session.fused_memo <- Some (rev, gen, transport, ctx);
             Some ctx)
 
-let install_module_image t session_text_base session_data_base handle_aspace entry =
+(* Every install pays the kernel's decryption with the kernel-held key
+   (§4.1), but the host decrypts, verifies and links once per registry
+   entry: each handle gets a copy of that one linked image. *)
+let install_module_image t handle_aspace entry =
   let clock = Machine.clock t.machine in
   let image = entry.Registry.image in
-  (* Decrypt with the kernel-held key when necessary; charge the AES work. *)
-  let plaintext =
-    if image.Smof.encrypted then begin
-      Clock.charge clock Cost.Aes_key_schedule;
-      Clock.charge_n clock Cost.Aes_block ((Bytes.length image.Smof.text + 15) / 16);
-      Registry.plaintext_image entry
-    end
-    else image
-  in
-  (* Link: resolve every symbol to its final address in the handle. *)
-  let resolve name =
-    match Smof.find_symbol plaintext name with
-    | Some sym -> session_text_base + sym.Smof.sym_offset
-    | None -> 0
-  in
-  let linked = Smof.apply_relocations plaintext ~resolve in
+  if image.Smof.encrypted then begin
+    Clock.charge clock Cost.Aes_key_schedule;
+    Clock.charge_n clock Cost.Aes_block ((Bytes.length image.Smof.text + 15) / 16)
+  end;
+  let linked = Registry.linked_image entry in
+  let text_base = Layout.module_text_base and data_base = Layout.module_data_base in
   let text_size = Layout.page_align_up (max 1 (Bytes.length linked.Smof.text)) in
-  Aspace.add_entry handle_aspace ~start_addr:session_text_base ~size:text_size ~prot:Prot.rw
+  Aspace.add_entry handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rw
     ~kind:Aspace.Text ~name:("module:" ^ image.Smof.mod_name);
-  Aspace.write_bytes handle_aspace ~addr:session_text_base linked.Smof.text;
+  Aspace.write_bytes handle_aspace ~addr:text_base linked.Smof.text;
   Clock.charge clock (Cost.Copy_bytes (Bytes.length linked.Smof.text));
-  Aspace.protect_range handle_aspace ~start_addr:session_text_base ~size:text_size
-    ~prot:Prot.rx;
+  Aspace.protect_range handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rx;
   if Bytes.length linked.Smof.data > 0 then begin
     let data_size = Layout.page_align_up (Bytes.length linked.Smof.data) in
-    Aspace.add_entry handle_aspace ~start_addr:session_data_base ~size:data_size ~prot:Prot.rw
+    Aspace.add_entry handle_aspace ~start_addr:data_base ~size:data_size ~prot:Prot.rw
       ~kind:Aspace.Data ~name:("module-data:" ^ image.Smof.mod_name);
-    Aspace.write_bytes handle_aspace ~addr:session_data_base linked.Smof.data;
+    Aspace.write_bytes handle_aspace ~addr:data_base linked.Smof.data;
     Clock.charge clock (Cost.Copy_bytes (Bytes.length linked.Smof.data))
-  end;
-  linked
+  end
+
+(* A session of [client_pid] on [entry], not yet established; the three
+   routes differ only in the handle and queue pair they give it. *)
+let new_session ~sid ~entry ~client_pid ~credential ~handle_pid ~req_qid ~rep_qid ~pooled ~mux =
+  {
+    sid;
+    m_id = entry.Registry.m_id;
+    entry;
+    client_pid;
+    handle_pid;
+    req_qid;
+    rep_qid;
+    credential;
+    policy_state = Policy.initial_state entry.Registry.policy;
+    module_text_base = Layout.module_text_base;
+    module_data_base = Layout.module_data_base;
+    established = false;
+    detached = false;
+    calls = 0;
+    denied_calls = 0;
+    faulted_calls = 0;
+    handle_exec_us = 0.0;
+    client_waiting_handshake = false;
+    pooled;
+    mux;
+    ring = None;
+    cred_digest = None;
+    compiled_memo = None;
+    fused_memo = None;
+    client_exit_hook = None;
+  }
 
 (* Spawn a reusable handle for [entry], owned by the smodd service layer.
    Everything a cold fork would build per session — address space, module
@@ -939,9 +957,7 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
     Aspace.create ~phys:(Machine.phys t.machine) ~clock
       ~name:(Printf.sprintf "pool-handle-%s-%d" mod_name serial)
   in
-  let linked =
-    install_module_image t module_text_base_addr module_data_base_addr handle_aspace entry
-  in
+  install_module_image t handle_aspace entry;
   Aspace.add_entry handle_aspace ~start_addr:Layout.secret_base
     ~size:(Layout.secret_pages * Layout.page_size)
     ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
@@ -967,7 +983,6 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
       ph_req_qid = req_qid;
       ph_rep_qid = rep_qid;
       ph_aspace = handle_aspace;
-      ph_data_image = linked.Smof.data;
       ph_session = None;
       ph_dead = false;
       ph_reserved = false;
@@ -1028,33 +1043,8 @@ let attach_pooled t (p : Proc.t) ph ~credential =
   let sid = t.next_sid in
   t.next_sid <- t.next_sid + 1;
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = ph.ph_pid;
-      req_qid = ph.ph_req_qid;
-      rep_qid = ph.ph_rep_qid;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = true;
-      mux = false;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-      client_exit_hook = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:ph.ph_pid
+      ~req_qid:ph.ph_req_qid ~rep_qid:ph.ph_rep_qid ~pooled:true ~mux:false
   in
   ph.ph_session <- Some session;
   ph.ph_reserved <- false;
@@ -1089,7 +1079,7 @@ let cold_start_session t (p : Proc.t) entry credential =
     Aspace.create ~phys:(Machine.phys t.machine) ~clock
       ~name:(Printf.sprintf "handle-of-%d" p.Proc.pid)
   in
-  ignore (install_module_image t module_text_base_addr module_data_base_addr handle_aspace entry);
+  install_module_image t handle_aspace entry;
   (* Secret stack/heap segment, never shared, never client-visible. *)
   Aspace.add_entry handle_aspace ~start_addr:Layout.secret_base
     ~size:(Layout.secret_pages * Layout.page_size)
@@ -1100,36 +1090,11 @@ let cold_start_session t (p : Proc.t) entry credential =
   t.next_sid <- t.next_sid + 1;
   let req_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor (sid * 2)) in
   let rep_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor ((sid * 2) + 1)) in
-  (* Forcibly fork the handle. *)
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = 0;
-      req_qid;
-      rep_qid;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = false;
-      mux = false;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-      client_exit_hook = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:0 ~req_qid ~rep_qid
+      ~pooled:false ~mux:false
   in
+  (* Forcibly fork the handle. *)
   let handle =
     Machine.forced_fork t.machine p
       ~name:(Printf.sprintf "smod-handle-%d" sid)
@@ -1329,41 +1294,16 @@ let mux_attach t (p : Proc.t) entry credential =
     Aspace.create ~phys:(Machine.phys t.machine) ~clock
       ~name:(Printf.sprintf "mux-handle-%d" sid)
   in
-  ignore (install_module_image t module_text_base_addr module_data_base_addr ms_aspace entry);
+  install_module_image t ms_aspace entry;
   Aspace.add_entry ms_aspace ~start_addr:Layout.secret_base
     ~size:(Layout.secret_pages * Layout.page_size)
     ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
   Aspace.write_word ms_aspace ~addr:client_pid_cache_addr p.Proc.pid;
+  (* Ring-only: no queue pair exists, so a scalar smod_call (which needs
+     one) is refused in sys_call rather than left to hang. *)
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = mx.mx_pid;
-      (* Ring-only: no queue pair exists, so a scalar smod_call (which
-         needs one) is refused in sys_call rather than left to hang. *)
-      req_qid = 0;
-      rep_qid = 0;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = false;
-      mux = true;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-      client_exit_hook = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:mx.mx_pid ~req_qid:0
+      ~rep_qid:0 ~pooled:false ~mux:true
   in
   (* The handshake happens inline: there is one mux proc for all fibers,
      so the per-session force-share cannot wait for a handle-side
@@ -1465,6 +1405,11 @@ let sys_start_session t (p : Proc.t) ~desc_addr =
        ]
       @ origin_attr_pairs
           (origin_of_client t ~client_pid:p.Proc.pid ~transport:"attach"));
+  (* A module text that fails decryption or its digest check fails every
+     path closed, before any handle state exists. *)
+  (match Registry.linked_image entry with
+  | _ -> ()
+  | exception Smof.Malformed m -> Errno.raise_errno Errno.ENOEXEC ("smod_start_session: " ^ m));
   (* §4.1 approach 2: if the client had a plain image of this library
      mapped, forcibly unmap it and deny later re-mapping. *)
   List.iter

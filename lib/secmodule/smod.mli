@@ -138,7 +138,9 @@ val sys_find : t -> Smod_kern.Proc.t -> name_addr:int -> version:int -> int
     the caller's memory. *)
 
 val sys_start_session : t -> Smod_kern.Proc.t -> desc_addr:int -> int
-(** Returns the session id. *)
+(** Returns the session id.  Raises {!Smod_kern.Errno.Error} ENOEXEC,
+    before any handle state exists, if the module text fails decryption
+    or its digest check. *)
 
 val sys_handle_info : t -> Smod_kern.Proc.t -> info_addr:int -> unit
 (** Client side: blocks until the handle is ready, then writes a

@@ -6,14 +6,12 @@ module Sched = Smod_kern.Sched
 module Aspace = Smod_vmem.Aspace
 module Clock = Smod_sim.Clock
 module Cost = Smod_sim.Cost_model
-module Smof = Smod_modfmt.Smof
 module Ring = Smod_ring.Ring
 
 type conn = {
   smod : Smod.t;
   proc : Proc.t;
   info : Wire.handle_info;
-  stub_table : (string, int) Hashtbl.t;
   session : Smod.session;
   mutable ring : Ring.t option;  (** the client's view, armed by {!arm_ring} *)
 }
@@ -62,16 +60,12 @@ let connect smod proc ~module_name ~version ~credential =
     | Some s -> s
     | None -> assert false
   in
-  (* Stub table: one client stub per ' F ' symbol (§4.2). *)
-  let stub_table = Hashtbl.create 32 in
-  List.iteri
-    (fun id (sym : Smof.symbol) -> Hashtbl.replace stub_table sym.Smof.sym_name id)
-    (Smof.function_symbols session.Smod.entry.Registry.image);
-  { smod; proc; info; stub_table; session; ring = None }
+  { smod; proc; info; session; ring = None }
 
 let conn_info c = c.info
 let session_id c = c.session.Smod.sid
-let func_id c name = Hashtbl.find_opt c.stub_table name
+(* One client stub per ' F ' symbol (§4.2), numbered as the kernel does. *)
+let func_id c name = Registry.func_id c.session.Smod.entry name
 
 let call_id ?on_step c ~func_id args =
   let machine = Smod.machine c.smod in

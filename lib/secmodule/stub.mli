@@ -22,7 +22,7 @@ val connect :
 val conn_info : conn -> Wire.handle_info
 val session_id : conn -> int
 val func_id : conn -> string -> int option
-(** From the stub table generated off the module's symbol table. *)
+(** The module's {!Registry.func_id}, the table its stubs are built from. *)
 
 val call : ?on_step:(int -> unit) -> conn -> func:string -> int array -> int
 (** Invoke a module function with word arguments.  [on_step] fires after

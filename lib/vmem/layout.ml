@@ -14,5 +14,7 @@ let stack_top = 0xBFC0_0000
 let default_stack_pages = 64
 let secret_base = 0xC000_0000
 let secret_pages = 16
+let module_text_base = 0x0060_0000
+let module_data_base = 0x0300_0000
 let share_lo = data_base
 let share_hi = stack_top

@@ -34,6 +34,12 @@ val secret_base : int
 
 val secret_pages : int
 
+val module_text_base : int
+(** Module text in a handle: below [text_limit], outside the shared range. *)
+
+val module_data_base : int
+(** Module-private data in a handle, just above its text. *)
+
 val share_lo : int
 (** The forced-share range is [\[share_lo, share_hi)]. *)
 

@@ -245,6 +245,25 @@ let test_trajectory_ordering_and_headlines () =
   Alcotest.(check (list string)) "every headline key present" Trajectory.headline_keys
     (List.map fst values)
 
+(* Two captures on one day whose shas sort the other way round: the
+   history follows the order they were appended in, through append, the
+   serialised round trip and the rendered table. *)
+let test_trajectory_same_day_keeps_append_order () =
+  let first = entry ~date:"2026-08-08" ~commit:"fffffff" ~snapshot:"2026-08-08_fffffff.json" in
+  let second = entry ~date:"2026-08-08" ~commit:"0000000" ~snapshot:"2026-08-08_0000000.json" in
+  let older = entry ~date:"2026-08-01" ~commit:"7777777" ~snapshot:"2026-08-01_7777777.json" in
+  let commits h = List.map (fun (e : Trajectory.entry) -> e.Trajectory.t_commit) h in
+  let history = List.fold_left Trajectory.append [] [ first; second; older; second ] in
+  Alcotest.(check (list string)) "append order within the day"
+    [ "7777777"; "fffffff"; "0000000" ] (commits history);
+  Alcotest.(check (list string)) "round trip keeps it" (commits history)
+    (commits (Trajectory.of_string (Trajectory.to_string history)));
+  let lines = String.split_on_char '\n' (Trajectory.render history) in
+  let row c = List.find_index (contains ~affix:c) lines in
+  let rows = List.filter_map row (commits history) in
+  Alcotest.(check bool) "rendered in the same order" true
+    (List.length rows = 3 && rows = List.sort compare rows)
+
 let test_trajectory_slope () =
   (* The E9 headline is a least-squares slope over the assertion-count
      sweep; with means lying exactly on a line the fit is exact. *)
@@ -318,6 +337,7 @@ let () =
       ( "trajectory",
         [
           tc "ordering, idempotence, headlines" test_trajectory_ordering_and_headlines;
+          tc "same-day entries keep append order" test_trajectory_same_day_keeps_append_order;
           tc "e9 least-squares slope" test_trajectory_slope;
           tc "old entries tolerate new headlines" test_trajectory_old_entries_tolerated;
         ] );

@@ -758,6 +758,22 @@ let test_remove_module_retires_pool () =
   World.run world;
   Alcotest.(check bool) "late client gets ENOENT" true (!outcome = `Enoent)
 
+(* ---------------------------- install once --------------------------- *)
+
+let test_wrong_key_fails_closed_pooled () =
+  Install_paths.check_fails_closed
+    (World.create ~pool:Smodd.default_config ~with_rpc:false ())
+    ~call:Install_paths.msgq_call
+
+(* Room for five handles of one module, so five open sessions are five
+   pooled spawns. *)
+let test_pooled_spawns_share_linked_image () =
+  let spawns0 = counter "pool.spawns" in
+  let pool = { Smodd.default_config with max_handles_per_module = 5 } in
+  Install_paths.check_installs_share_linked_image (World.create ~pool ~with_rpc:false ())
+    ~call:Install_paths.msgq_call;
+  Alcotest.(check int) "five pooled spawns" 5 (counter "pool.spawns" - spawns0)
+
 (* ------------------------------ hygiene ------------------------------ *)
 
 let test_pooled_churn_no_frame_leak () =
@@ -838,6 +854,8 @@ let () =
           tc "parked handle yields to a starved module" test_parked_handle_yields_to_starved_module;
           tc "killed waiter releases its capacity" test_killed_waiter_releases_capacity;
           tc "kill mid-batch scrubs the ring" test_killed_mid_batch_scrubs_ring;
+          tc "wrong key fails closed" test_wrong_key_fails_closed_pooled;
+          tc "pooled spawns share one linked image" test_pooled_spawns_share_linked_image;
         ] );
       ( "policy cache",
         [

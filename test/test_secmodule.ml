@@ -15,6 +15,7 @@ module Prot = Smod_vmem.Prot
 module Smof = Smod_modfmt.Smof
 module Keystore = Smod_keynote.Keystore
 module Parse = Smod_keynote.Parse
+module World = Smod_bench_kit.World
 open Secmodule
 
 let test_image ?(name = "testmod") () =
@@ -630,6 +631,80 @@ let test_unmap_only_removes_plain_library () =
   M.run m;
   Alcotest.(check bool) "was mapped" true !before;
   Alcotest.(check bool) "forcibly unmapped" false !after
+
+(* ------------------------- install once (4.1) ------------------------ *)
+
+let mux_world () =
+  let world = World.create ~with_rpc:false () in
+  Smod.set_kernel_poller world.World.smod true;
+  Smod.set_session_mux world.World.smod true;
+  world
+
+let test_wrong_key_fails_closed_cold () =
+  Install_paths.check_fails_closed (World.create ~with_rpc:false ())
+    ~call:Install_paths.msgq_call
+
+let test_wrong_key_fails_closed_mux () =
+  Install_paths.check_fails_closed (mux_world ()) ~call:Install_paths.ring_call
+
+let test_cold_installs_share_linked_image () =
+  Install_paths.check_installs_share_linked_image (World.create ~with_rpc:false ())
+    ~call:Install_paths.msgq_call
+
+let test_mux_installs_share_linked_image () =
+  Install_paths.check_installs_share_linked_image (mux_world ()) ~call:Install_paths.ring_call
+
+(* The host decrypts once per entry, but the kernel's decryption is
+   charged per install: with jitter 0 the fifth cold session of an
+   encrypted module takes as long to establish as the first, up to float
+   rounding (one AES block is 360 cycles, 0.6 us).  The stack is touched
+   first and each closed handle gets to exit, so that no session pays a
+   fault or a reap that the others do not. *)
+let test_every_install_charges_decryption () =
+  let world = World.create ~jitter:0.0 ~with_rpc:false () in
+  let clock = M.clock world.World.machine in
+  let took = ref [] in
+  ignore
+    (M.spawn world.World.machine ~name:"client" (fun p ->
+         Proc.push_word p 0;
+         ignore (Proc.pop_word p);
+         for _ = 1 to 5 do
+           let t0 = Smod_sim.Clock.now_us clock in
+           let conn =
+             Stub.connect world.World.smod p ~module_name:Smod_libc.Seclibc.module_name
+               ~version:Smod_libc.Seclibc.version ~credential:(cred "alice")
+           in
+           took := (Smod_sim.Clock.now_us clock -. t0) :: !took;
+           Stub.close conn;
+           Sched.yield ()
+         done));
+  World.run world;
+  match !took with
+  | [ fifth; _; _; _; first ] ->
+      Alcotest.(check (float 1e-9)) "fifth session establishes like the first" first fifth
+  | _ -> Alcotest.fail "expected five sessions"
+
+(* Kernel and stubs read one name -> funcID table; on a duplicate name
+   both resolve to the last symbol in text order, the one a call runs. *)
+let test_duplicate_function_names_last_wins () =
+  let m = M.create ~jitter:0.0 () in
+  let smod = Smod.install m () in
+  let image =
+    Toolchain.assemble_module ~name:"dup" ~version:1
+      [ ("f", "push 1\nret\n"); ("f", "push 2\nret\n") ]
+  in
+  let entry = Smod.register smod ~image () in
+  Alcotest.(check (option int)) "Registry.func_id" (Some 1) (Registry.func_id entry "f");
+  let stub_id = ref None and result = ref 0 in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         Crt0.run_client smod p ~module_name:"dup" ~version:1 ~credential:(cred "alice")
+           (fun conn ->
+             stub_id := Stub.func_id conn "f";
+             result := Stub.call conn ~func:"f" [||])));
+  M.run m;
+  Alcotest.(check (option int)) "Stub.func_id" (Some 1) !stub_id;
+  Alcotest.(check int) "the call runs the last f" 2 !result
 
 (* ----------------------- syscall surface (Fig 4) -------------------- *)
 
@@ -1338,6 +1413,15 @@ let () =
           tc "native integrity check" test_native_integrity_check;
           tc "unbound native" test_unbound_native_enosys;
           tc "unmap-only removes plain copy" test_unmap_only_removes_plain_library;
+        ] );
+      ( "install once (4.1)",
+        [
+          tc "wrong key fails closed: cold" test_wrong_key_fails_closed_cold;
+          tc "wrong key fails closed: mux" test_wrong_key_fails_closed_mux;
+          tc "cold installs share one linked image" test_cold_installs_share_linked_image;
+          tc "mux installs share one linked image" test_mux_installs_share_linked_image;
+          tc "every install charges decryption" test_every_install_charges_decryption;
+          tc "duplicate names: last wins" test_duplicate_function_names_last_wins;
         ] );
       ( "syscalls (Fig 4)",
         [
