@@ -433,9 +433,6 @@ let cmd_policy_status calls assertions =
       "secmodule.policy_compile_hits";
       "secmodule.policy_compile_misses";
       "secmodule.policy_compile_invalidations";
-      "policy_cache.compiled_hits";
-      "policy_cache.compiled_misses";
-      "policy_cache.compiled_inserts";
     ]
 
 (* ------------------------------- bench ----------------------------- *)

@@ -20,8 +20,10 @@
     [test/test_compile.ml]), with one deliberate exception: where the
     interpreter raises [Invalid_argument] lazily — an unknown compliance
     level named by a clause whose guard happens to hold — compilation
-    fails up front with [Error], so a compiled caller denies instead of
-    crashing.  Origin predicates (below) extend the same discipline. *)
+    fails up front with [Error].  Both engines' callers
+    ([Secmodule.Policy]) deny: the compiled one for every call, the
+    interpreted one on the calls where the interpreter meets the level.
+    Origin predicates (below) extend the same discipline. *)
 
 type operand = O_str of string | O_attr of string
 (** A [Test] side resolved at compile time: a literal, or an action

@@ -16,7 +16,13 @@
     FIFO position: superseded decisions never accumulate.  Entries
     expire after a TTL of simulated time, are evicted FIFO at capacity,
     and are invalidated explicitly when the module is removed or the
-    keystore changes (flush). *)
+    keystore changes (flush).
+
+    The cache holds decisions only.  Compiled programs are shared across
+    sessions by the registry entry's cache
+    ({!Secmodule.Registry.find_compiled}), which [set_policy], keystore
+    changes and module removal flush as they stale or drop the decisions
+    here. *)
 
 type t
 
@@ -57,46 +63,11 @@ val store :
     and keeps its FIFO position; a new key evicts the oldest entry first
     when at capacity ([policy_cache.evictions]). *)
 
-(** {2 Compiled-program handles}
-
-    Decision programs ({!Secmodule.Policy.compiled}) cached pool-side, so
-    every session a credential opens — across pooled handles — reuses one
-    compilation.  Keyed by (credential digest, m_id), one program per
-    key, valid only for the policy revision and keystore generation it
-    was compiled against; no TTL, since a program is immutable. *)
-
-val lookup_compiled :
-  t ->
-  cred_digest:string ->
-  m_id:int ->
-  policy_rev:int ->
-  keystore_gen:int ->
-  Secmodule.Policy.compiled option
-(** Charges nothing (the dispatch layer charges one probe per
-    session-memo miss); counts [policy_cache.compiled_hits] /
-    [policy_cache.compiled_misses].  A program compiled under another
-    revision or generation is a miss. *)
-
-val store_compiled :
-  t ->
-  cred_digest:string ->
-  m_id:int ->
-  policy_rev:int ->
-  keystore_gen:int ->
-  Secmodule.Policy.compiled ->
-  unit
-(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; supersedes a
-    key's program in place, as {!store} does, and FIFO-evicts at
-    [capacity]. *)
-
-val compiled_size : t -> int
-
 val invalidate_module : t -> m_id:int -> int
-(** Drop every entry for the module — cached decisions and compiled
-    programs (the [sys_smod_remove] hook).  Returns the number of entries
-    evicted; counts [policy_cache.invalidations]. *)
+(** Drop every decision for the module (the [sys_smod_remove] hook).
+    Returns the number of entries evicted; counts
+    [policy_cache.invalidations]. *)
 
 val flush : t -> int
-(** Drop everything, compiled programs included (keystore change).
-    Returns the number of entries dropped; counts
-    [policy_cache.flushes]. *)
+(** Drop everything (keystore change).  Returns the number of entries
+    dropped; counts [policy_cache.flushes]. *)

@@ -367,8 +367,8 @@ let on_module_remove t ~m_id =
       pump t
 
 (* Map the kernel-side cache hooks onto the cache proper.  The digest is
-   the session's own memo, shared with the compiled-program path, so the
-   probe itself is the only per-call cost. *)
+   the session's own memo, shared with the registry's compiled-program
+   cache, so the probe itself is the only per-call cost. *)
 let cache_hooks t cache =
   let keystore_gen () = Keystore.generation (Smod.keystore t.smod) in
   {
@@ -392,16 +392,6 @@ let cache_hooks t cache =
         Policy_cache.store cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
           ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
           ~keystore_gen:(keystore_gen ()) decision);
-    Smod.compiled_lookup =
-      (fun session ->
-        Policy_cache.lookup_compiled cache ~cred_digest:(Smod.session_cred_digest session)
-          ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-          ~keystore_gen:(keystore_gen ()));
-    Smod.compiled_store =
-      (fun session compiled ->
-        Policy_cache.store_compiled cache ~cred_digest:(Smod.session_cred_digest session)
-          ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-          ~keystore_gen:(keystore_gen ()) compiled);
   }
 
 let install smod ?(config = default_config) () =
@@ -491,7 +481,6 @@ type status = {
   st_total_waiters : int;
   st_cache_size : int option;
   st_cache_capacity : int option;
-  st_cache_compiled : int option;
   st_ring_batches : int;
   st_ring_submits : int;
   st_ring_stale_drops : int;
@@ -534,7 +523,6 @@ let status t =
     st_total_waiters = t.total_waiters;
     st_cache_size = Option.map Policy_cache.size t.cache;
     st_cache_capacity = Option.map Policy_cache.capacity t.cache;
-    st_cache_compiled = Option.map Policy_cache.compiled_size t.cache;
     st_ring_batches = ring_counter "ring.batches";
     st_ring_submits = ring_counter "ring.submits";
     st_ring_stale_drops = ring_counter "ring.stale_drops";
@@ -556,11 +544,7 @@ let render_status t =
     (Printf.sprintf "  total: %d handle(s), %d waiter(s)" st.st_total_handles st.st_total_waiters);
   (match (st.st_cache_size, st.st_cache_capacity) with
   | Some size, Some cap ->
-      Buffer.add_string buf (Printf.sprintf "; policy cache %d/%d entries" size cap);
-      (match st.st_cache_compiled with
-      | Some n when n > 0 ->
-          Buffer.add_string buf (Printf.sprintf " (+%d compiled)" n)
-      | _ -> ())
+      Buffer.add_string buf (Printf.sprintf "; policy cache %d/%d entries" size cap)
   | _ -> Buffer.add_string buf "; policy cache disabled");
   Buffer.add_string buf
     (Printf.sprintf "; ring: %d call(s) in %d batch(es), %d stale drop(s); spin budget %d"

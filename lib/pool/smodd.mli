@@ -79,7 +79,6 @@ type status = {
   st_total_waiters : int;
   st_cache_size : int option;  (** [None] when the cache is disabled *)
   st_cache_capacity : int option;
-  st_cache_compiled : int option;  (** compiled programs held pool-side *)
   st_ring_batches : int;  (** process-wide [ring.*] counters: batched traps *)
   st_ring_submits : int;  (** calls submitted through dispatch rings *)
   st_ring_stale_drops : int;  (** submitted-but-unclaimed slots scrubbed at recycle *)

@@ -167,8 +167,7 @@ let evidence_component ?registry entry ~calls ~denied =
       let v name =
         Option.value ~default:0 (Smod_metrics.counter_value ?registry name)
       in
-      (v "policy_cache.hits" + v "policy_cache.compiled_hits",
-       v "policy_cache.misses" + v "policy_cache.compiled_misses")
+      (v "policy_cache.hits", v "policy_cache.misses")
   in
   let cache_rate =
     if hits + misses = 0 then 0.5  (* no cache traffic: neutral, not damning *)

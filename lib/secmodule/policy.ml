@@ -87,6 +87,38 @@ let m_scope = Smod_metrics.scope "secmodule"
 let m_policy_checks = Smod_metrics.Scope.counter m_scope "policy_checks"
 let m_policy_denials = Smod_metrics.Scope.counter m_scope "policy_denials"
 
+(* The index a KeyNote verdict must reach.  A [min_level] that names no
+   level is unreachable, so every engine denies instead of admitting from
+   index 0. *)
+let min_index ~levels ~min_level =
+  let rec find i =
+    if i >= Array.length levels then Array.length levels
+    else if levels.(i) = min_level then i
+    else find (i + 1)
+  in
+  find 0
+
+let keynote_verdict policy ~min_index ~min_level ~index ~level =
+  if index >= min_index then Ok ()
+  else deny policy (Printf.sprintf "keynote compliance %S below required %S" level min_level)
+
+(* [All_of] under any engine: arms in order, the first denial decides. *)
+let all_of policy check arms states =
+  let rec all arms states =
+    match (arms, states) with
+    | [], [] -> Ok ()
+    | a :: arms', s :: states' -> (
+        match check a s with Ok () -> all arms' states' | Error _ as e -> e)
+    | _ -> deny policy "policy/state shape mismatch"
+  in
+  all arms states
+
+(* One counted check per admission query, whichever engine answered it. *)
+let counted verdict =
+  Smod_metrics.Counter.incr m_policy_checks;
+  (match verdict with Ok () -> () | Error _ -> Smod_metrics.Counter.incr m_policy_denials);
+  verdict
+
 let rec check_inner ~clock ~now_us ~credential ~attrs policy state =
   match (policy, state) with
   | Always_allow, S_none ->
@@ -120,44 +152,26 @@ let rec check_inner ~clock ~now_us ~credential ~attrs policy state =
       if now_us >= not_before_us && now_us <= not_after_us then Ok ()
       else deny policy "outside permitted time window"
   | Keynote { policy = assertions; levels; min_level; attrs = static_attrs }, S_none -> (
-      let result =
+      match
         Eval.query ~policy:assertions ~credentials:credential.Credential.assertions
           ~attrs:(attrs @ static_attrs)
           ~requesters:[ credential.Credential.principal ]
           ~levels
-      in
-      Clock.charge_n clock Cost.Keynote_assertion_eval result.assertions_evaluated;
-      let min_index =
-        let rec find i =
-          if i >= Array.length levels then 0 else if levels.(i) = min_level then i else find (i + 1)
-        in
-        find 0
-      in
-      match result.index >= min_index with
-      | true -> Ok ()
-      | false ->
-          deny policy
-            (Printf.sprintf "keynote compliance %S below required %S" result.level min_level))
+      with
+      | exception Invalid_argument reason ->
+          (* A clause naming no compliance level (or no levels at all):
+             the query has no result, so no assertion is charged. *)
+          deny policy reason
+      | result ->
+          Clock.charge_n clock Cost.Keynote_assertion_eval result.assertions_evaluated;
+          keynote_verdict policy ~min_index:(min_index ~levels ~min_level) ~min_level
+            ~index:result.index ~level:result.level)
   | All_of ps, S_list states ->
-      let rec all ps states =
-        match (ps, states) with
-        | [], [] -> Ok ()
-        | p :: ps', s :: ss' -> (
-            match check_inner ~clock ~now_us ~credential ~attrs p s with
-            | Ok () -> all ps' ss'
-            | Error _ as e -> e)
-        | _ -> deny policy "policy/state shape mismatch"
-      in
-      all ps states
+      all_of policy (check_inner ~clock ~now_us ~credential ~attrs) ps states
   | _ -> deny policy "policy/state shape mismatch"
 
 let check ~clock ~now_us ~credential ~attrs policy state =
-  Smod_metrics.Counter.incr m_policy_checks;
-  match check_inner ~clock ~now_us ~credential ~attrs policy state with
-  | Ok () as ok -> ok
-  | Error _ as e ->
-      Smod_metrics.Counter.incr m_policy_denials;
-      e
+  counted (check_inner ~clock ~now_us ~credential ~attrs policy state)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled policies                                                   *)
@@ -167,8 +181,8 @@ let check ~clock ~now_us ~credential ~attrs policy state =
    chain verified once here instead of per call.  Non-KeyNote arms keep
    their interpreted (and stateful) evaluation — they are already a single
    counter check.  A compiled policy is valid for exactly one (credential,
-   policy revision, keystore generation) triple; the caches in
-   [Registry]/[Smod.policy_of] and [Pool.Policy_cache] key on that. *)
+   policy revision, keystore generation) triple; the registry entry's
+   cache and the session memo in [Smod.policy_of] key on that. *)
 type compiled =
   | C_pass of t
   | C_keynote of {
@@ -209,14 +223,7 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
               ~levels ()
           with
           | Ok program ->
-              let min_index =
-                let rec find i =
-                  if i >= Array.length levels then 0
-                  else if levels.(i) = min_level then i
-                  else find (i + 1)
-                in
-                find 0
-              in
+              let min_index = min_index ~levels ~min_level in
               let plan =
                 if fuse then Some (Fuse.plan program ~varying:batch_varying_attrs)
                 else None
@@ -234,39 +241,21 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
 let rec check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state =
   match (compiled, state) with
   | C_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | C_keynote { program; min_index; min_level; static_attrs; policy; plan = _ }, S_none -> (
+  | C_keynote { program; min_index; min_level; static_attrs; policy; plan = _ }, S_none ->
       let outcome = Compile.run program ~attrs:(attrs @ static_attrs) in
       Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      match outcome.Compile.index >= min_index with
-      | true -> Ok ()
-      | false ->
-          deny policy
-            (Printf.sprintf "keynote compliance %S below required %S"
-               outcome.Compile.level min_level))
+      keynote_verdict policy ~min_index ~min_level ~index:outcome.Compile.index
+        ~level:outcome.Compile.level
   | C_deny { reason; policy }, _ ->
       Clock.charge clock Cost.Policy_compiled_op;
       deny policy reason
   | C_all (cs, policy), S_list states ->
-      let rec all cs states =
-        match (cs, states) with
-        | [], [] -> Ok ()
-        | c :: cs', s :: ss' -> (
-            match check_compiled_inner ~clock ~now_us ~credential ~attrs c s with
-            | Ok () -> all cs' ss'
-            | Error _ as e -> e)
-        | _ -> deny policy "policy/state shape mismatch"
-      in
-      all cs states
+      all_of policy (check_compiled_inner ~clock ~now_us ~credential ~attrs) cs states
   | C_keynote { policy; _ }, _ | C_all (_, policy), _ ->
       deny policy "policy/state shape mismatch"
 
 let check_compiled ~clock ~now_us ~credential ~attrs compiled state =
-  Smod_metrics.Counter.incr m_policy_checks;
-  match check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state with
-  | Ok () as ok -> ok
-  | Error _ as e ->
-      Smod_metrics.Counter.incr m_policy_denials;
-      e
+  counted (check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state)
 
 (* ------------------------------------------------------------------ *)
 (* Fused batch checking                                                 *)
@@ -320,41 +309,21 @@ let rec check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state =
   match (ctx, state) with
   | FC_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
   | FC_slow c, s -> check_compiled_inner ~clock ~now_us ~credential ~attrs c s
-  | FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }, S_none -> (
-      let outcome =
-        Fuse.run_slot plan snapshot ~origin ~attrs:(attrs @ static_attrs)
-      in
+  | FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }, S_none ->
+      let outcome = Fuse.run_slot plan snapshot ~origin ~attrs:(attrs @ static_attrs) in
       Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      match outcome.Compile.index >= min_index with
-      | true -> Ok ()
-      | false ->
-          deny policy
-            (Printf.sprintf "keynote compliance %S below required %S"
-               outcome.Compile.level min_level))
+      keynote_verdict policy ~min_index ~min_level ~index:outcome.Compile.index
+        ~level:outcome.Compile.level
   | FC_deny { reason; policy }, _ ->
       Clock.charge clock Cost.Policy_compiled_op;
       deny policy reason
   | FC_all (cs, policy), S_list states ->
-      let rec all cs states =
-        match (cs, states) with
-        | [], [] -> Ok ()
-        | c :: cs', s :: ss' -> (
-            match check_fused_inner ~clock ~now_us ~credential ~origin ~attrs c s with
-            | Ok () -> all cs' ss'
-            | Error _ as e -> e)
-        | _ -> deny policy "policy/state shape mismatch"
-      in
-      all cs states
+      all_of policy (check_fused_inner ~clock ~now_us ~credential ~origin ~attrs) cs states
   | FC_keynote { policy; _ }, _ | FC_all (_, policy), _ ->
       deny policy "policy/state shape mismatch"
 
 let check_fused ~clock ~now_us ~credential ~origin ~attrs ctx state =
-  Smod_metrics.Counter.incr m_policy_checks;
-  match check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state with
-  | Ok () as ok -> ok
-  | Error _ as e ->
-      Smod_metrics.Counter.incr m_policy_denials;
-      e
+  counted (check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state)
 
 (* ------------------------------------------------------------------ *)
 (* Vectorized (batch-major) checking — E25                              *)
@@ -454,14 +423,12 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
           Array.iteri
             (fun j k ->
               let index = res.Vexec.vr_indices.(j) in
-              if index < min_index then
-                kill k
-                  {
-                    reason =
-                      Printf.sprintf "keynote compliance %S below required %S"
-                        (Vexec.level_of plan index) min_level;
-                    policy;
-                  })
+              match
+                keynote_verdict policy ~min_index ~min_level ~index
+                  ~level:(Vexec.level_of plan index)
+              with
+              | Ok () -> ()
+              | Error d -> kill k d)
             packed_idx
         end
     | FC_all (cs, policy), S_list states ->

@@ -42,7 +42,9 @@ val check :
 (** Evaluate one access request.  Charges the cost model per the policy's
     complexity (counter checks, KeyNote assertion evaluations).  Updates
     [state] (consumes quota, records the call for rate limiting) only on
-    success. *)
+    success.  Never raises: a KeyNote query that names a compliance level
+    outside [levels] denies without an assertion charge, and a
+    [min_level] outside [levels] is unreachable, so every engine denies. *)
 
 type compiled
 (** A policy compiled for one (credential, policy revision, keystore

@@ -87,8 +87,6 @@ type cached_decision = Cache_allow | Cache_deny of string
 type policy_cache_hooks = {
   cache_lookup : session -> func_name:string -> cached_decision option;
   cache_store : session -> func_name:string -> cached_decision -> unit;
-  compiled_lookup : session -> Policy.compiled option;
-  compiled_store : session -> Policy.compiled -> unit;
 }
 
 (* SQPOLL-style kernel poller (E22): one kernel daemon sweeps every live
@@ -198,8 +196,8 @@ let count_func ~denied ~mod_name ~func_name =
   Smod_metrics.Counter.incr
     (Smod_metrics.counter (String.concat "." [ "secmodule"; kind; mod_name; func_name ]))
 
-(* Compiled-policy cache traffic (the caches themselves live on registry
-   entries and, when smodd is installed, in the pool's policy cache). *)
+(* Compiled-policy cache traffic (the cache itself lives on registry
+   entries). *)
 let m_compile_hits = Smod_metrics.Scope.counter m_scope "policy_compile_hits"
 let m_compile_misses = Smod_metrics.Scope.counter m_scope "policy_compile_misses"
 
@@ -714,29 +712,6 @@ let read_descriptor clock (p : Proc.t) desc_addr =
   | Ok d -> d
   | Error m -> Errno.raise_errno Errno.EINVAL ("smod_start_session: " ^ m)
 
-let check_policy_or_deny t ~policy ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs policy state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
-
-let check_compiled_or_deny t ~compiled ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs compiled
-      state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
-
 let session_cred_digest session =
   match session.cred_digest with
   | Some d -> d
@@ -750,9 +725,9 @@ let session_cred_digest session =
 (* The compiled program for this session's (credential, policy revision,
    keystore generation), or [None] when compilation is off.  Steady state
    is the per-session memo (two integer compares); a memo miss probes the
-   pool's compiled-handle table (when smodd is installed), then the
-   registry entry's cache, and only compiles — charging the one-time
-   flattening and hoisted signature checks — when both miss. *)
+   registry entry's cache, the one program cache shared across sessions,
+   and only compiles — charging the one-time flattening and hoisted
+   signature checks — when that misses too. *)
 let policy_of t session =
   if not t.compile_policies then None
   else begin
@@ -764,45 +739,31 @@ let policy_of t session =
     | _ ->
         let clock = Machine.clock t.machine in
         Clock.charge clock Cost.Policy_cache_probe;
+        let key =
+          Registry.compiled_key ~cred_digest:(session_cred_digest session) ~policy_rev:rev
+            ~keystore_gen:gen
+        in
         let compiled =
-          let pool_cached =
-            match t.policy_cache with
-            | Some hooks -> hooks.compiled_lookup session
-            | None -> None
-          in
-          match pool_cached with
+          match Registry.find_compiled entry key with
           | Some c ->
               Smod_metrics.Counter.incr m_compile_hits;
               c
-          | None -> (
-              let key =
-                Registry.compiled_key ~cred_digest:(session_cred_digest session)
-                  ~policy_rev:rev ~keystore_gen:gen
+          | None ->
+              let origin_env =
+                {
+                  KCompile.known_modules =
+                    List.map
+                      (fun e -> e.Registry.image.Smof.mod_name)
+                      (Registry.entries t.registry);
+                }
               in
-              match Registry.find_compiled entry key with
-              | Some c ->
-                  Smod_metrics.Counter.incr m_compile_hits;
-                  c
-              | None ->
-                  let origin_env =
-                    {
-                      KCompile.known_modules =
-                        List.map
-                          (fun e -> e.Registry.image.Smof.mod_name)
-                          (Registry.entries t.registry);
-                    }
-                  in
-                  let c =
-                    Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock
-                      ~keystore:t.keystore ~credential:session.credential
-                      entry.Registry.policy
-                  in
-                  Smod_metrics.Counter.incr m_compile_misses;
-                  Registry.store_compiled entry key c;
-                  (match t.policy_cache with
-                  | Some hooks -> hooks.compiled_store session c
-                  | None -> ());
-                  c)
+              let c =
+                Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock ~keystore:t.keystore
+                  ~credential:session.credential entry.Registry.policy
+              in
+              Smod_metrics.Counter.incr m_compile_misses;
+              Registry.store_compiled entry key c;
+              c
         in
         session.compiled_memo <- Some (rev, gen, compiled);
         Some compiled
@@ -830,9 +791,6 @@ let origin_of_client t ~client_pid ~transport =
   in
   { Fuse.o_module; o_ring; o_transport = transport }
 
-let origin_of t session ~transport =
-  origin_of_client t ~client_pid:session.client_pid ~transport
-
 (* The same provenance as attribute pairs, appended to every admission
    query so origin predicates resolve identically under the interpreted,
    compiled, and fused engines.  Appending is free (no cost-model charge)
@@ -844,24 +802,13 @@ let origin_attr_pairs (origin : Fuse.origin) =
     ("origin_transport", origin.Fuse.o_transport);
   ]
 
-let check_fused_or_deny t ~ctx ~origin ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check_fused ~clock ~now_us:(Clock.now_us clock) ~credential ~origin ~attrs ctx
-      state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
-
 (* The session's armed fused context for one transport, or [None] when
-   fusion is off or nothing in the compiled tree carries a plan.  The
+   fusion is off or nothing in the compiled tree carries a plan.  [attrs]
+   are the batch-invariant attributes the prefix runs against.  The
    snapshot survives across batches and scalar calls under the same
    (policy revision, keystore generation, transport) — eager invalidation
    clears it exactly where [compiled_memo] is cleared. *)
-let fused_of t session ~transport =
+let fused_of t session ~transport ~origin ~attrs =
   if not (t.compile_policies && t.fuse_policies) then None
   else
     match policy_of t session with
@@ -873,19 +820,119 @@ let fused_of t session ~transport =
         match session.fused_memo with
         | Some (r, g, tr, ctx) when r = rev && g = gen && tr = transport -> Some ctx
         | _ ->
-            let origin = origin_of t session ~transport in
-            let attrs =
-              [
-                ("phase", "call");
-                ("module", session.entry.Registry.image.Smof.mod_name);
-              ]
-              @ origin_attr_pairs origin
-            in
             let ctx =
               Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs compiled
             in
             session.fused_memo <- Some (rev, gen, transport, ctx);
             Some ctx)
+
+(* ------------------------------------------------------------------ *)
+(* Admission: the one access-control decision per call (§3.1)          *)
+(* ------------------------------------------------------------------ *)
+
+(* What one call, ring batch or poller sweep of a session decides
+   against: the caller's origin, the batch-invariant attributes, the
+   armed fused context, and which shortcuts may answer. *)
+type admission = {
+  a_session : session;
+  a_origin : Fuse.origin;
+  a_attrs : (string * string) list;  (* phase, module and the origin pairs *)
+  a_fused : Policy.fused_ctx option;
+  a_fast_path : bool;
+  a_cacheable : bool;
+  a_cache : policy_cache_hooks option;
+}
+
+(* Arms the fused context before the first decision, even when a shortcut
+   then answers every call: the batch paths' charge order depends on it. *)
+let admission t session ~transport =
+  let policy = session.entry.Registry.policy in
+  let origin = origin_of_client t ~client_pid:session.client_pid ~transport in
+  let attrs =
+    ("phase", "call")
+    :: ("module", session.entry.Registry.image.Smof.mod_name)
+    :: origin_attr_pairs origin
+  in
+  let fused = fused_of t session ~transport ~origin ~attrs in
+  let cacheable = Policy.cacheable policy in
+  {
+    a_session = session;
+    a_origin = origin;
+    a_attrs = attrs;
+    a_fused = fused;
+    (* The §5 future-work fast path skips the re-verification only when
+       the policy is stateless-permissive: its answer cannot change after
+       session establishment. *)
+    a_fast_path =
+      (t.fast_path
+      &&
+      match policy with
+      | Policy.Always_allow | Policy.Session_lifetime -> true
+      | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
+      | Policy.All_of _ ->
+          false);
+    a_cacheable = cacheable;
+    (* smodd's decision cache only answers decisions that are a pure
+       function of (credential, module, function, policy revision). *)
+    a_cache =
+      (match t.policy_cache with
+      | Some hooks when cacheable && Policy.credential_cacheable session.credential ->
+          Some hooks
+      | Some _ | None -> None);
+  }
+
+let call_attrs a ~func_name =
+  ("function", func_name) :: ("calls_so_far", string_of_int a.a_session.calls) :: a.a_attrs
+
+let denial_message (d : Policy.denial) =
+  Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy) d.Policy.reason
+
+(* One call's verdict: the stateless fast path, then smodd's decision
+   cache, then the engine ladder — fused, compiled, interpreted — whose
+   verdict goes back into the cache. *)
+let decide t a ~func_name =
+  let session = a.a_session in
+  let shortcut =
+    if a.a_fast_path then Some Cache_allow
+    else
+      match a.a_cache with
+      | Some hooks -> hooks.cache_lookup session ~func_name
+      | None -> None
+  in
+  match shortcut with
+  | Some d -> d
+  | None ->
+      let clock = Machine.clock t.machine in
+      let credential = session.credential and state = session.policy_state in
+      let attrs = call_attrs a ~func_name in
+      let verdict =
+        match a.a_fused with
+        | Some ctx ->
+            (* The invariant prefix was charged when the context was armed;
+               this call pays residue opcodes only. *)
+            Policy.check_fused ~clock ~now_us:(Clock.now_us clock) ~credential
+              ~origin:a.a_origin ~attrs ctx state
+        | None -> (
+            match policy_of t session with
+            | Some compiled ->
+                (* The credential chain was verified when the program was
+                   compiled, so no per-call Cred_check. *)
+                Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+                  compiled state
+            | None ->
+                (* Per-call revalidation: the kernel "will then verify that
+                   p did provide the proper credentials" (§3.1). *)
+                Clock.charge clock Cost.Cred_check;
+                Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+                  session.entry.Registry.policy state)
+      in
+      let d =
+        match verdict with
+        | Ok () -> Cache_allow
+        | Error denial -> Cache_deny (denial_message denial)
+      in
+      (match a.a_cache with Some hooks -> hooks.cache_store session ~func_name d | None -> ());
+      d
 
 (* Every install pays the kernel's decryption with the kernel-held key
    (§4.1), but the host decrypts, verifies and links once per registry
@@ -1392,19 +1439,23 @@ let sys_start_session t (p : Proc.t) ~desc_addr =
   Clock.charge clock Cost.Cred_check;
   if not (Credential.verify_signatures t.keystore credential) then
     Errno.raise_errno Errno.EACCES "credential signature verification failed";
-  (* Establishment-time policy check (throwaway state: establishing a
-     session must not consume per-call quota). *)
-  check_policy_or_deny t ~policy:entry.Registry.policy
-    ~state:(Policy.initial_state entry.Registry.policy)
-    ~credential
-    ~attrs:
-      ([
-         ("phase", "session");
-         ("module", entry.Registry.image.Smof.mod_name);
-         ("principal", credential.Credential.principal);
-       ]
-      @ origin_attr_pairs
-          (origin_of_client t ~client_pid:p.Proc.pid ~transport:"attach"));
+  (* Establishment-time policy check, always interpreted as in the paper
+     (throwaway state: establishing a session must not consume per-call
+     quota). *)
+  (match
+     Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential
+       ~attrs:
+         ([
+            ("phase", "session");
+            ("module", entry.Registry.image.Smof.mod_name);
+            ("principal", credential.Credential.principal);
+          ]
+         @ origin_attr_pairs (origin_of_client t ~client_pid:p.Proc.pid ~transport:"attach"))
+       entry.Registry.policy
+       (Policy.initial_state entry.Registry.policy)
+   with
+  | Ok () -> ()
+  | Error denial -> Errno.raise_errno Errno.EACCES (denial_message denial));
   (* A module text that fails decryption or its digest check fails every
      path closed, before any handle state exists. *)
   (match Registry.linked_image entry with
@@ -1543,101 +1594,22 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
       detach_session t session;
       Errno.raise_errno Errno.EIDRM "smod_call: handle process is gone");
   if session.m_id <> m_id then Errno.raise_errno Errno.EINVAL "smod_call: wrong module id";
-  (* The §5 future-work fast path skips the re-verification only when the
-     policy is stateless-permissive: its answer cannot change after
-     session establishment. *)
-  let fast_path_applies =
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
-    | Policy.All_of _ ->
-        false
+  let func_name =
+    match Registry.symbol_of_func_id session.entry func_id with
+    | Some sym -> sym.Smof.sym_name
+    | None -> Errno.raise_errno Errno.EINVAL "smod_call: bad funcID"
   in
-  if not fast_path_applies then begin
-    let func_name =
-      match Registry.symbol_of_func_id session.entry func_id with
-      | Some sym -> sym.Smof.sym_name
-      | None -> Errno.raise_errno Errno.EINVAL "smod_call: bad funcID"
-    in
-    (* smodd's policy-decision cache: only consulted when the decision is
-       a pure function of (credential, module, function, policy revision)
-       — stateful or per-call-attribute policies always re-evaluate. *)
-    let cache =
-      match t.policy_cache with
-      | Some hooks
-        when Policy.cacheable session.entry.Registry.policy
-             && Policy.credential_cacheable session.credential ->
-          Some hooks
-      | Some _ | None -> None
-    in
-    let cached =
-      match cache with Some hooks -> hooks.cache_lookup session ~func_name | None -> None
-    in
-    match cached with
-    | Some Cache_allow -> ()
-    | Some (Cache_deny reason) ->
-        session.denied_calls <- session.denied_calls + 1;
-        Smod_metrics.Counter.incr m_calls_denied;
-        count_func ~denied:true
-          ~mod_name:session.entry.Registry.image.Smof.mod_name ~func_name;
-        Errno.raise_errno Errno.EACCES reason
-    | None -> (
-        let origin = origin_of t session ~transport:"msgq" in
-        let attrs =
-          [
-            ("phase", "call");
-            ("function", func_name);
-            ("module", session.entry.Registry.image.Smof.mod_name);
-            ("calls_so_far", string_of_int session.calls);
-          ]
-          @ origin_attr_pairs origin
-        in
-        try
-          (match fused_of t session ~transport:"msgq" with
-          | Some ctx ->
-              (* Fused path: the invariant prefix was charged when the
-                 snapshot was armed (and is reused until invalidation);
-                 this call pays residue opcodes only. *)
-              check_fused_or_deny t ~ctx ~origin ~state:session.policy_state
-                ~credential:session.credential ~attrs
-          | None -> (
-              match policy_of t session with
-              | Some compiled ->
-                  (* Compiled path: the credential chain was verified when the
-                     program was compiled, so no per-call Cred_check. *)
-                  check_compiled_or_deny t ~compiled ~state:session.policy_state
-                    ~credential:session.credential ~attrs
-              | None ->
-                  (* Per-call revalidation: the kernel "will then verify that p
-                     did provide the proper credentials" (§3.1). *)
-                  Clock.charge clock Cost.Cred_check;
-                  check_policy_or_deny t ~policy:session.entry.Registry.policy
-                    ~state:session.policy_state ~credential:session.credential ~attrs));
-          match cache with
-          | Some hooks -> hooks.cache_store session ~func_name Cache_allow
-          | None -> ()
-        with Errno.Error (errno, msg) as denial ->
-          (match cache with
-          | Some hooks when errno = Errno.EACCES ->
-              hooks.cache_store session ~func_name (Cache_deny msg)
-          | Some _ | None -> ());
-          session.denied_calls <- session.denied_calls + 1;
-          Smod_metrics.Counter.incr m_calls_denied;
-          count_func ~denied:true
-            ~mod_name:session.entry.Registry.image.Smof.mod_name ~func_name;
-          raise denial)
-  end
-  else if Registry.symbol_of_func_id session.entry func_id = None then
-    Errno.raise_errno Errno.EINVAL "smod_call: bad funcID";
+  let mod_name = session.entry.Registry.image.Smof.mod_name in
+  (match decide t (admission t session ~transport:"msgq") ~func_name with
+  | Cache_allow -> ()
+  | Cache_deny msg ->
+      session.denied_calls <- session.denied_calls + 1;
+      Smod_metrics.Counter.incr m_calls_denied;
+      count_func ~denied:true ~mod_name ~func_name;
+      Errno.raise_errno Errno.EACCES msg);
   session.calls <- session.calls + 1;
   Smod_metrics.Counter.incr m_calls;
-  (match Registry.symbol_of_func_id session.entry func_id with
-  | Some sym ->
-      count_func ~denied:false ~mod_name:session.entry.Registry.image.Smof.mod_name
-        ~func_name:sym.Smof.sym_name
-  | None -> ());
+  count_func ~denied:false ~mod_name ~func_name;
   let mitigation = apply_call_mitigation t p in
   let request =
     {
@@ -1707,100 +1679,24 @@ let bind_session_ring t (p : Proc.t) session =
                with Errno.Error _ -> ());
               rs))
 
-(* The admission decider for one batch: evaluates policy once per
-   distinct (credential, func) for cacheable policies — the per-batch
-   amortization of the policy cost.  Stateful policies (quota, rate,
-   time-window, volatile Keynote) are forced through a per-slot
-   evaluation so their ordering semantics match the per-call path.
-   Shared by the batch trap and the kernel poller; the memo is fresh per
-   call, so each sweep/batch amortizes within itself only — exactly the
-   historical per-trap behaviour. *)
-let batch_decider t session ~transport =
-  let clock = Machine.clock t.machine in
-  (* Origin and (when fusion is on) the armed snapshot are batch-invariant:
-     resolve both once per decider, not per slot. *)
-  let origin = origin_of t session ~transport in
-  let fused = fused_of t session ~transport in
-  let fast_path_applies =
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
-    | Policy.All_of _ ->
-        false
-  in
-  let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
-  let cache =
-    match t.policy_cache with
-    | Some hooks when policy_cacheable && Policy.credential_cacheable session.credential ->
-        Some hooks
-    | Some _ | None -> None
-  in
+(* The slot decider for one ring batch or poller sweep.  Cacheable
+   policies are decided once per distinct function in the batch — the
+   per-batch amortization of the policy cost; stateful ones (quota, rate,
+   time-window, volatile KeyNote) are decided per slot so their ordering
+   matches the per-call path.  The memo is fresh per call, so each
+   sweep/batch amortizes within itself only. *)
+let batch_decider t a =
   let memo : (int, cached_decision) Hashtbl.t = Hashtbl.create 4 in
   fun func_id ->
-    match Registry.symbol_of_func_id session.entry func_id with
+    match Registry.symbol_of_func_id a.a_session.entry func_id with
     | None -> Cache_deny "no such function"
-    | Some _ when fast_path_applies -> Cache_allow
+    | Some sym when not a.a_cacheable -> decide t a ~func_name:sym.Smof.sym_name
     | Some sym -> (
-        let func_name = sym.Smof.sym_name in
-        let memoized =
-          if policy_cacheable then Hashtbl.find_opt memo func_id else None
-        in
-        match memoized with
+        match Hashtbl.find_opt memo func_id with
         | Some d -> d
         | None ->
-            let d =
-              match
-                match cache with
-                | Some hooks -> hooks.cache_lookup session ~func_name
-                | None -> None
-              with
-              | Some d -> d
-              | None -> (
-                  let attrs =
-                    [
-                      ("phase", "call");
-                      ("function", func_name);
-                      ("module", session.entry.Registry.image.Smof.mod_name);
-                      ("calls_so_far", string_of_int session.calls);
-                    ]
-                    @ origin_attr_pairs origin
-                  in
-                  try
-                    (match fused with
-                    | Some ctx ->
-                        (* Fused path: per-slot residue only; the prefix was
-                           charged once when the snapshot was armed. *)
-                        check_fused_or_deny t ~ctx ~origin
-                          ~state:session.policy_state
-                          ~credential:session.credential ~attrs
-                    | None -> (
-                        match policy_of t session with
-                        | Some compiled ->
-                            (* Compiled path: chain verification was hoisted to
-                               compile time — no per-slot Cred_check. *)
-                            check_compiled_or_deny t ~compiled
-                              ~state:session.policy_state
-                              ~credential:session.credential ~attrs
-                        | None ->
-                            Clock.charge clock Cost.Cred_check;
-                            check_policy_or_deny t
-                              ~policy:session.entry.Registry.policy
-                              ~state:session.policy_state
-                              ~credential:session.credential ~attrs));
-                    (match cache with
-                    | Some hooks -> hooks.cache_store session ~func_name Cache_allow
-                    | None -> ());
-                    Cache_allow
-                  with Errno.Error (errno, msg) ->
-                    (match cache with
-                    | Some hooks when errno = Errno.EACCES ->
-                        hooks.cache_store session ~func_name (Cache_deny msg)
-                    | Some _ | None -> ());
-                    Cache_deny msg)
-            in
-            if policy_cacheable then Hashtbl.replace memo func_id d;
+            let d = decide t a ~func_name:sym.Smof.sym_name in
+            Hashtbl.replace memo func_id d;
             d)
 
 (* E25 batch-major pre-pass: when vectorization is on and the session's
@@ -1823,114 +1719,81 @@ let batch_decider t session ~transport =
    For cacheable policies lanes are deduplicated by function and the
    verdicts broadcast, matching the decider's memo exactly (same
    evaluation count, same state: cacheable policies have none). *)
-let vector_prestamp t session ring ~transport ~stamped0 ~limit =
-  let no_pre = fun (_ : int) -> None in
-  if not (t.vectorize_policies && t.compile_policies && t.fuse_policies) then no_pre
-  else if limit - stamped0 < 2 then no_pre
-  else if
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | _ -> false
+let vector_prestamp t a ring ~stamped0 ~limit =
+  let no_pre (_ : int) = None in
+  let session = a.a_session in
+  if (not t.vectorize_policies) || limit - stamped0 < 2 || a.a_fast_path || a.a_cache <> None
   then no_pre
-  else begin
-    let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
-    let smodd_cache_active =
-      t.policy_cache <> None && policy_cacheable
-      && Policy.credential_cacheable session.credential
-    in
-    if smodd_cache_active then no_pre
-    else
-      match fused_of t session ~transport with
-      | None -> no_pre
-      | Some ctx when not (Policy.vector_eligible ctx) -> no_pre
-      | Some ctx -> (
-          let origin = origin_of t session ~transport in
-          let opairs = origin_attr_pairs origin in
-          let mod_name = session.entry.Registry.image.Smof.mod_name in
-          let calls0 = string_of_int session.calls in
-          (* Gather the function column.  Slots that fail the structural
-             checks (torn write, wrong m_id, unknown function) are left
-             to the stamp loop, which denies them before any policy
-             evaluation — exactly the slot-major order, and the
-             lane-divergence ladder's "deny early" case. *)
-          let slots = ref [] in
-          for seq = limit - 1 downto stamped0 do
-            match Ring.submitted_info ring ~seq with
-            | Some (slot_m_id, func_id) when slot_m_id = session.m_id -> (
-                match Registry.symbol_of_func_id session.entry func_id with
-                | Some sym -> slots := (seq, func_id, sym.Smof.sym_name) :: !slots
-                | None -> ())
-            | Some _ | None -> ()
-          done;
-          let slots = !slots in
-          let lane_attrs func_name =
-            [
-              ("phase", "call");
-              ("function", func_name);
-              ("module", mod_name);
-              ("calls_so_far", calls0);
-            ]
-            @ opairs
+  else
+    match a.a_fused with
+    | None -> no_pre
+    | Some ctx when not (Policy.vector_eligible ctx) -> no_pre
+    | Some ctx ->
+        (* Gather the function column.  Slots that fail the structural
+           checks (torn write, wrong m_id, unknown function) are left to the
+           stamp loop, which denies them before any policy evaluation —
+           exactly the slot-major order, and the lane-divergence ladder's
+           "deny early" case. *)
+        let slots = ref [] in
+        for seq = limit - 1 downto stamped0 do
+          match Ring.submitted_info ring ~seq with
+          | Some (slot_m_id, func_id) when slot_m_id = session.m_id -> (
+              match Registry.symbol_of_func_id session.entry func_id with
+              | Some sym -> slots := (seq, func_id, sym.Smof.sym_name) :: !slots
+              | None -> ())
+          | Some _ | None -> ()
+        done;
+        let slots = !slots in
+        let run_lanes keys =
+          (* One lane per key, in order; returns decisions positionally. *)
+          let lanes =
+            Array.of_list
+              (List.map
+                 (fun (_, func_name) ->
+                   { Policy.vl_origin = a.a_origin; vl_attrs = call_attrs a ~func_name })
+                 keys)
           in
-          let decision_of = function
-            | Ok () -> Cache_allow
-            | Error (d : Policy.denial) ->
-                Cache_deny
-                  (Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy)
-                     d.Policy.reason)
-          in
-          let run_lanes keys =
-            (* One lane per key, in order; returns decisions positionally. *)
-            let lanes =
-              Array.of_list
-                (List.map
-                   (fun (_, name) ->
-                     { Policy.vl_origin = origin; vl_attrs = lane_attrs name })
-                   keys)
-            in
-            let clock = Machine.clock t.machine in
-            Policy.check_vector ~clock ~now_us:(Clock.now_us clock)
-              ~credential:session.credential ~width:t.vector_width ~lanes ctx
-              session.policy_state
-            |> Array.map decision_of
-          in
-          if policy_cacheable then begin
-            let distinct = ref [] in
-            List.iter
-              (fun (_, func_id, name) ->
-                if not (List.mem_assoc func_id !distinct) then
-                  distinct := (func_id, name) :: !distinct)
-              slots;
-            let distinct = List.rev !distinct in
-            if List.length distinct < 2 then no_pre
-            else begin
-              let verdicts = run_lanes distinct in
-              let by_func = Hashtbl.create 8 in
-              List.iteri
-                (fun i (func_id, _) -> Hashtbl.replace by_func func_id verdicts.(i))
-                distinct;
-              let by_seq = Hashtbl.create 16 in
-              List.iter
-                (fun (seq, func_id, _) ->
-                  match Hashtbl.find_opt by_func func_id with
-                  | Some d -> Hashtbl.replace by_seq seq (func_id, d)
-                  | None -> ())
-                slots;
-              Hashtbl.find_opt by_seq
-            end
-          end
-          else if List.length slots < 2 then no_pre
+          let clock = Machine.clock t.machine in
+          Policy.check_vector ~clock ~now_us:(Clock.now_us clock) ~credential:session.credential
+            ~width:t.vector_width ~lanes ctx session.policy_state
+          |> Array.map (function
+               | Ok () -> Cache_allow
+               | Error denial -> Cache_deny (denial_message denial))
+        in
+        if a.a_cacheable then begin
+          let distinct = ref [] in
+          List.iter
+            (fun (_, func_id, name) ->
+              if not (List.mem_assoc func_id !distinct) then
+                distinct := (func_id, name) :: !distinct)
+            slots;
+          let distinct = List.rev !distinct in
+          if List.length distinct < 2 then no_pre
           else begin
-            let verdicts = run_lanes (List.map (fun (_, f, n) -> (f, n)) slots) in
-            let by_seq = Hashtbl.create 16 in
+            let verdicts = run_lanes distinct in
+            let by_func = Hashtbl.create 8 in
             List.iteri
-              (fun i (seq, func_id, _) -> Hashtbl.replace by_seq seq (func_id, verdicts.(i)))
+              (fun i (func_id, _) -> Hashtbl.replace by_func func_id verdicts.(i))
+              distinct;
+            let by_seq = Hashtbl.create 16 in
+            List.iter
+              (fun (seq, func_id, _) ->
+                match Hashtbl.find_opt by_func func_id with
+                | Some d -> Hashtbl.replace by_seq seq (func_id, d)
+                | None -> ())
               slots;
             Hashtbl.find_opt by_seq
-          end)
-  end
+          end
+        end
+        else if List.length slots < 2 then no_pre
+        else begin
+          let verdicts = run_lanes (List.map (fun (_, f, n) -> (f, n)) slots) in
+          let by_seq = Hashtbl.create 16 in
+          List.iteri
+            (fun i (seq, func_id, _) -> Hashtbl.replace by_seq seq (func_id, verdicts.(i)))
+            slots;
+          Hashtbl.find_opt by_seq
+        end
 
 (* Stamp every submitted-but-unstamped slot in [stamped0, limit):
    identical charge order on the trap path ([per_slot] is a no-op there)
@@ -2046,7 +1909,8 @@ let sys_call_batch t (p : Proc.t) ~m_id ~max_slots =
     Errno.raise_errno Errno.EPERM "smod_call_batch: TOCTOU mitigation forces per-call path";
   let rs = bind_session_ring t p session in
   let ring = rs.r_ring in
-  let decide = batch_decider t session ~transport:"ring" in
+  let a = admission t session ~transport:"ring" in
+  let decide = batch_decider t a in
   let stamped0 = Machine.ring_stamped t.machine ~pid:p.Proc.pid in
   (* [head] is a client-writable header word and [max_slots] an
      arbitrary trap argument: clamp the per-trap work by the registered
@@ -2054,7 +1918,7 @@ let sys_call_batch t (p : Proc.t) ~m_id ~max_slots =
      trap through an unbounded kernel loop. *)
   let budget = max 0 (min max_slots (Ring.nslots ring)) in
   let limit = min (Ring.head ring) (stamped0 + budget) in
-  let pre = vector_prestamp t session ring ~transport:"ring" ~stamped0 ~limit in
+  let pre = vector_prestamp t a ring ~stamped0 ~limit in
   let n, allowed =
     stamp_submitted t session ring ~decide ~pre ~per_slot:ignore ~stamped0 ~limit
   in
@@ -2154,10 +2018,9 @@ let poller_sweep t po (pp : Proc.t) =
                  ring's worth of slots per session per sweep. *)
               let limit = min (Ring.head ring) (stamped0 + Ring.nslots ring) in
               if limit > stamped0 then begin
-                let decide = batch_decider t session ~transport:"poller" in
-                let pre =
-                  vector_prestamp t session ring ~transport:"poller" ~stamped0 ~limit
-                in
+                let a = admission t session ~transport:"poller" in
+                let decide = batch_decider t a in
+                let pre = vector_prestamp t a ring ~stamped0 ~limit in
                 let n, allowed =
                   stamp_submitted t session ring ~decide ~pre
                     ~per_slot:(fun () -> Clock.charge clock Cost.Poll_slot_scan)

@@ -138,17 +138,22 @@ val sys_find : t -> Smod_kern.Proc.t -> name_addr:int -> version:int -> int
     the caller's memory. *)
 
 val sys_start_session : t -> Smod_kern.Proc.t -> desc_addr:int -> int
-(** Returns the session id.  Raises {!Smod_kern.Errno.Error} ENOEXEC,
-    before any handle state exists, if the module text fails decryption
-    or its digest check. *)
+(** Returns the session id.  The establishment check always runs the
+    interpreted {!Policy.check}, as in the paper, whatever engine serves
+    the session's calls.  Raises {!Smod_kern.Errno.Error} EACCES when the
+    credential or the policy denies, and ENOEXEC, before any handle state
+    exists, if the module text fails decryption or its digest check. *)
 
 val sys_handle_info : t -> Smod_kern.Proc.t -> info_addr:int -> unit
 (** Client side: blocks until the handle is ready, then writes a
     {!Wire.handle_info} at [info_addr]. *)
 
 val sys_call : t -> Smod_kern.Proc.t -> framep:int -> rtnaddr:int -> m_id:int -> func_id:int -> int
-(** The indirect dispatch.  Raises {!Smod_kern.Errno.Error} EACCES on
-    policy denial, EFAULT if the module function faulted. *)
+(** The indirect dispatch.  Admission is the same decision the batch trap
+    and the poller make per slot: the stateless fast path, smodd's
+    decision cache, then the engine ladder (fused, compiled,
+    interpreted).  Raises {!Smod_kern.Errno.Error} EACCES on policy
+    denial, EFAULT if the module function faulted. *)
 
 val sys_call_batch : t -> Smod_kern.Proc.t -> m_id:int -> max_slots:int -> int
 (** The dispatch-ring fast path (syscall 322): stamp an admission verdict
@@ -249,12 +254,10 @@ type cached_decision = Cache_allow | Cache_deny of string
 type policy_cache_hooks = {
   cache_lookup : session -> func_name:string -> cached_decision option;
   cache_store : session -> func_name:string -> cached_decision -> unit;
-  compiled_lookup : session -> Policy.compiled option;
-      (** probe smodd's compiled-program table — so a decision-cache miss
-          (or an uncacheable policy) still runs the compiled program
-          instead of re-verifying and re-interpreting *)
-  compiled_store : session -> Policy.compiled -> unit;
 }
+(** smodd's decision cache as the kernel sees it.  Compiled programs are
+    not cached here: the registry entry's cache, behind each session's
+    one-entry memo, is the only program cache shared across sessions. *)
 
 val session_cred_digest : session -> string
 (** SHA-256 over the session credential's canonical byte form, computed
@@ -262,7 +265,8 @@ val session_cred_digest : session -> string
     principal presenting the same assertions". *)
 
 val set_policy_cache : t -> policy_cache_hooks option -> unit
-(** Install smodd's policy-decision cache on the [sys_smod_call] path.
+(** Install smodd's policy-decision cache in the one admission decision
+    that [sys_smod_call], the batch trap and the kernel poller share.
     Only consulted when {!Policy.cacheable} holds for the session's policy
     and {!Policy.credential_cacheable} for its credential; a hit replaces
     the per-call credential re-verification and policy evaluation, a miss
@@ -276,9 +280,9 @@ val set_policy_compile : t -> bool -> unit
     conditions lowered to opcodes — and every subsequent evaluation for
     that (credential, policy revision, keystore generation) runs the
     program at {!Smod_sim.Cost_model.Policy_compiled_op} per opcode with
-    no per-call [Cred_check].  Programs are cached per registry entry and
-    (when smodd is installed) in the pool, and are invalidated by
-    [Registry.set_policy], keystore changes and [sys_smod_remove].
+    no per-call [Cred_check].  Programs are cached per registry entry,
+    and are invalidated by [Registry.set_policy], keystore changes and
+    [sys_smod_remove].
     Default: off — the interpreted path is byte-for-byte what the
     baselines measured. *)
 

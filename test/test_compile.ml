@@ -774,9 +774,11 @@ let test_policy_check_parity () =
         Alcotest.failf "call %d: interpreted denied (%s), compiled allowed" i d.Policy.reason
   done
 
-(* Deliberate divergence 1: a clause naming an unknown compliance level
-   makes the interpreter raise lazily; the compiler validates up front
-   and the compiled policy denies instead. *)
+(* Deliberate divergence 1: a clause naming an unknown compliance level is
+   found lazily by the interpreter, only when its guard holds, and up
+   front by the compiler.  Both engines deny: the interpreted check turns
+   Eval's rejection into a denial, the compiled policy is a deny-all
+   stub. *)
 let test_unknown_level_fails_closed () =
   let clock = mk_clock () in
   let ks = vendor_keystore () in
@@ -784,6 +786,13 @@ let test_unknown_level_fails_closed () =
     Credential.make ~principal:"alice" ~assertions:[ signed_license ks () ] ()
   in
   let policy = policy_trusting_vendor ~conds:"true -> \"sudo\";" () in
+  (match
+     Policy.check ~clock ~now_us:0.0 ~credential ~attrs:[] policy (Policy.initial_state policy)
+   with
+  | Ok () -> Alcotest.fail "unknown level must deny when interpreted"
+  | Error d ->
+      Alcotest.(check bool) "interpreted reason names the level" true
+        (contains d.Policy.reason "sudo"));
   let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
   (match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs:[] compiled
            (Policy.initial_state policy)
@@ -1003,8 +1012,6 @@ let test_compiled_dispatch_end_to_end () =
   Alcotest.(check int) "one program cached registry-side" 1
     (Hashtbl.length entry.Registry.compiled_cache);
   Alcotest.(check int) "one compile miss" 1 entry.Registry.compile_misses;
-  let st = Smodd.status (Option.get world.World.pool) in
-  Alcotest.(check (option int)) "program cached pool-side" (Some 1) st.Smodd.st_cache_compiled;
   match Smod.policy_compile_status smod with
   | [ cs ] ->
       Alcotest.(check string) "module name" "seclibc" cs.Smod.cs_module;
@@ -1193,7 +1200,6 @@ let test_rotation_evicts_same_step () =
   Alcotest.(check int) "program cached" 1 (Hashtbl.length entry.Registry.compiled_cache);
   let st = Smodd.status pool in
   Alcotest.(check bool) "decision cached" true (st.Smodd.st_cache_size > Some 0);
-  Alcotest.(check (option int)) "program cached pool-side" (Some 1) st.Smodd.st_cache_compiled;
   (* The rotation itself: hooks fire synchronously inside add_principal,
      so by the next statement every layer is already empty. *)
   Keystore.add_principal (Smod.keystore smod) ~name:"rotated-in" ~secret:"s";
@@ -1203,8 +1209,6 @@ let test_rotation_evicts_same_step () =
   let st = Smodd.status pool in
   Alcotest.(check (option int)) "pool decisions evicted in the same step" (Some 0)
     st.Smodd.st_cache_size;
-  Alcotest.(check (option int)) "pool programs evicted in the same step" (Some 0)
-    st.Smodd.st_cache_compiled;
   (* The world keeps working: the next session recompiles. *)
   let misses0 = world.World.libc_entry.Registry.compile_misses in
   World.spawn_seclibc_client world ~name:"after-rotation" (fun _p conn ->
@@ -1264,9 +1268,7 @@ let test_rotation_between_session_and_first_batch () =
       Keystore.add_principal ks ~name:"vendor" ~secret:"vk2";
       let st = Smodd.status pool in
       same_step_ok :=
-        Hashtbl.length entry.Registry.compiled_cache = 0
-        && st.Smodd.st_cache_size = Some 0
-        && st.Smodd.st_cache_compiled = Some 0;
+        Hashtbl.length entry.Registry.compiled_cache = 0 && st.Smodd.st_cache_size = Some 0;
       let rs = Stub.call_batch conn ~func:"test_incr" (List.init 4 (fun i -> [| i |])) in
       statuses := List.map (function Ok _ -> `Ok | Error (e, _) -> `Err e) rs);
   World.run world;
@@ -1506,6 +1508,275 @@ let test_set_policy_evicts () =
   Alcotest.(check int) "evicted" 0 (Hashtbl.length entry.Registry.compiled_cache);
   Alcotest.(check int) "revision bumped" (rev0 + 1) entry.Registry.policy_rev
 
+(* ------------------------------------------------------------------ *)
+(* Fail closed on compliance levels outside the policy's ordering      *)
+(* ------------------------------------------------------------------ *)
+
+(* A vendor-signed license naming a level ("sudo") the policy does not
+   order.  The interpreter meets it only when the clause's guard holds,
+   so [phase] picks where: at establishment, which always interprets,
+   or on every call.  Each scenario answers EACCES instead of stopping
+   the simulation, and the same world then serves a well-formed client
+   over the same transport. *)
+let unknown_level_outcomes ~phase ~compile ~transport =
+  let world =
+    World.create ~with_rpc:false
+      ~policy:(policy_trusting_vendor ~conds:"module == \"seclibc\" -> \"allow\";" ())
+      ()
+  in
+  let smod = world.World.smod in
+  Smod.set_policy_compile smod compile;
+  if transport = `Poller then Smod.set_kernel_poller smod true;
+  let ks = Smod.keystore smod in
+  Keystore.add_principal ks ~name:"vendor" ~secret:"vk";
+  let run_alice name conds =
+    let outcome = ref `Unset in
+    let credential =
+      Credential.make ~principal:"alice" ~assertions:[ signed_license ks ~conds () ] ()
+    in
+    ignore
+      (M.spawn world.World.machine ~name (fun p ->
+           match
+             Crt0.run_client smod p ~module_name:Smod_libc.Seclibc.module_name
+               ~version:Smod_libc.Seclibc.version ~credential (fun conn ->
+                 outcome :=
+                   match transport with
+                   | `Msgq -> `Allowed (Stub.call conn ~func:"test_incr" [| 1 |])
+                   | `Batch | `Poller -> (
+                       match Stub.call_batch conn ~func:"test_incr" [ [| 1 |] ] with
+                       | [ Ok v ] -> `Allowed v
+                       | [ Error (Errno.EACCES, _) ] -> `Denied
+                       | _ -> `Other))
+           with
+           | () -> ()
+           | exception Errno.Error (Errno.EACCES, _) -> outcome := `Denied));
+    World.run world;
+    !outcome
+  in
+  let hostile =
+    run_alice "sudo" (Printf.sprintf "phase == %S -> \"sudo\"; true -> \"allow\";" phase)
+  in
+  (hostile, run_alice "well-formed" "true -> \"allow\";")
+
+let test_unknown_level_denies_on_every_path () =
+  List.iter
+    (fun (label, phase, compile, transport) ->
+      let hostile, well_formed = unknown_level_outcomes ~phase ~compile ~transport in
+      Alcotest.(check bool) (label ^ ": EACCES") true (hostile = `Denied);
+      Alcotest.(check bool) (label ^ ": next client served") true (well_formed = `Allowed 2))
+    [
+      ("msgq, interpreted", "call", false, `Msgq);
+      ("batch trap, interpreted", "call", false, `Batch);
+      ("poller, interpreted", "call", false, `Poller);
+      ("establishment, compiled", "session", true, `Msgq);
+      ("establishment, interpreted", "session", false, `Msgq);
+    ]
+
+(* A [min_level] that names no level ("alow" for "allow") is unreachable:
+   every engine denies instead of reading it as index 0.  The policy's
+   only clause never matches, so every query ends at "deny". *)
+let test_unknown_min_level_fails_closed () =
+  let policy =
+    Policy.Keynote
+      {
+        policy =
+          [
+            Parse.assertion_of_string
+              "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+               conditions: module == \"nowhere\" -> \"allow\";\n";
+          ];
+        levels = [| "deny"; "allow" |];
+        min_level = "alow";
+        attrs = [];
+      }
+  in
+  let clock = mk_clock () in
+  let credential = Credential.make ~principal:"client" () in
+  let origin = Fuse.no_origin in
+  let attrs = ("function", "test_incr") :: origin_pairs origin in
+  let denied engine = function
+    | Ok () -> Alcotest.failf "%s admitted below an unreachable level" engine
+    | Error (_ : Policy.denial) -> ()
+  in
+  denied "check"
+    (Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy (Policy.initial_state policy));
+  let compiled =
+    Policy.compile ~fuse:true ~clock ~keystore:(Keystore.create ()) ~credential policy
+  in
+  denied "check_compiled"
+    (Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled
+       (Policy.initial_state policy));
+  let ctx = Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled in
+  denied "check_fused"
+    (Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin ~attrs ctx
+       (Policy.initial_state policy));
+  let lane = { Policy.vl_origin = origin; vl_attrs = attrs } in
+  Array.iter (denied "check_vector")
+    (Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes:[| lane; lane |] ctx
+       (Policy.initial_state policy));
+  (* One msgq dispatch per engine: establishment admits under the old
+     policy, then the module's policy changes under the live session. *)
+  List.iter
+    (fun compile ->
+      let world = World.create ~with_rpc:false ~policy:Policy.Always_allow () in
+      Smod.set_policy_compile world.World.smod compile;
+      let outcome = ref `Unset in
+      World.spawn_seclibc_client world ~name:"misspelt" (fun _p conn ->
+          Registry.set_policy world.World.libc_entry policy;
+          outcome :=
+            match Stub.call conn ~func:"test_incr" [| 1 |] with
+            | v -> `Allowed v
+            | exception Errno.Error (Errno.EACCES, _) -> `Denied);
+      World.run world;
+      Alcotest.(check bool)
+        (Printf.sprintf "compile %b: EACCES" compile)
+        true (!outcome = `Denied))
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
+(* Admission parity: one decision on every transport and engine        *)
+(* ------------------------------------------------------------------ *)
+
+(* Twelve calls, every third one abs; batches carry four calls each. *)
+let parity_calls = List.init 12 (fun i -> if i mod 3 = 1 then ("abs", -i) else ("test_incr", i))
+
+let deny_abs_policy =
+  Policy.Keynote
+    {
+      policy =
+        [
+          Parse.assertion_of_string
+            "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+             conditions: function != \"abs\" -> \"allow\";\n";
+        ];
+      levels = [| "deny"; "allow" |];
+      min_level = "allow";
+      attrs = [];
+    }
+
+let parity_engines =
+  [
+    ("interpreted", (false, false, false));
+    ("compiled", (true, false, false));
+    ("compiled+fused", (true, true, false));
+    ("compiled+fused+vectorized", (true, true, true));
+  ]
+
+let parity_transports = [ ("msgq", `Msgq); ("batch trap", `Batch); ("poller", `Poller) ]
+
+(* One cell: the per-call verdicts (value or errno), and the deltas of
+   secmodule.policy_checks and secmodule.calls_denied over the run.  The
+   cell first checks that its transport served the calls: no ring slot
+   on msgq, three batch traps, or twelve slots stamped by the poller. *)
+let parity_cell ?pool ?(fast_path = false) ~policy (compile, fuse, vectorize) transport =
+  let world = World.create ?pool ~with_rpc:false ~policy () in
+  let smod = world.World.smod in
+  Smod.set_policy_compile smod compile;
+  Smod.set_policy_fuse smod fuse;
+  Smod.set_policy_vectorize smod vectorize;
+  Smod.set_call_fast_path smod fast_path;
+  if transport = `Poller then Smod.set_kernel_poller smod true;
+  let counter name = Option.value ~default:0 (Smod_metrics.counter_value name) in
+  let checks0 = counter "secmodule.policy_checks"
+  and denied0 = counter "secmodule.calls_denied"
+  and submits0 = counter "ring.submits"
+  and batches0 = counter "ring.batches"
+  and polled0 = counter "poller.slots_stamped" in
+  let verdicts = ref [] in
+  World.spawn_seclibc_client world ~name:"parity" (fun _p conn ->
+      let batch calls =
+        Stub.call_batch_funcs conn
+          (List.map (fun (f, arg) -> (Option.get (Stub.func_id conn f), [| arg |])) calls)
+        |> List.map (Result.map_error fst)
+      in
+      verdicts :=
+        match transport with
+        | `Msgq ->
+            List.map
+              (fun (f, arg) ->
+                match Stub.call conn ~func:f [| arg |] with
+                | v -> Ok v
+                | exception Errno.Error (e, _) -> Error e)
+              parity_calls
+        | `Batch | `Poller ->
+            List.concat_map batch
+              (List.map
+                 (fun k -> List.filteri (fun i _ -> i / 4 = k) parity_calls)
+                 [ 0; 1; 2 ]));
+  World.run world;
+  let served =
+    match transport with
+    | `Msgq -> counter "ring.submits" - submits0 = 0
+    | `Batch -> counter "ring.batches" - batches0 = 3
+    | `Poller -> counter "poller.slots_stamped" - polled0 = 12
+  in
+  if not served then Alcotest.fail "the cell's transport did not serve its calls";
+  ( !verdicts,
+    counter "secmodule.policy_checks" - checks0,
+    counter "secmodule.calls_denied" - denied0 )
+
+let for_each_cell f =
+  List.iter
+    (fun (engine_name, engine) ->
+      List.iter
+        (fun (transport_name, transport) ->
+          f (Printf.sprintf "%s over %s" engine_name transport_name) engine transport)
+        parity_transports)
+    parity_engines
+
+let verdict_testable =
+  let errno = Alcotest.of_pp (fun ppf e -> Format.pp_print_string ppf (Errno.to_string e)) in
+  Alcotest.(list (result int errno))
+
+(* A stateful, vector-eligible composite: quota 5 in front of a KeyNote
+   arm that denies abs.  Every cell matches the interpreted msgq cell in
+   verdicts, policy checks and denials. *)
+let test_parity_stateful_composite () =
+  let policy = Policy.All_of [ Policy.Call_quota 5; deny_abs_policy ] in
+  let reference, checks, denials =
+    parity_cell ~policy (List.assoc "interpreted" parity_engines) `Msgq
+  in
+  let denied = Error Errno.EACCES in
+  Alcotest.check verdict_testable "reference verdicts"
+    ([ Ok 1; denied; Ok 3; Ok 4; denied ] @ List.init 7 (fun _ -> denied))
+    reference;
+  Alcotest.(check int) "one check per call plus establishment" 13 checks;
+  Alcotest.(check int) "reference denials" 9 denials;
+  for_each_cell (fun cell engine transport ->
+      let v, c, d = parity_cell ~policy engine transport in
+      Alcotest.check verdict_testable (cell ^ ": verdicts") reference v;
+      Alcotest.(check int) (cell ^ ": policy checks") checks c;
+      Alcotest.(check int) (cell ^ ": denials") denials d)
+
+(* A cacheable KeyNote policy behind smodd's decision cache: the cache
+   and the per-batch memo change how often the policy runs, never what
+   it answers. *)
+let test_parity_decision_cache () =
+  let pool = Smodd.default_config in
+  let reference, _, _ =
+    parity_cell ~pool ~policy:deny_abs_policy (List.assoc "interpreted" parity_engines) `Msgq
+  in
+  Alcotest.check verdict_testable "reference verdicts"
+    (List.map
+       (fun (f, arg) -> if f = "abs" then Error Errno.EACCES else Ok (arg + 1))
+       parity_calls)
+    reference;
+  for_each_cell (fun cell engine transport ->
+      let v, _, _ = parity_cell ~pool ~policy:deny_abs_policy engine transport in
+      Alcotest.check verdict_testable (cell ^ ": verdicts") reference v)
+
+(* The stateless fast path answers every call before any engine runs: the
+   only policy check is the establishment's. *)
+let test_parity_fast_path () =
+  let expected =
+    List.map (fun (f, arg) -> Ok (if f = "abs" then abs arg else arg + 1)) parity_calls
+  in
+  for_each_cell (fun cell engine transport ->
+      let v, c, d = parity_cell ~fast_path:true ~policy:Policy.Always_allow engine transport in
+      Alcotest.check verdict_testable (cell ^ ": verdicts") expected v;
+      Alcotest.(check int) (cell ^ ": establishment check only") 1 c;
+      Alcotest.(check int) (cell ^ ": no denials") 0 d)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "compile"
@@ -1558,6 +1829,17 @@ let () =
           tc "long chains iterative" test_parse_long_chains_iterative;
           tc "res reports line" test_parse_res_reports_line;
           tc "hostile credential EACCES" test_hostile_credential_denied_not_crash;
+        ] );
+      ( "fail closed",
+        [
+          tc "unknown level denies on every path" test_unknown_level_denies_on_every_path;
+          tc "unknown min_level fails closed" test_unknown_min_level_fails_closed;
+        ] );
+      ( "admission",
+        [
+          tc "stateful composite" test_parity_stateful_composite;
+          tc "decision cache" test_parity_decision_cache;
+          tc "fast path" test_parity_fast_path;
         ] );
       ( "dispatch",
         [

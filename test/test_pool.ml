@@ -577,39 +577,26 @@ let test_keystore_change_flushes () =
   Alcotest.(check (option int)) "repopulated under the new generation" (Some 1)
     st.Smodd.st_cache_size
 
-let any_program clock =
-  Policy.compile ~clock ~keystore:(Keystore.create ())
-    ~credential:(Credential.make ~principal:"a" ())
-    Policy.Always_allow
-
 (* Revision and generation live in the entries, not the keys: 1,000
    policy revisions for one (credential, function, module) leave one
-   decision and one program, and only the current pair is served. *)
+   decision, and only the current pair is served. *)
 let test_cache_revisions_supersede_in_place () =
   let clock = Clock.create ~jitter:0.0 () in
   let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:16 in
-  let program = any_program clock in
   for rev = 1 to 1_000 do
     Policy_cache.store cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
-      ~keystore_gen:0 Policy_cache.Allow;
-    Policy_cache.store_compiled cache ~cred_digest:"d" ~m_id:1 ~policy_rev:rev ~keystore_gen:0
-      program
+      ~keystore_gen:0 Policy_cache.Allow
   done;
   Alcotest.(check int) "one decision" 1 (Policy_cache.size cache);
-  Alcotest.(check int) "one program" 1 (Policy_cache.compiled_size cache);
   let exp0 = counter "policy_cache.expirations" in
   let hit ~rev ~gen =
-    let d =
+    match
       Policy_cache.lookup cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
         ~keystore_gen:gen
-    and c =
-      Policy_cache.lookup_compiled cache ~cred_digest:"d" ~m_id:1 ~policy_rev:rev
-        ~keystore_gen:gen
-    in
-    match (d, c) with
-    | Some Policy_cache.Allow, Some c when c == program -> true
-    | None, None -> false
-    | _ -> Alcotest.failf "rev %d gen %d: decision and program disagree" rev gen
+    with
+    | Some Policy_cache.Allow -> true
+    | None -> false
+    | Some (Policy_cache.Deny _) -> Alcotest.failf "rev %d gen %d: deny for a stored allow" rev gen
   in
   Alcotest.(check bool) "current revision hits" true (hit ~rev:1_000 ~gen:0);
   List.iter
@@ -627,40 +614,24 @@ let test_cache_revisions_supersede_in_place () =
 let test_cache_supersede_charges_one_insert () =
   let clock = Clock.create ~jitter:0.0 () in
   let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:2 in
-  let program = any_program clock in
   let put d rev =
     Policy_cache.store cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
-      ~keystore_gen:0 Policy_cache.Allow;
-    Policy_cache.store_compiled cache ~cred_digest:d ~m_id:1 ~policy_rev:rev ~keystore_gen:0
-      program
+      ~keystore_gen:0 Policy_cache.Allow
   in
   let held d rev =
     Policy_cache.lookup cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
       ~keystore_gen:0
     = Some Policy_cache.Allow
-    && Policy_cache.lookup_compiled cache ~cred_digest:d ~m_id:1 ~policy_rev:rev
-         ~keystore_gen:0
-       <> None
   in
   put "a" 1;
   put "b" 1;
-  let ev0 = counter "policy_cache.evictions"
-  and ins0 = counter "policy_cache.inserts"
-  and cins0 = counter "policy_cache.compiled_inserts" in
+  let ev0 = counter "policy_cache.evictions" and ins0 = counter "policy_cache.inserts" in
   let c0 = Clock.now_cycles clock in
   Policy_cache.store cache ~cred_digest:"a" ~func_name:"f" ~m_id:1 ~policy_rev:2
     ~keystore_gen:0 Policy_cache.Allow;
   Alcotest.(check (float 1e-9)) "one insert charge" (Cost.cycles Cost.Policy_cache_insert)
     (Clock.now_cycles clock -. c0);
-  let c1 = Clock.now_cycles clock in
-  Policy_cache.store_compiled cache ~cred_digest:"a" ~m_id:1 ~policy_rev:2 ~keystore_gen:0
-    program;
-  Alcotest.(check (float 1e-9)) "one compiled insert charge"
-    (Cost.cycles Cost.Policy_cache_insert)
-    (Clock.now_cycles clock -. c1);
   Alcotest.(check int) "one insert" 1 (counter "policy_cache.inserts" - ins0);
-  Alcotest.(check int) "one compiled insert" 1
-    (counter "policy_cache.compiled_inserts" - cins0);
   Alcotest.(check int) "nothing evicted" 0 (counter "policy_cache.evictions" - ev0);
   Alcotest.(check bool) "b untouched" true (held "b" 1);
   Alcotest.(check bool) "a superseded" true (held "a" 2);
@@ -671,7 +642,8 @@ let test_cache_supersede_charges_one_insert () =
 
 (* The same through smodd: 40 policy updates, each followed by fresh
    pooled sessions of two principals calling two functions, leave the
-   pool's tables at the keys in use — 2 x 2 decisions, 2 programs. *)
+   caches at the keys in use — 2 x 2 decisions in the pool, 2 programs
+   on the registry entry. *)
 let test_set_policy_churn_keeps_cache_flat () =
   let policy round =
     Policy.Keynote
@@ -705,8 +677,8 @@ let test_set_policy_churn_keeps_cache_flat () =
     let st = Smodd.status pool in
     Alcotest.(check (option int)) (Printf.sprintf "round %d decisions" round) (Some 4)
       st.Smodd.st_cache_size;
-    Alcotest.(check (option int)) (Printf.sprintf "round %d programs" round) (Some 2)
-      st.Smodd.st_cache_compiled
+    Alcotest.(check int) (Printf.sprintf "round %d programs" round) 2
+      (Hashtbl.length world.World.libc_entry.Registry.compiled_cache)
   done;
   Alcotest.(check int) "every call served" 160 !calls
 
