@@ -99,7 +99,7 @@ let () =
              let sym = Option.get (Smod_modfmt.Smof.find_symbol image "mean") in
              let mapped =
                Aspace.read_bytes handle_as
-                 ~addr:(session.Smod.module_text_base + sym.Smod_modfmt.Smof.sym_offset)
+                 ~addr:(Smod_vmem.Layout.module_text_base + sym.Smod_modfmt.Smof.sym_offset)
                  ~len:sym.Smod_modfmt.Smof.sym_size
              in
              Printf.printf "\nmean() as linked into the handle (note the patched call):\n%s"

@@ -33,18 +33,42 @@ type ring_state = {
   mutable r_handle_engaged : bool;
 }
 
+type queue_pair = { req_qid : int; rep_qid : int }
+
+(* Effects-based handle multiplexer (E22): one daemon process serves
+   thousands of ring-only sessions as fibers.  A fiber drains its
+   session's ring and performs [Mux_suspend] when it runs dry; the stamp
+   path (batch trap or poller) enqueues the session id and wakes the mux,
+   which resumes the continuation under that session's handle context
+   (address space, secret stack, role).  This replaces the
+   one-blocked-loop-per-session model: suspended sessions cost a table
+   entry, not a process. *)
+type _ Effect.t += Mux_suspend : unit Effect.t
+
+type mux_fiber =
+  | Fiber_fresh
+  | Fiber_suspended of (unit, unit) Effect.Deep.continuation
+  | Fiber_running
+  | Fiber_done
+
+type mux_session = {
+  ms_aspace : Aspace.t;  (* the session's handle context: module image,
+                            secret segment, force-shared client range *)
+  mutable ms_sp : int;
+  mutable ms_fp : int;
+  mutable ms_fiber : mux_fiber;
+  mutable ms_queued : bool;  (* already on [mx_ready] *)
+}
+
 type session = {
   sid : int;
   m_id : int;
   entry : Registry.entry;
   client_pid : int;
   mutable handle_pid : int;
-  req_qid : int;
-  rep_qid : int;
   credential : Credential.t;
   policy_state : Policy.state;
-  module_text_base : int;
-  module_data_base : int;
+  kind : handle_kind;
   mutable established : bool;
   mutable detached : bool;
   mutable calls : int;
@@ -52,8 +76,6 @@ type session = {
   mutable faulted_calls : int;
   mutable handle_exec_us : float;
   mutable client_waiting_handshake : bool;
-  pooled : bool;
-  mux : bool;
   mutable ring : ring_state option;
   mutable cred_digest : string option;
   mutable compiled_memo : (int * int * Policy.compiled) option;
@@ -64,14 +86,15 @@ type session = {
   mutable client_exit_hook : (Proc.t -> unit) option;
 }
 
+and handle_kind = Forked of queue_pair | Pooled of pooled_handle | Mux of mux_session
+
 (* A reusable handle co-process managed by the smodd service layer
    (lib/pool): it outlives any single session, parking between tenants
    instead of dying with its client. *)
-type pooled_handle = {
+and pooled_handle = {
   ph_entry : Registry.entry;
-  mutable ph_pid : int;
-  ph_req_qid : int;
-  ph_rep_qid : int;
+  ph_pid : int;
+  ph_queues : queue_pair;
   ph_aspace : Aspace.t;
   mutable ph_session : session option;
   mutable ph_dead : bool;
@@ -112,37 +135,11 @@ type poller = {
   p_session_slots : (int, int) Hashtbl.t;  (* sid -> slots stamped *)
 }
 
-(* Effects-based handle multiplexer (E22): one daemon process serves
-   thousands of ring-only sessions as fibers.  A fiber drains its
-   session's ring and performs [Mux_suspend] when it runs dry; the stamp
-   path (batch trap or poller) enqueues the session id and wakes the mux,
-   which resumes the continuation under that session's handle context
-   (address space, secret stack, role).  This replaces the
-   one-blocked-loop-per-session model: suspended sessions cost a table
-   entry, not a process. *)
-type _ Effect.t += Mux_suspend : unit Effect.t
-
-type mux_fiber =
-  | Fiber_fresh
-  | Fiber_suspended of (unit, unit) Effect.Deep.continuation
-  | Fiber_running
-  | Fiber_done
-
-type mux_session = {
-  ms_session : session;
-  ms_aspace : Aspace.t;  (* the session's handle context: module image,
-                            secret segment, force-shared client range *)
-  mutable ms_sp : int;
-  mutable ms_fp : int;
-  mutable ms_fiber : mux_fiber;
-  mutable ms_queued : bool;  (* already on [mx_ready] *)
-}
-
 type mux = {
   mutable mx_pid : int;
   mx_wq : Sched.waitq;
   mx_ready : int Queue.t;  (* sids with stamped work (or a detach) pending *)
-  mx_sessions : (int, mux_session) Hashtbl.t;
+  mx_sessions : (int, session * mux_session) Hashtbl.t;
   mutable mx_live : int;
   mutable mx_peak : int;
   mutable mx_attached : int;  (* total sessions ever attached *)
@@ -154,7 +151,6 @@ type t = {
   keystore : Keystore.t;
   sessions_by_client : (int, session) Hashtbl.t;
   sessions_by_handle : (int, session) Hashtbl.t;
-  pooled_handles_by_pid : (int, pooled_handle) Hashtbl.t;
   mutable next_sid : int;
   mutable next_pool_serial : int;
   mutable toctou : toctou_mitigation;
@@ -273,9 +269,20 @@ let active_sessions t =
 
 (* A mux session's handle context is its fiber's, not the mux daemon's. *)
 let handle_aspace t (session : session) =
-  match t.mux with
-  | Some mx when session.mux -> (Hashtbl.find mx.mx_sessions session.sid).ms_aspace
-  | Some _ | None -> (Machine.proc_exn t.machine session.handle_pid).Proc.aspace
+  match session.kind with
+  | Mux ms -> ms.ms_aspace
+  | Forked _ | Pooled _ -> (Machine.proc_exn t.machine session.handle_pid).Proc.aspace
+
+(* The handle's queue pair; a mux fiber has none. *)
+let queues session =
+  match session.kind with
+  | Forked q | Pooled { ph_queues = q; _ } -> Some q
+  | Mux _ -> None
+
+let handle_alive t session =
+  match Machine.proc t.machine session.handle_pid with
+  | Some h -> not (Proc.is_zombie h)
+  | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Registration (trusted tool chain)                                   *)
@@ -302,6 +309,20 @@ let bind_native t ~m_id ~name fn =
    blocked in msgrcv when ring work is stamped. *)
 let pool_detach_mtype = 2
 let ring_doorbell_mtype = 3
+
+(* Hand a mux session's freshly stamped work (or its detach) to the mux:
+   enqueue the sid once and wake the mux proc.  The wake is a no-op when
+   the mux is already running — it drains the ready queue before
+   blocking again. *)
+let mux_notify t session ms =
+  match t.mux with
+  | Some mx when Hashtbl.mem mx.mx_sessions session.sid ->
+      if not ms.ms_queued then begin
+        ms.ms_queued <- true;
+        Queue.push session.sid mx.mx_ready
+      end;
+      ignore (Machine.wake t.machine mx.mx_wq)
+  | Some _ | None -> ()
 
 let detach_session t session =
   if not session.detached then begin
@@ -335,45 +356,43 @@ let detach_session t session =
         ignore (Machine.wake t.machine rs.r_handle_wq)
     | None -> ());
     Machine.ring_teardown t.machine ~pid:session.client_pid;
-    if session.mux then begin
-      (* Mux sessions are fibers, not processes: never kill the mux proc.
-         Break the client half of the pairing, orphan the per-session
-         handle context, and kick the mux so the fiber observes
-         [detached] and finishes (dropping its continuation). *)
-      (match Machine.proc t.machine session.client_pid with
-      | Some client ->
-          Aspace.set_peer client.Proc.aspace None;
-          client.Proc.role <- Proc.Standalone
-      | None -> ());
-      match t.mux with
-      | Some mx -> (
-          match Hashtbl.find_opt mx.mx_sessions session.sid with
-          | Some ms ->
-              Aspace.set_peer ms.ms_aspace None;
-              if not ms.ms_queued then begin
-                ms.ms_queued <- true;
-                Queue.push session.sid mx.mx_ready
-              end;
-              ignore (Machine.wake t.machine mx.mx_wq)
-          | None -> ())
-      | None -> ()
-    end
-    else if session.pooled then begin
-      (* Break the client half of the pairing; the handle unshares and
-         scrubs itself on the way back to the pool, so its queues and
-         process survive for the next tenant. *)
-      (match Machine.proc t.machine session.client_pid with
-      | Some client ->
-          Aspace.set_peer client.Proc.aspace None;
-          client.Proc.role <- Proc.Standalone
-      | None -> ());
-      let handle_live =
-        match Machine.proc t.machine session.handle_pid with
-        | Some h -> not (Proc.is_zombie h)
-        | None -> false
-      in
-      match Hashtbl.find_opt t.pooled_handles_by_pid session.handle_pid with
-      | Some ph when (not ph.ph_dead) && handle_live ->
+    (* A client still waiting for the handshake wakes to find the session
+       gone. *)
+    if session.client_waiting_handshake then begin
+      session.client_waiting_handshake <- false;
+      Machine.wakeup t.machine session.client_pid
+    end;
+    (* Break the client half of the VM pairing so future faults no longer
+       share. *)
+    (match Machine.proc t.machine session.client_pid with
+    | Some client ->
+        Aspace.set_peer client.Proc.aspace None;
+        client.Proc.role <- Proc.Standalone
+    | None -> ());
+    match session.kind with
+    | Forked q ->
+        (* Remove the pair's queues, so a client blocked mid-call wakes
+           with EIDRM instead of hanging on a dead handle, then kill the
+           handle. *)
+        (match
+           List.find_map (Machine.proc t.machine) [ session.client_pid; session.handle_pid ]
+         with
+        | Some p ->
+            (try Machine.msgctl_remove t.machine p ~qid:q.req_qid with Errno.Error _ -> ());
+            (try Machine.msgctl_remove t.machine p ~qid:q.rep_qid with Errno.Error _ -> ())
+        | None -> ());
+        (match Machine.proc t.machine session.handle_pid with
+        | Some handle ->
+            Aspace.set_peer handle.Proc.aspace None;
+            (try Machine.kill t.machine ~pid:session.handle_pid ~signal:Signal.sigkill
+             with Errno.Error _ -> ())
+        | None -> ())
+    | Pooled ph ->
+        (* The handle unshares and scrubs itself on the way back to the
+           pool, so its queues and process survive for the next tenant.
+           A handle already dead or dying gets no detach message: its exit
+           hook removes the queues and reports the death to smodd. *)
+        if (not ph.ph_dead) && handle_alive t session then begin
           (* msgsnd needs a process context; the client may already be a
              zombie (exit-hook detach), in which case the handle itself —
              blocked in msgrcv on this very queue — serves as sender. *)
@@ -382,42 +401,28 @@ let detach_session t session =
             | Some c when not (Proc.is_zombie c) -> c
             | Some _ | None -> Machine.proc_exn t.machine session.handle_pid
           in
-          (try
-             Machine.msgsnd t.machine sender ~qid:session.req_qid ~mtype:pool_detach_mtype
-               (Bytes.create 0)
-           with Errno.Error _ -> ())
-      | Some _ | None ->
-          (* Handle already dead or dying: its exit hook removes the
-             queues and reports the death to smodd. *)
-          ()
-    end
-    else begin
-      (* Remove the pair's queues: a client blocked mid-call wakes with
-         EIDRM instead of hanging on a dead handle. *)
-      (match
-         List.find_opt
-           (fun pid -> Machine.proc t.machine pid <> None)
-           [ session.client_pid; session.handle_pid ]
-       with
-      | Some pid ->
-          let p = Machine.proc_exn t.machine pid in
-          (try Machine.msgctl_remove t.machine p ~qid:session.req_qid with Errno.Error _ -> ());
-          (try Machine.msgctl_remove t.machine p ~qid:session.rep_qid with Errno.Error _ -> ())
-      | None -> ());
-      (* Break the VM pairing first so future faults no longer share. *)
-      (match Machine.proc t.machine session.client_pid with
-      | Some client ->
-          Aspace.set_peer client.Proc.aspace None;
-          client.Proc.role <- Proc.Standalone
-      | None -> ());
-      (match Machine.proc t.machine session.handle_pid with
-      | Some handle ->
-          Aspace.set_peer handle.Proc.aspace None;
-          (try Machine.kill t.machine ~pid:session.handle_pid ~signal:Signal.sigkill
-           with Errno.Error _ -> ())
-      | None -> ())
-    end
+          try
+            Machine.msgsnd t.machine sender ~qid:ph.ph_queues.req_qid ~mtype:pool_detach_mtype
+              (Bytes.create 0)
+          with Errno.Error _ -> ()
+        end
+    | Mux ms ->
+        (* A fiber, not a process: never kill the mux proc.  Orphan the
+           session's handle context and kick the mux so the fiber observes
+           [detached] and finishes (dropping its continuation). *)
+        Aspace.set_peer ms.ms_aspace None;
+        mux_notify t session ms
   end
+
+(* The death rule every handle kind shares: when a handle process dies,
+   each session it still serves is detached, so no client is left
+   waiting on a dead enforcement point. *)
+let detach_served t (handle : Proc.t) =
+  Hashtbl.fold
+    (fun _ s acc -> if s.handle_pid = handle.Proc.pid then s :: acc else acc)
+    t.sessions_by_client []
+  |> List.sort (fun a b -> compare a.sid b.sid)
+  |> List.iter (detach_session t)
 
 (* A session lives as long as its client: the client's exit detaches it,
    and detaching unregisters the hook. *)
@@ -466,7 +471,7 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
               (* The whole module text is addressable so relocated
                  intra-module calls can land on sibling functions. *)
               Ok
-                (Interp.run env ~code_base:session.module_text_base
+                (Interp.run env ~code_base:Layout.module_text_base
                    ~code_len:(Bytes.length entry.Registry.image.Smof.text)
                    ~entry:sym.Smof.sym_offset ~args_base:req.Wire.args_base ())
             with
@@ -481,7 +486,7 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
                    substituted other code. *)
                 let mapped =
                   Aspace.read_bytes handle.Proc.aspace
-                    ~addr:(session.module_text_base + sym.Smof.sym_offset)
+                    ~addr:(Layout.module_text_base + sym.Smof.sym_offset)
                     ~len:sym.Smof.sym_size
                 in
                 let expected =
@@ -552,7 +557,7 @@ let ring_work_available t session _rs =
    spin-then-block on the handle wait queue.  Returns when a pooled
    detach control message (mtype 2) arrives; cold-fork handles are
    simply killed at detach. *)
-let serve_session t session (handle : Proc.t) ~req_qid ~rep_qid =
+let serve_session t session (handle : Proc.t) { req_qid; rep_qid } =
   let clock = Machine.clock t.machine in
   let serve_msgq_request payload =
     let reply =
@@ -614,7 +619,7 @@ let serve_session t session (handle : Proc.t) ~req_qid ~rep_qid =
   in
   serve ()
 
-let handle_main t session (handle : Proc.t) =
+let handle_main t session queues (handle : Proc.t) =
   (* First: move onto the secret stack (Figure 2) — the standard stack
      location is about to be replaced by the client's pages. *)
   handle.Proc.sp <- secret_stack_top - 16;
@@ -622,7 +627,7 @@ let handle_main t session (handle : Proc.t) =
   (* Announce readiness; the kernel force-shares the address spaces. *)
   ignore (Machine.syscall t.machine handle Sysno.smod_session_info [| 0 |]);
   (* Serve until killed. *)
-  serve_session t session handle ~req_qid:session.req_qid ~rep_qid:session.rep_qid
+  serve_session t session handle queues
 
 (* ------------------------------------------------------------------ *)
 (* Pooled handles (the smodd service layer, lib/pool)                  *)
@@ -681,14 +686,14 @@ let pooled_handle_main t ph (handle : Proc.t) =
     | Some session ->
         (* Recycle for the new tenant: drop any stale messages, return to
            the secret stack, refresh the cached client pid (§4.3). *)
-        ignore (Machine.msgq_flush t.machine ~qid:ph.ph_req_qid);
-        ignore (Machine.msgq_flush t.machine ~qid:ph.ph_rep_qid);
+        ignore (Machine.msgq_flush t.machine ~qid:ph.ph_queues.req_qid);
+        ignore (Machine.msgq_flush t.machine ~qid:ph.ph_queues.rep_qid);
         handle.Proc.sp <- secret_stack_top - 16;
         handle.Proc.fp <- handle.Proc.sp;
         Aspace.write_word ph.ph_aspace ~addr:client_pid_cache_addr session.client_pid;
         Clock.charge clock Cost.Handle_recycle;
         ignore (Machine.syscall t.machine handle Sysno.smod_session_info [| 0 |]);
-        serve_session t session handle ~req_qid:ph.ph_req_qid ~rep_qid:ph.ph_rep_qid;
+        serve_session t session handle ph.ph_queues;
         scrub_pooled_handle t ph;
         ph.ph_session <- None;
         loop ()
@@ -934,11 +939,20 @@ let decide t a ~func_name =
       (match a.a_cache with Some hooks -> hooks.cache_store session ~func_name d | None -> ());
       d
 
-(* Every install pays the kernel's decryption with the kernel-held key
-   (§4.1), but the host decrypts, verifies and links once per registry
-   entry: each handle gets a copy of that one linked image. *)
-let install_module_image t handle_aspace entry =
+(* ------------------------------------------------------------------ *)
+(* Handle acquisition: cold fork, pooled attach, mux attach            *)
+(* ------------------------------------------------------------------ *)
+
+(* The handle context every acquire path builds: a private address space
+   holding the module image and the secret stack/heap segment (never
+   shared, never client-visible), with the client's pid cached at the
+   segment's base once a client is known (§4.3).  Every install pays the
+   kernel's decryption with the kernel-held key (§4.1), but the host
+   decrypts, verifies and links once per registry entry: each handle gets
+   a copy of that one linked image. *)
+let handle_context t ~name ?client_pid entry =
   let clock = Machine.clock t.machine in
+  let handle_aspace = Aspace.create ~phys:(Machine.phys t.machine) ~clock ~name in
   let image = entry.Registry.image in
   if image.Smof.encrypted then begin
     Clock.charge clock Cost.Aes_key_schedule;
@@ -958,23 +972,34 @@ let install_module_image t handle_aspace entry =
       ~kind:Aspace.Data ~name:("module-data:" ^ image.Smof.mod_name);
     Aspace.write_bytes handle_aspace ~addr:data_base linked.Smof.data;
     Clock.charge clock (Cost.Copy_bytes (Bytes.length linked.Smof.data))
-  end
+  end;
+  Aspace.add_entry handle_aspace ~start_addr:Layout.secret_base
+    ~size:(Layout.secret_pages * Layout.page_size)
+    ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
+  Option.iter
+    (fun pid -> Aspace.write_word handle_aspace ~addr:client_pid_cache_addr pid)
+    client_pid;
+  handle_aspace
 
-(* A session of [client_pid] on [entry], not yet established; the three
-   routes differ only in the handle and queue pair they give it. *)
-let new_session ~sid ~entry ~client_pid ~credential ~handle_pid ~req_qid ~rep_qid ~pooled ~mux =
+(* §3.1: handle processes never dump core and can never be traced.  They
+   are "periphery code" in the 80386 ring model the paper opens with
+   (§2): ring 1, more privileged than any user process. *)
+let harden_handle (h : Proc.t) =
+  h.Proc.no_core_dump <- true;
+  h.Proc.no_ptrace <- true;
+  h.Proc.ring <- 1
+
+(* A session of [client_pid] on [entry], not yet established. *)
+let new_session ~sid ~entry ~client_pid ~credential ~handle_pid kind =
   {
     sid;
     m_id = entry.Registry.m_id;
     entry;
     client_pid;
     handle_pid;
-    req_qid;
-    rep_qid;
     credential;
     policy_state = Policy.initial_state entry.Registry.policy;
-    module_text_base = Layout.module_text_base;
-    module_data_base = Layout.module_data_base;
+    kind;
     established = false;
     detached = false;
     calls = 0;
@@ -982,14 +1007,41 @@ let new_session ~sid ~entry ~client_pid ~credential ~handle_pid ~req_qid ~rep_qi
     faulted_calls = 0;
     handle_exec_us = 0.0;
     client_waiting_handshake = false;
-    pooled;
-    mux;
     ring = None;
     cred_digest = None;
     compiled_memo = None;
     fused_memo = None;
     client_exit_hook = None;
   }
+
+(* Every acquire path ends here: refuse a second session for the client,
+   number the new one and let [acquire] build it on its handle, charging
+   exactly what that path charges; then index it, pair the roles, tie it
+   to the client's lifetime and report it. *)
+let register_session t (p : Proc.t) ~acquire =
+  if Hashtbl.mem t.sessions_by_client p.Proc.pid then
+    Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
+  let sid = t.next_sid in
+  t.next_sid <- sid + 1;
+  let session = acquire sid in
+  p.Proc.role <- Proc.Smod_client { handle_pid = session.handle_pid };
+  Hashtbl.replace t.sessions_by_client p.Proc.pid session;
+  (match session.kind with
+  | Forked _ | Pooled _ ->
+      (Machine.proc_exn t.machine session.handle_pid).Proc.role <-
+        Proc.Smod_handle { client_pid = p.Proc.pid };
+      Hashtbl.replace t.sessions_by_handle session.handle_pid session
+  | Mux _ ->
+      (* Thousands of fibers share the mux pid, so the by-handle index (a
+         1:1 map) stays out of it; the mux installs each fiber's role as
+         it runs it. *)
+      ());
+  detach_on_client_exit t p session;
+  Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"kernel"
+    "start_session sid=%d module=%s client=%d handle=%d" sid
+    session.entry.Registry.image.Smof.mod_name p.Proc.pid session.handle_pid;
+  Smod_metrics.Counter.incr m_sessions_started;
+  sid
 
 (* Spawn a reusable handle for [entry], owned by the smodd service layer.
    Everything a cold fork would build per session — address space, module
@@ -1001,13 +1053,8 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
   t.next_pool_serial <- t.next_pool_serial + 1;
   let mod_name = entry.Registry.image.Smof.mod_name in
   let handle_aspace =
-    Aspace.create ~phys:(Machine.phys t.machine) ~clock
-      ~name:(Printf.sprintf "pool-handle-%s-%d" mod_name serial)
+    handle_context t ~name:(Printf.sprintf "pool-handle-%s-%d" mod_name serial) entry
   in
-  install_module_image t handle_aspace entry;
-  Aspace.add_entry handle_aspace ~start_addr:Layout.secret_base
-    ~size:(Layout.secret_pages * Layout.page_size)
-    ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
   Clock.charge clock Cost.Fork_base;
   (* The body needs the pooled_handle record, which needs the pid: tie the
      knot through a ref — the body cannot run before spawn returns. *)
@@ -1018,17 +1065,14 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
       (fun h -> pooled_handle_main t (Option.get !ph_ref) h)
   in
   handle.Proc.role <- Proc.Smod_handle { client_pid = 0 };
-  handle.Proc.no_core_dump <- true;
-  handle.Proc.no_ptrace <- true;
-  handle.Proc.ring <- 1;
+  harden_handle handle;
   let req_qid = Machine.msgget t.machine handle ~key:(0x5D0D0000 lor (serial * 2)) in
   let rep_qid = Machine.msgget t.machine handle ~key:(0x5D0D0000 lor ((serial * 2) + 1)) in
   let ph =
     {
       ph_entry = entry;
       ph_pid = handle.Proc.pid;
-      ph_req_qid = req_qid;
-      ph_rep_qid = rep_qid;
+      ph_queues = { req_qid; rep_qid };
       ph_aspace = handle_aspace;
       ph_session = None;
       ph_dead = false;
@@ -1039,18 +1083,12 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
     }
   in
   ph_ref := Some ph;
-  Hashtbl.replace t.pooled_handles_by_pid handle.Proc.pid ph;
   Proc.add_exit_hook handle (fun h ->
       ph.ph_dead <- true;
-      (* Died mid-session (killed, faulted): tear the session down fully
-         so the client is not left talking to a corpse. *)
-      (match ph.ph_session with
-      | Some s -> detach_session t s
-      | None -> ());
+      detach_served t h;
       ph.ph_session <- None;
-      Hashtbl.remove t.pooled_handles_by_pid ph.ph_pid;
-      (try Machine.msgctl_remove t.machine h ~qid:ph.ph_req_qid with Errno.Error _ -> ());
-      (try Machine.msgctl_remove t.machine h ~qid:ph.ph_rep_qid with Errno.Error _ -> ());
+      (try Machine.msgctl_remove t.machine h ~qid:req_qid with Errno.Error _ -> ());
+      (try Machine.msgctl_remove t.machine h ~qid:rep_qid with Errno.Error _ -> ());
       ph.ph_on_death ph);
   Trace.emitf (Machine.trace t.machine) ~clock ~actor:"smodd"
     "spawned pooled handle pid=%d for module %s" handle.Proc.pid mod_name;
@@ -1083,34 +1121,19 @@ let retire_pooled_handle t ph =
 let attach_pooled t (p : Proc.t) ph ~credential =
   if ph.ph_dead then invalid_arg "attach_pooled: handle is dead";
   if ph.ph_session <> None then invalid_arg "attach_pooled: handle is busy";
-  if Hashtbl.mem t.sessions_by_client p.Proc.pid then
-    Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
-  let clock = Machine.clock t.machine in
-  let entry = ph.ph_entry in
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
-  let session =
-    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:ph.ph_pid
-      ~req_qid:ph.ph_req_qid ~rep_qid:ph.ph_rep_qid ~pooled:true ~mux:false
-  in
-  ph.ph_session <- Some session;
-  ph.ph_reserved <- false;
-  ph.ph_tenants <- ph.ph_tenants + 1;
-  let handle = Machine.proc_exn t.machine ph.ph_pid in
-  handle.Proc.role <- Proc.Smod_handle { client_pid = p.Proc.pid };
-  p.Proc.role <- Proc.Smod_client { handle_pid = ph.ph_pid };
-  Hashtbl.replace t.sessions_by_client p.Proc.pid session;
-  Hashtbl.replace t.sessions_by_handle ph.ph_pid session;
-  detach_on_client_exit t p session;
-  Clock.charge clock Cost.Pool_admission;
-  (* A parked handle is blocked on Pool_park; a fresh spawn is already
-     ready and this is a no-op. *)
-  Machine.wakeup t.machine ph.ph_pid;
-  Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel"
-    "attach sid=%d module=%s client=%d pooled-handle=%d (tenant %d)" sid
-    entry.Registry.image.Smof.mod_name p.Proc.pid ph.ph_pid ph.ph_tenants;
-  Smod_metrics.Counter.incr m_sessions_started;
-  sid
+  register_session t p ~acquire:(fun sid ->
+      let session =
+        new_session ~sid ~entry:ph.ph_entry ~client_pid:p.Proc.pid ~credential
+          ~handle_pid:ph.ph_pid (Pooled ph)
+      in
+      ph.ph_session <- Some session;
+      ph.ph_reserved <- false;
+      ph.ph_tenants <- ph.ph_tenants + 1;
+      Clock.charge (Machine.clock t.machine) Cost.Pool_admission;
+      (* A parked handle is blocked on Pool_park; a fresh spawn is already
+         ready and this is a no-op. *)
+      Machine.wakeup t.machine ph.ph_pid;
+      session)
 
 let set_session_broker t broker = t.broker <- broker
 let set_policy_cache t hooks = t.policy_cache <- hooks
@@ -1119,95 +1142,52 @@ let add_module_remove_hook t hook = t.remove_hooks <- hook :: t.remove_hooks
 let remove_module_remove_hook t hook =
   t.remove_hooks <- List.filter (fun h -> h != hook) t.remove_hooks
 
+(* The paper's model (§4, step 2): forcibly fork a handle for this
+   session alone, paired with its client by a fresh queue pair. *)
 let cold_start_session t (p : Proc.t) entry credential =
-  let clock = Machine.clock t.machine in
-  (* Build the handle's private address space. *)
-  let handle_aspace =
-    Aspace.create ~phys:(Machine.phys t.machine) ~clock
-      ~name:(Printf.sprintf "handle-of-%d" p.Proc.pid)
-  in
-  install_module_image t handle_aspace entry;
-  (* Secret stack/heap segment, never shared, never client-visible. *)
-  Aspace.add_entry handle_aspace ~start_addr:Layout.secret_base
-    ~size:(Layout.secret_pages * Layout.page_size)
-    ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
-  Aspace.write_word handle_aspace ~addr:client_pid_cache_addr p.Proc.pid;
-  (* Message queues for the pair. *)
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
-  let req_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor (sid * 2)) in
-  let rep_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor ((sid * 2) + 1)) in
-  let session =
-    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:0 ~req_qid ~rep_qid
-      ~pooled:false ~mux:false
-  in
-  (* Forcibly fork the handle. *)
-  let handle =
-    Machine.forced_fork t.machine p
-      ~name:(Printf.sprintf "smod-handle-%d" sid)
-      ~daemon:true
-      ~role:(Proc.Smod_handle { client_pid = p.Proc.pid })
-      ~aspace:handle_aspace
-      ~body:(fun handle -> handle_main t session handle)
-  in
-  (* §3.1: handle processes never dump core and can never be traced. *)
-  handle.Proc.no_core_dump <- true;
-  handle.Proc.no_ptrace <- true;
-  (* Handles are "periphery code" in the 80386 ring model the paper opens
-     with (§2): more privileged than any user process. *)
-  handle.Proc.ring <- 1;
-  session.handle_pid <- handle.Proc.pid;
-  p.Proc.role <- Proc.Smod_client { handle_pid = handle.Proc.pid };
-  Hashtbl.replace t.sessions_by_client p.Proc.pid session;
-  Hashtbl.replace t.sessions_by_handle handle.Proc.pid session;
-  (* The simplest policy allows access for the lifetime of p: tear the
-     session down when the client goes away — and equally if the handle
-     dies, so no client is left waiting on a dead enforcement point. *)
-  detach_on_client_exit t p session;
-  Proc.add_exit_hook handle (fun _ -> detach_session t session);
-  Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel"
-    "start_session sid=%d module=%s client=%d handle=%d" sid
-    entry.Registry.image.Smof.mod_name p.Proc.pid handle.Proc.pid;
-  Smod_metrics.Counter.incr m_sessions_started;
-  sid
+  register_session t p ~acquire:(fun sid ->
+      let handle_aspace =
+        handle_context t ~name:(Printf.sprintf "handle-of-%d" p.Proc.pid) ~client_pid:p.Proc.pid
+          entry
+      in
+      let req_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor (sid * 2)) in
+      let rep_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor ((sid * 2) + 1)) in
+      let queues = { req_qid; rep_qid } in
+      let session =
+        new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:0 (Forked queues)
+      in
+      let handle =
+        Machine.forced_fork t.machine p
+          ~name:(Printf.sprintf "smod-handle-%d" sid)
+          ~daemon:true
+          ~role:(Proc.Smod_handle { client_pid = p.Proc.pid })
+          ~aspace:handle_aspace
+          ~body:(fun handle -> handle_main t session queues handle)
+      in
+      harden_handle handle;
+      session.handle_pid <- handle.Proc.pid;
+      Proc.add_exit_hook handle (detach_served t);
+      session)
 
 (* ------------------------------------------------------------------ *)
 (* Effects-based handle multiplexer (E22)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand a session's freshly stamped work (or its detach) to the mux:
-   enqueue the sid once and wake the mux proc.  The wake is a no-op when
-   the mux is already running — it drains the ready queue before
-   blocking again. *)
-let mux_notify t session =
-  match t.mux with
-  | Some mx -> (
-      match Hashtbl.find_opt mx.mx_sessions session.sid with
-      | Some ms ->
-          if not ms.ms_queued then begin
-            ms.ms_queued <- true;
-            Queue.push session.sid mx.mx_ready
-          end;
-          ignore (Machine.wake t.machine mx.mx_wq)
-      | None -> ())
-  | None -> ()
-
-let mux_finish_fiber t mx ms =
+let mux_finish_fiber t mx session ms =
   match ms.ms_fiber with
   | Fiber_done -> ()
   | Fiber_fresh | Fiber_running | Fiber_suspended _ ->
       ms.ms_fiber <- Fiber_done;
-      Hashtbl.remove mx.mx_sessions ms.ms_session.sid;
+      Hashtbl.remove mx.mx_sessions session.sid;
       mx.mx_live <- mx.mx_live - 1;
       Aspace.destroy ms.ms_aspace;
       Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"smod-mux"
-        "fiber done sid=%d (%d live)" ms.ms_session.sid mx.mx_live
+        "fiber done sid=%d (%d live)" session.sid mx.mx_live
 
 (* One session's serve loop as a fiber: drain the ring, suspend when it
    runs dry, finish when the session detaches.  Mirrors the ring half of
    [serve_session] minus the msgq legs — mux sessions are ring-only. *)
-let mux_fiber_body t (mp : Proc.t) ms =
-  let session = ms.ms_session in
+let mux_fiber_body t (mp : Proc.t) session =
   let rec serve () =
     if session.detached then ()
     else
@@ -1234,7 +1214,7 @@ let mux_fiber_body t (mp : Proc.t) ms =
    blocks in the scheduler mid-call (an unhandled [Sched.Block]) suspends
    the whole mux proc with the session context installed — exactly what a
    dedicated handle process would do. *)
-let mux_run_fiber (mp : Proc.t) ms resume =
+let mux_run_fiber (mp : Proc.t) session ms resume =
   let saved_aspace = mp.Proc.aspace
   and saved_sp = mp.Proc.sp
   and saved_fp = mp.Proc.fp
@@ -1242,7 +1222,7 @@ let mux_run_fiber (mp : Proc.t) ms resume =
   mp.Proc.aspace <- ms.ms_aspace;
   mp.Proc.sp <- ms.ms_sp;
   mp.Proc.fp <- ms.ms_fp;
-  mp.Proc.role <- Proc.Smod_handle { client_pid = ms.ms_session.client_pid };
+  mp.Proc.role <- Proc.Smod_handle { client_pid = session.client_pid };
   resume ();
   ms.ms_sp <- mp.Proc.sp;
   ms.ms_fp <- mp.Proc.fp;
@@ -1251,16 +1231,16 @@ let mux_run_fiber (mp : Proc.t) ms resume =
   mp.Proc.fp <- saved_fp;
   mp.Proc.role <- saved_role
 
-let mux_start_fiber t mx (mp : Proc.t) ms =
-  mux_run_fiber mp ms (fun () ->
+let mux_start_fiber t mx (mp : Proc.t) session ms =
+  mux_run_fiber mp session ms (fun () ->
       Effect.Deep.match_with
-        (fun () -> mux_fiber_body t mp ms)
+        (fun () -> mux_fiber_body t mp session)
         ()
         {
-          Effect.Deep.retc = (fun () -> mux_finish_fiber t mx ms);
+          Effect.Deep.retc = (fun () -> mux_finish_fiber t mx session ms);
           exnc =
             (fun e ->
-              mux_finish_fiber t mx ms;
+              mux_finish_fiber t mx session ms;
               raise e);
           effc =
             (fun (type a) (eff : a Effect.t) ->
@@ -1278,15 +1258,15 @@ let mux_main t mx (mp : Proc.t) =
       let sid = Queue.pop mx.mx_ready in
       match Hashtbl.find_opt mx.mx_sessions sid with
       | None -> ()
-      | Some ms -> (
+      | Some (session, ms) -> (
           ms.ms_queued <- false;
           match ms.ms_fiber with
           | Fiber_fresh ->
               ms.ms_fiber <- Fiber_running;
-              mux_start_fiber t mx mp ms
+              mux_start_fiber t mx mp session ms
           | Fiber_suspended k ->
               ms.ms_fiber <- Fiber_running;
-              mux_run_fiber mp ms (fun () -> Effect.Deep.continue k ())
+              mux_run_fiber mp session ms (fun () -> Effect.Deep.continue k ())
           | Fiber_running | Fiber_done -> ())
     done;
     Sched.wait_on mx.mx_wq mp.Proc.pid;
@@ -1312,10 +1292,15 @@ let set_session_mux t enable =
         in
         t.mux <- Some mx;
         let mp = Machine.spawn t.machine ~daemon:true ~name:"smod-mux" (fun mp -> mux_main t mx mp) in
-        mp.Proc.no_core_dump <- true;
-        mp.Proc.no_ptrace <- true;
-        mp.Proc.ring <- 1;
-        mx.mx_pid <- mp.Proc.pid);
+        harden_handle mp;
+        mx.mx_pid <- mp.Proc.pid;
+        (* Later sessions route as if the mux were off until it is enabled
+           again; the fibers of a dead daemon will never run again. *)
+        Proc.add_exit_hook mp (fun _ ->
+            t.mux <- None;
+            detach_served t mp;
+            Hashtbl.fold (fun _ fiber acc -> fiber :: acc) mx.mx_sessions []
+            |> List.iter (fun (session, ms) -> mux_finish_fiber t mx session ms)));
     t.mux_enabled <- true
   end
   else t.mux_enabled <- false
@@ -1332,58 +1317,36 @@ let mux_attach t (p : Proc.t) entry credential =
     | Some mx when t.mux_enabled -> mx
     | Some _ | None -> invalid_arg "Smod.mux_attach: multiplexer not enabled"
   in
-  if Hashtbl.mem t.sessions_by_client p.Proc.pid then
-    Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
-  let clock = Machine.clock t.machine in
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
-  let ms_aspace =
-    Aspace.create ~phys:(Machine.phys t.machine) ~clock
-      ~name:(Printf.sprintf "mux-handle-%d" sid)
-  in
-  install_module_image t ms_aspace entry;
-  Aspace.add_entry ms_aspace ~start_addr:Layout.secret_base
-    ~size:(Layout.secret_pages * Layout.page_size)
-    ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
-  Aspace.write_word ms_aspace ~addr:client_pid_cache_addr p.Proc.pid;
-  (* Ring-only: no queue pair exists, so a scalar smod_call (which needs
-     one) is refused in sys_call rather than left to hang. *)
-  let session =
-    new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:mx.mx_pid ~req_qid:0
-      ~rep_qid:0 ~pooled:false ~mux:true
-  in
-  (* The handshake happens inline: there is one mux proc for all fibers,
-     so the per-session force-share cannot wait for a handle-side
-     session_info trap. *)
-  Aspace.force_share ~client:p.Proc.aspace ~handle:ms_aspace ~lo:Layout.share_lo
-    ~hi:Layout.share_hi;
-  session.established <- true;
-  p.Proc.role <- Proc.Smod_client { handle_pid = mx.mx_pid };
-  (* Only the client index: thousands of fibers share the mux pid, so the
-     by-handle index (a 1:1 map) stays out of it. *)
-  Hashtbl.replace t.sessions_by_client p.Proc.pid session;
-  detach_on_client_exit t p session;
-  let ms =
-    {
-      ms_session = session;
-      ms_aspace;
-      ms_sp = secret_stack_top - 16;
-      ms_fp = secret_stack_top - 16;
-      ms_fiber = Fiber_fresh;
-      ms_queued = false;
-    }
-  in
-  Hashtbl.replace mx.mx_sessions sid ms;
-  mx.mx_live <- mx.mx_live + 1;
-  mx.mx_attached <- mx.mx_attached + 1;
-  if mx.mx_live > mx.mx_peak then mx.mx_peak <- mx.mx_live;
-  Clock.charge clock Cost.Pool_admission;
-  Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel"
-    "mux-attach sid=%d module=%s client=%d (%d live, peak %d)" sid
-    entry.Registry.image.Smof.mod_name p.Proc.pid mx.mx_live mx.mx_peak;
-  Smod_metrics.Counter.incr m_sessions_started;
-  Smod_metrics.Counter.incr m_mux_attached;
-  sid
+  register_session t p ~acquire:(fun sid ->
+      let ms_aspace =
+        handle_context t ~name:(Printf.sprintf "mux-handle-%d" sid) ~client_pid:p.Proc.pid entry
+      in
+      let ms =
+        {
+          ms_aspace;
+          ms_sp = secret_stack_top - 16;
+          ms_fp = secret_stack_top - 16;
+          ms_fiber = Fiber_fresh;
+          ms_queued = false;
+        }
+      in
+      let session =
+        new_session ~sid ~entry ~client_pid:p.Proc.pid ~credential ~handle_pid:mx.mx_pid
+          (Mux ms)
+      in
+      (* The handshake happens inline: there is one mux proc for all
+         fibers, so the per-session force-share cannot wait for a
+         handle-side session_info trap. *)
+      Aspace.force_share ~client:p.Proc.aspace ~handle:ms_aspace ~lo:Layout.share_lo
+        ~hi:Layout.share_hi;
+      session.established <- true;
+      Hashtbl.replace mx.mx_sessions sid (session, ms);
+      mx.mx_live <- mx.mx_live + 1;
+      mx.mx_attached <- mx.mx_attached + 1;
+      if mx.mx_live > mx.mx_peak then mx.mx_peak <- mx.mx_live;
+      Clock.charge (Machine.clock t.machine) Cost.Pool_admission;
+      Smod_metrics.Counter.incr m_mux_attached;
+      session)
 
 type mux_status = {
   mxs_live : int;
@@ -1397,7 +1360,7 @@ let mux_status t =
     (fun mx ->
       let suspended =
         Hashtbl.fold
-          (fun _ ms acc ->
+          (fun _ (_, ms) acc ->
             match ms.ms_fiber with Fiber_suspended _ -> acc + 1 | _ -> acc)
           mx.mx_sessions 0
       in
@@ -1475,11 +1438,8 @@ let sys_start_session t (p : Proc.t) ~desc_addr =
      fresh handle per session, the paper's own model. *)
   if session_mux_enabled t then mux_attach t p entry credential
   else
-    match t.broker with
-    | Some broker -> (
-        match broker p entry credential with
-        | Some sid -> sid
-        | None -> cold_start_session t p entry credential)
+    match Option.bind t.broker (fun broker -> broker p entry credential) with
+    | Some sid -> sid
     | None -> cold_start_session t p entry credential
 
 (* ------------------------------------------------------------------ *)
@@ -1516,16 +1476,19 @@ let sys_handle_info t (p : Proc.t) ~info_addr =
     | Some s -> s
     | None -> Errno.raise_errno Errno.EPERM "smod_handle_info: no session"
   in
-  while not session.established do
+  while not (session.established || session.detached) do
     session.client_waiting_handshake <- true;
     Effect.perform (Sched.Block (Sched.Custom "smod-handshake"))
   done;
+  if session.detached then Errno.raise_errno Errno.EIDRM "smod_handle_info: session detached";
+  (* A mux fiber has no queue pair; qid 0 names no queue. *)
+  let q = Option.value (queues session) ~default:{ req_qid = 0; rep_qid = 0 } in
   let info =
     {
       Wire.m_id = session.m_id;
       handle_pid = session.handle_pid;
-      req_qid = session.req_qid;
-      rep_qid = session.rep_qid;
+      req_qid = q.req_qid;
+      rep_qid = q.rep_qid;
     }
   in
   Clock.charge (Machine.clock t.machine) (Cost.Copy_bytes Wire.handle_info_size);
@@ -1534,6 +1497,24 @@ let sys_handle_info t (p : Proc.t) ~info_addr =
 (* ------------------------------------------------------------------ *)
 (* sys_smod_call (307) — the indirect dispatch (Figure 3)              *)
 (* ------------------------------------------------------------------ *)
+
+(* The prologue every session trap opens with, each failure naming the
+   trap: the caller has a session, and it is established. *)
+let trap_session t (p : Proc.t) ~trap =
+  match session_of_client t ~client_pid:p.Proc.pid with
+  | None -> Errno.raise_errno Errno.EPERM (trap ^ ": no session")
+  | Some s when s.detached || not s.established ->
+      Errno.raise_errno Errno.EINVAL (trap ^ ": session not established")
+  | Some s -> s
+
+(* A dispatching trap then checks that the session's handle is alive — a
+   dead one detaches the session — and that the call names its module. *)
+let check_handle t session ~trap ~m_id =
+  if not (handle_alive t session) then begin
+    detach_session t session;
+    Errno.raise_errno Errno.EIDRM (trap ^ ": handle process is gone")
+  end;
+  if session.m_id <> m_id then Errno.raise_errno Errno.EINVAL (trap ^ ": wrong module id")
 
 type saved_prot = { entry_start : int; entry_size : int; old_prot : Prot.t }
 
@@ -1579,21 +1560,14 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
   run_dispatch_gate t;
   let clock = Machine.clock t.machine in
   let t0_us = Clock.now_us clock in
-  let session =
-    match session_of_client t ~client_pid:p.Proc.pid with
-    | Some s -> s
-    | None -> Errno.raise_errno Errno.EPERM "smod_call: no session"
+  let session = trap_session t p ~trap:"smod_call" in
+  (* Mux fibers have no queue pair; the scalar path would hang. *)
+  let q =
+    match queues session with
+    | Some q -> q
+    | None -> Errno.raise_errno Errno.EPERM "smod_call: mux sessions are ring-only"
   in
-  if session.detached || not session.established then
-    Errno.raise_errno Errno.EINVAL "smod_call: session not established";
-  (* Mux fibers have no queue pair; the scalar path would hang on qid 0. *)
-  if session.mux then Errno.raise_errno Errno.EPERM "smod_call: mux sessions are ring-only";
-  (match Machine.proc t.machine session.handle_pid with
-  | Some h when not (Proc.is_zombie h) -> ()
-  | Some _ | None ->
-      detach_session t session;
-      Errno.raise_errno Errno.EIDRM "smod_call: handle process is gone");
-  if session.m_id <> m_id then Errno.raise_errno Errno.EINVAL "smod_call: wrong module id";
+  check_handle t session ~trap:"smod_call" ~m_id;
   let func_name =
     match Registry.symbol_of_func_id session.entry func_id with
     | Some sym -> sym.Smof.sym_name
@@ -1622,13 +1596,13 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
     }
   in
   ignore rtnaddr;
-  Machine.msgsnd t.machine p ~qid:session.req_qid ~mtype:1 (Wire.request_to_bytes request);
+  Machine.msgsnd t.machine p ~qid:q.req_qid ~mtype:1 (Wire.request_to_bytes request);
   (* Mixed-mode: a ring-engaged handle never blocks in msgrcv — it finds
      queued requests by depth from its serve loop — so kick its waitq. *)
   (match session.ring with
   | Some rs -> ignore (Machine.wake t.machine rs.r_handle_wq)
   | None -> ());
-  let _, payload = Machine.msgrcv t.machine p ~qid:session.rep_qid ~mtype:1 in
+  let _, payload = Machine.msgrcv t.machine p ~qid:q.rep_qid ~mtype:1 in
   undo_call_mitigation t p mitigation;
   Smod_metrics.Histogram.observe m_call_us (Clock.now_us clock -. t0_us);
   let reply = Wire.reply_of_bytes payload in
@@ -1644,22 +1618,27 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
 (* sys_smod_call_batch (322) — the dispatch-ring fast path             *)
 (* ------------------------------------------------------------------ *)
 
-(* Bind the session to the client's registered ring on the first batch
-   trap after syscall 321.  The kernel attaches its own view over the
-   client's pages; the two wait queues are created here and live for the
-   session. *)
-let bind_session_ring t (p : Proc.t) session =
+(* Bind the session to its client's registered ring, once: on the first
+   batch trap or doorbell after syscall 321, or the first poller sweep
+   that finds it.  The kernel attaches its own view over the client's
+   pages — the client is looked up from the session, never trusted from
+   a trap frame — with the geometry pinned at setup: a header nslots word
+   rewritten since then is tampering, not a bigger ring, and
+   [Ring.of_registration] rejects the mismatch.  The two wait queues are
+   created here and live for the session.  [sender] is the process
+   context for the doorbell below. *)
+let bind_ring t (sender : Proc.t) session =
   match session.ring with
-  | Some rs -> rs
+  | Some rs -> Ok rs
   | None -> (
-      match Machine.ring_registration t.machine ~pid:p.Proc.pid with
-      | None -> Errno.raise_errno Errno.EINVAL "smod_call_batch: no ring registered"
-      | Some (base, nslots) -> (
-          (* Geometry comes from the registration pinned at setup; a
-             header nslots word rewritten since then is tampering, not a
-             bigger ring — of_registration rejects the mismatch. *)
-          match Ring.of_registration p.Proc.aspace ~base ~nslots with
-          | None -> Errno.raise_errno Errno.EINVAL "smod_call_batch: ring header corrupt"
+      match
+        ( Machine.ring_registration t.machine ~pid:session.client_pid,
+          Machine.proc t.machine session.client_pid )
+      with
+      | None, _ | _, None -> Error `Unregistered
+      | Some (base, nslots), Some client -> (
+          match Ring.of_registration client.Proc.aspace ~base ~nslots with
+          | None -> Error `Corrupt
           | Some ring ->
               let rs =
                 {
@@ -1670,14 +1649,24 @@ let bind_session_ring t (p : Proc.t) session =
                 }
               in
               session.ring <- Some rs;
-              (* The handle may be parked in a legacy blocking msgrcv from
-                 before the ring existed; a zero-byte doorbell bounces it
-                 into the ring-aware serve loop. *)
-              (try
-                 Machine.msgsnd t.machine p ~qid:session.req_qid ~mtype:ring_doorbell_mtype
-                   (Bytes.create 0)
-               with Errno.Error _ -> ());
-              rs))
+              (* A process-backed handle may still be parked in a legacy
+                 blocking msgrcv from before the ring existed; a zero-byte
+                 doorbell bounces it into the ring-aware serve loop. *)
+              Option.iter
+                (fun q ->
+                  try
+                    Machine.msgsnd t.machine sender ~qid:q.req_qid ~mtype:ring_doorbell_mtype
+                      (Bytes.create 0)
+                  with Errno.Error _ -> ())
+                (queues session);
+              Ok rs))
+
+(* A trap that finds no ring to bind fails with EINVAL. *)
+let trap_ring t (p : Proc.t) session ~trap =
+  match bind_ring t p session with
+  | Ok rs -> rs
+  | Error `Unregistered -> Errno.raise_errno Errno.EINVAL (trap ^ ": no ring registered")
+  | Error `Corrupt -> Errno.raise_errno Errno.EINVAL (trap ^ ": ring header corrupt")
 
 (* The slot decider for one ring batch or poller sweep.  Cacheable
    policies are decided once per distinct function in the batch — the
@@ -1864,50 +1853,38 @@ let stamp_submitted t session ring ~decide ~pre ~per_slot ~stamped0 ~limit =
 (* Post-stamp wake: hand the freshly admitted slots to whoever executes
    them.  Mux sessions go to the fiber scheduler; process-backed sessions
    get their handle waitq woken, falling back to an mtype-3 doorbell
-   message while the handle is still in its legacy blocking msgrcv.
-   [sender] supplies the process context msgsnd needs — the trapping
-   client on the batch path, the poller proc on the zero-trap path. *)
+   message while the handle is still in its legacy blocking msgrcv.  An
+   engaged handle that is mid-spin needs no kick: it sees the stamped
+   slots on its next work-available check.  [sender] supplies the process
+   context msgsnd needs — the trapping client on the batch path, the
+   poller proc on the zero-trap path. *)
 let wake_session_server t (sender : Proc.t) (session : session) rs =
-  if session.mux then mux_notify t session
-  else begin
-    let woken = Machine.wake t.machine rs.r_handle_wq in
-    if woken > 0 then Smod_metrics.Counter.incr m_ring_doorbell_wakes
-    else if not rs.r_handle_engaged then begin
-      (* Handle is still in its legacy blocking msgrcv: only a message
-         can unblock it.  This costs one msgsnd — once, on the first
-         batch of a session — and nothing on the steady-state path. *)
-      Smod_metrics.Counter.incr m_ring_doorbell_fallbacks;
-      try
-        Machine.msgsnd t.machine sender ~qid:session.req_qid ~mtype:ring_doorbell_mtype
-          (Bytes.create 0)
-      with Errno.Error _ -> ()
-    end
-    (* else: engaged and mid-spin — it will see the stamped slots on its
-       next work-available check without any kick. *)
-  end
+  match session.kind with
+  | Mux ms -> mux_notify t session ms
+  | Forked q | Pooled { ph_queues = q; _ } ->
+      let woken = Machine.wake t.machine rs.r_handle_wq in
+      if woken > 0 then Smod_metrics.Counter.incr m_ring_doorbell_wakes
+      else if not rs.r_handle_engaged then begin
+        (* Handle is still in its legacy blocking msgrcv: only a message
+           can unblock it.  This costs one msgsnd — once, on the first
+           batch of a session — and nothing on the steady-state path. *)
+        Smod_metrics.Counter.incr m_ring_doorbell_fallbacks;
+        try
+          Machine.msgsnd t.machine sender ~qid:q.req_qid ~mtype:ring_doorbell_mtype
+            (Bytes.create 0)
+        with Errno.Error _ -> ()
+      end
 
 let sys_call_batch t (p : Proc.t) ~m_id ~max_slots =
   run_dispatch_gate t;
-  let session =
-    match session_of_client t ~client_pid:p.Proc.pid with
-    | Some s -> s
-    | None -> Errno.raise_errno Errno.EPERM "smod_call_batch: no session"
-  in
-  if session.detached || not session.established then
-    Errno.raise_errno Errno.EINVAL "smod_call_batch: session not established";
-  (match Machine.proc t.machine session.handle_pid with
-  | Some h when not (Proc.is_zombie h) -> ()
-  | Some _ | None ->
-      detach_session t session;
-      Errno.raise_errno Errno.EIDRM "smod_call_batch: handle process is gone");
-  if session.m_id <> m_id then
-    Errno.raise_errno Errno.EINVAL "smod_call_batch: wrong module id";
+  let session = trap_session t p ~trap:"smod_call_batch" in
+  check_handle t session ~trap:"smod_call_batch" ~m_id;
   (* The TOCTOU mitigations bracket each call with an unmap/dequeue of
      the client — meaningless when the client keeps running to submit
      more slots.  Force such configurations onto the per-call path. *)
   if t.toctou <> No_mitigation then
     Errno.raise_errno Errno.EPERM "smod_call_batch: TOCTOU mitigation forces per-call path";
-  let rs = bind_session_ring t p session in
+  let rs = trap_ring t p session ~trap:"smod_call_batch" in
   let ring = rs.r_ring in
   let a = admission t session ~transport:"ring" in
   let decide = batch_decider t a in
@@ -1954,46 +1931,6 @@ let poller_sessions t =
     t.sessions_by_client []
   |> List.sort (fun a b -> compare a.sid b.sid)
 
-(* Kernel-side ring bind: same pinned-geometry rules as
-   [bind_session_ring], but from the poller's context — the client's
-   address space is looked up, never trusted from a trap frame, and a
-   geometry mismatch is skipped (and counted) rather than raised: there
-   is no client trap to fail.  The client still gets its EINVAL the
-   moment it traps the doorbell or batch syscall itself. *)
-let poller_bind t po (pp : Proc.t) session =
-  match session.ring with
-  | Some rs -> Some rs
-  | None -> (
-      match Machine.ring_registration t.machine ~pid:session.client_pid with
-      | None -> None
-      | Some (base, nslots) -> (
-          match Machine.proc t.machine session.client_pid with
-          | None -> None
-          | Some client -> (
-              match Ring.of_registration client.Proc.aspace ~base ~nslots with
-              | None ->
-                  po.p_geometry_rejects <- po.p_geometry_rejects + 1;
-                  None
-              | Some ring ->
-                  let rs =
-                    {
-                      r_ring = ring;
-                      r_client_wq = Sched.waitq (Printf.sprintf "ring-client-%d" session.sid);
-                      r_handle_wq = Sched.waitq (Printf.sprintf "ring-handle-%d" session.sid);
-                      r_handle_engaged = false;
-                    }
-                  in
-                  session.ring <- Some rs;
-                  (* A process-backed handle may still be blocked in its
-                     legacy msgrcv; bounce it into the ring-aware loop.
-                     Mux sessions have no queue — the msgsnd fails
-                     harmlessly. *)
-                  (try
-                     Machine.msgsnd t.machine pp ~qid:session.req_qid
-                       ~mtype:ring_doorbell_mtype (Bytes.create 0)
-                   with Errno.Error _ -> ());
-                  Some rs)))
-
 (* One sweep over every live session's ring: charge the fixed sweep
    overhead, then per examined slot the scan cost (stamping charges
    Ring_stamp on top, exactly as the trap path does).  Returns the number
@@ -2009,9 +1946,13 @@ let poller_sweep t po (pp : Proc.t) =
       try
         if session.detached || not session.established then ()
         else
-          match poller_bind t po pp session with
-          | None -> ()
-          | Some rs ->
+          (* A client gets its EINVAL for a forged geometry the moment it
+             traps the doorbell or batch syscall; here there is no trap to
+             fail, so the poller counts the reject and skips the ring. *)
+          match bind_ring t pp session with
+          | Error `Unregistered -> ()
+          | Error `Corrupt -> po.p_geometry_rejects <- po.p_geometry_rejects + 1
+          | Ok rs ->
               let ring = rs.r_ring in
               let stamped0 = Machine.ring_stamped t.machine ~pid:session.client_pid in
               (* Same forged-head clamp as the trap path: at most one
@@ -2156,14 +2097,8 @@ let set_kernel_poller t enable =
    batch trap would — forged geometry stays EINVAL under poller mode —
    then wakes the parked poller. *)
 let sys_poll_doorbell t (p : Proc.t) =
-  let session =
-    match session_of_client t ~client_pid:p.Proc.pid with
-    | Some s -> s
-    | None -> Errno.raise_errno Errno.EPERM "smod_poll_doorbell: no session"
-  in
-  if session.detached || not session.established then
-    Errno.raise_errno Errno.EINVAL "smod_poll_doorbell: session not established";
-  let rs = bind_session_ring t p session in
+  let session = trap_session t p ~trap:"smod_poll_doorbell" in
+  let rs = trap_ring t p session ~trap:"smod_poll_doorbell" in
   Clock.charge (Machine.clock t.machine) Cost.Poll_doorbell;
   Ring.set_need_wakeup rs.r_ring false;
   (match t.poller with
@@ -2321,7 +2256,6 @@ let install machine ?keystore () =
       keystore = (match keystore with Some k -> k | None -> Keystore.create ());
       sessions_by_client = Hashtbl.create 16;
       sessions_by_handle = Hashtbl.create 16;
-      pooled_handles_by_pid = Hashtbl.create 16;
       next_sid = 1;
       next_pool_serial = 1;
       toctou = No_mitigation;

@@ -33,18 +33,42 @@ type ring_state
     client's ring plus the two wait queues of the spin-then-block
     protocol.  Bound lazily on the first [sys_smod_call_batch]. *)
 
+type queue_pair = { req_qid : int; rep_qid : int }
+(** A handle's two SysV message queues: requests and control messages
+    travel to the handle on [req_qid], replies back on [rep_qid]. *)
+
+type pooled_handle
+(** A smodd handle co-process that outlives its sessions (see Session
+    pooling below). *)
+
+type mux_session
+(** A mux fiber's per-session handle context: address space, secret
+    stack and suspended continuation. *)
+
+(** What serves a session.  Each kind pays its own acquire; all share one
+    release, {!detach_session}. *)
+type handle_kind =
+  | Forked of queue_pair
+      (** the paper's model: a handle forcibly forked for this session
+          alone, paired with its client by its own queue pair and killed
+          when the session ends *)
+  | Pooled of pooled_handle
+      (** a smodd pooled handle lent for the session's lifetime; when the
+          session ends the handle scrubs itself and parks for the next
+          tenant *)
+  | Mux of mux_session
+      (** a fiber of the effects multiplexer (E22): no process or queue
+          pair of its own, so ring-only *)
+
 type session = {
   sid : int;
   m_id : int;
   entry : Registry.entry;
   client_pid : int;
-  mutable handle_pid : int;
-  req_qid : int;
-  rep_qid : int;
+  mutable handle_pid : int;  (** the serving process; the mux daemon for [Mux] *)
   credential : Credential.t;
   policy_state : Policy.state;
-  module_text_base : int;  (** in the handle's address space *)
-  module_data_base : int;
+  kind : handle_kind;  (** what serves the session, fixed when it starts *)
   mutable established : bool;
   mutable detached : bool;
   mutable calls : int;
@@ -53,10 +77,6 @@ type session = {
   mutable handle_exec_us : float;
       (** simulated time spent executing module code in the handle *)
   mutable client_waiting_handshake : bool;
-  pooled : bool;  (** served by a smodd pooled handle, not a private fork *)
-  mux : bool;
-      (** served as a fiber of the effects multiplexer (E22): no handle
-          process of its own, ring-only dispatch *)
   mutable ring : ring_state option;
   mutable cred_digest : string option;
       (** lazily computed SHA-256 of the wire credential; part of every
@@ -128,8 +148,13 @@ val session_of_handle : t -> handle_pid:int -> session option
 val active_sessions : t -> session list
 
 val detach_session : t -> session -> unit
-(** Kill the handle, unlink the pair, remove the queues.  Idempotent.
-    Runs automatically when the client exits or execs (§4.3). *)
+(** End the session, whatever serves it: tear its ring down, break the
+    client's half of the pairing, then release the handle by kind — kill
+    a [Forked] handle and remove its queues (a client blocked mid-call
+    wakes with EIDRM), send a [Pooled] handle back to scrub and park, or
+    let a [Mux] fiber finish.  Idempotent.  Runs automatically when the
+    client exits or execs (§4.3), and for every session a handle serves
+    when that handle dies. *)
 
 (** {1 Syscall-level operations (what the stubs invoke)} *)
 
@@ -146,7 +171,8 @@ val sys_start_session : t -> Smod_kern.Proc.t -> desc_addr:int -> int
 
 val sys_handle_info : t -> Smod_kern.Proc.t -> info_addr:int -> unit
 (** Client side: blocks until the handle is ready, then writes a
-    {!Wire.handle_info} at [info_addr]. *)
+    {!Wire.handle_info} at [info_addr].  Raises EIDRM if the session is
+    detached while it waits (its handle died before the handshake). *)
 
 val sys_call : t -> Smod_kern.Proc.t -> framep:int -> rtnaddr:int -> m_id:int -> func_id:int -> int
 (** The indirect dispatch.  Admission is the same decision the batch trap
@@ -187,8 +213,6 @@ val session_ring : session -> Smod_ring.Ring.t option
     that remain are exactly the safety-relevant ones — [force_share]
     against the new client and the handshake — while the fork, module
     image installation and decryption are paid once at spawn. *)
-
-type pooled_handle
 
 val spawn_pooled_handle :
   t ->
@@ -413,7 +437,11 @@ val poller_status : t -> poller_status option
 val set_session_mux : t -> bool -> unit
 (** Route new sessions onto the effects multiplexer (spawning its daemon
     on first enable).  Disabling stops routing new sessions; existing
-    fibers keep running until their clients detach. *)
+    fibers keep running until their clients detach.  A dead daemon fails
+    its sessions closed, as any dead handle does: each is detached, so a
+    client waiting on its ring wakes with EIDRM, and new sessions route
+    as if the mux were off until [set_session_mux t true] spawns a new
+    daemon. *)
 
 val session_mux_enabled : t -> bool
 

@@ -319,22 +319,8 @@ let test_ring_beats_msgq () =
     true (ratio >= 3.0)
 
 let test_many_sessions_frames_released () =
-  (* Repeated session open/close must not leak physical frames. *)
-  let world = World.create ~with_rpc:false () in
-  let m = world.World.machine in
-  let baseline = ref 0 in
-  for round = 1 to 5 do
-    World.spawn_seclibc_client world ~name:(Printf.sprintf "round-%d" round)
-      (fun _p conn -> ignore (Smod_libc.Seclibc.Client.malloc conn 128));
-    World.run world;
-    let live = Smod_vmem.Phys.live_frames (M.phys m) in
-    if round = 1 then baseline := live
-    else
-      Alcotest.(check bool)
-        (Printf.sprintf "round %d: %d frames vs baseline %d" round live !baseline)
-        true
-        (live <= !baseline + 8)
-  done
+  Install_paths.check_release_conserves (World.create ~with_rpc:false ())
+    ~call:Smod_libc.Seclibc.Client.malloc
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

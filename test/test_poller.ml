@@ -202,6 +202,51 @@ let test_mux_call_syscall_rejected () =
   Alcotest.(check bool) "smod_call on a mux session is EPERM" true
     (!err = Some (`Errno Errno.EPERM))
 
+(* ------------------------- mux daemon death ------------------------ *)
+
+let mux_world () =
+  let world = World.create ~with_rpc:false () in
+  Smod.set_session_mux world.World.smod true;
+  world
+
+let test_mux_death_batch_trap () =
+  Install_paths.check_handle_death ~world:mux_world ~shared:true
+
+let test_mux_death_poller () = Install_paths.check_handle_death ~world:poller_world ~shared:true
+
+(* After the daemon dies, new sessions take a cold fork until the mux is
+   enabled again, which spawns a fresh daemon. *)
+let test_dead_mux_routes_cold_until_enabled () =
+  let world = poller_world () in
+  let smod = world.World.smod in
+  let next_session () =
+    let session = ref None in
+    World.spawn_seclibc_client world ~name:"client" (fun p conn ->
+        ignore (Install_paths.ring_call conn 1);
+        session := Smod.session_of_client smod ~client_pid:p.Proc.pid);
+    World.run world;
+    Option.get !session
+  in
+  let kind s =
+    match s.Smod.kind with
+    | Smod.Forked _ -> "forked"
+    | Smod.Pooled _ -> "pooled"
+    | Smod.Mux _ -> "mux"
+  in
+  let first = next_session () in
+  Alcotest.(check string) "first session" "mux" (kind first);
+  M.kill world.World.machine ~pid:first.Smod.handle_pid ~signal:Smod_kern.Signal.sigkill;
+  World.run world;
+  Alcotest.(check bool) "routing off" false (Smod.session_mux_enabled smod);
+  Alcotest.(check bool) "no mux status" true (Smod.mux_status smod = None);
+  Alcotest.(check string) "after the death" "forked" (kind (next_session ()));
+  Smod.set_session_mux smod true;
+  Alcotest.(check string) "re-enabled" "mux" (kind (next_session ()));
+  Alcotest.(check int) "a fresh daemon" 1 (Option.get (Smod.mux_status smod)).Smod.mxs_attached
+
+let test_mux_release_conserves () =
+  Install_paths.check_release_conserves (poller_world ()) ~call:Install_paths.ring_call
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "poller"
@@ -218,5 +263,12 @@ let () =
           tc "one batch, zero client traps" test_zero_trap_batch;
           tc "1 domain, 64 fibers" test_mux_many_sessions_one_domain;
           tc "legacy call rejected on mux session" test_mux_call_syscall_rejected;
+        ] );
+      ( "mux lifecycle",
+        [
+          tc "daemon death fails closed (batch trap)" test_mux_death_batch_trap;
+          tc "daemon death fails closed (poller)" test_mux_death_poller;
+          tc "dead mux routes cold until enabled" test_dead_mux_routes_cold_until_enabled;
+          tc "no frame leaks across mux sessions" test_mux_release_conserves;
         ] );
     ]

@@ -98,7 +98,7 @@ let secret_module smod =
   let entry = Toolchain.package smod ~image:(Smof.Builder.finish b) () in
   let global_addr h =
     match Smod.session_of_handle smod ~handle_pid:h.Proc.pid with
-    | Some s -> s.Smod.module_data_base + global_off
+    | Some _ -> Layout.module_data_base + global_off
     | None -> Alcotest.fail "native ran outside a session"
   in
   Smod.bind_native smod ~m_id:entry.Registry.m_id ~name:"poke" (fun _m h ~args_base ->
@@ -749,28 +749,22 @@ let test_pooled_spawns_share_linked_image () =
 (* ------------------------------ hygiene ------------------------------ *)
 
 let test_pooled_churn_no_frame_leak () =
-  let world = World.create ~pool:(one_handle Smodd.Wait) ~with_rpc:false () in
-  let machine = world.World.machine in
-  let baseline = ref 0 in
-  for round = 1 to 5 do
-    ignore
-      (M.spawn machine ~name:(Printf.sprintf "churn-%d" round) (fun p ->
-           let conn =
-             Stub.connect world.World.smod p ~module_name:Smod_libc.Seclibc.module_name
-               ~version:Smod_libc.Seclibc.version
-               ~credential:(Credential.make ~principal:"client" ())
-           in
-           ignore (Smod_libc.Seclibc.Client.malloc conn 128);
-           Stub.close conn));
-    World.run world;
-    let live = Smod_vmem.Phys.live_frames (M.phys machine) in
-    if round = 1 then baseline := live
-    else
-      Alcotest.(check bool)
-        (Printf.sprintf "round %d: %d frames vs baseline %d" round live !baseline)
-        true
-        (live <= !baseline + 8)
-  done
+  Install_paths.check_release_conserves
+    (World.create ~pool:(one_handle Smodd.Wait) ~with_rpc:false ())
+    ~call:Smod_libc.Seclibc.Client.malloc
+
+let pooled_world () = World.create ~pool:Smodd.default_config ~with_rpc:false ()
+
+let test_handle_death_pooled () =
+  Install_paths.check_handle_death ~world:pooled_world ~shared:false
+
+let test_handle_death_before_handshake_pooled () =
+  Install_paths.check_handshake_death (pooled_world ()) ~call:Install_paths.msgq_call
+
+let test_handle_death_pooled_poller () =
+  Install_paths.check_handle_death
+    ~world:(fun () -> Install_paths.with_poller (pooled_world ()))
+    ~shared:false
 
 (* A client that opens and closes sessions in a loop keeps a flat
    exit-hook list: a hook left behind by a closed session pins that
@@ -845,6 +839,9 @@ let () =
           tc "sys_smod_remove retires pooled handles" test_remove_module_retires_pool;
           tc "uninstall wakes queued waiters" test_uninstall_wakes_waiters;
           tc "no frame leaks across pooled churn" test_pooled_churn_no_frame_leak;
+          tc "handle death fails closed (batch trap)" test_handle_death_pooled;
+          tc "handle death fails closed (poller)" test_handle_death_pooled_poller;
+          tc "handle death before the handshake" test_handle_death_before_handshake_pooled;
           tc "session churn keeps exit hooks flat" test_session_churn_keeps_exit_hooks_flat;
         ] );
     ]

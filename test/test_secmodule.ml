@@ -555,7 +555,7 @@ let test_tampered_handle_text_detected () =
              ignore (Smod_libc.Seclibc.Client.strlen conn (Smod_libc.Seclibc.Client.malloc conn 8));
              (* Corrupt the mapped text of 'strlen' in the handle. *)
              let sym = Option.get (Smof.find_symbol session.Smod.entry.Registry.image "strlen") in
-             let addr = session.Smod.module_text_base + sym.Smof.sym_offset in
+             let addr = Layout.module_text_base + sym.Smof.sym_offset in
              Aspace.protect_range handle_as ~start_addr:(Layout.page_align_down addr)
                ~size:Layout.page_size ~prot:Prot.rwx
              |> ignore;
@@ -964,11 +964,9 @@ let test_linked_call_lands_at_symbol () =
              let sq = Option.get (Smof.find_symbol image "sq") in
              (* first instruction of quad is loadarg (2 bytes); the call
                 opcode follows, operand at +3 *)
-             let operand_addr =
-               session.Smod.module_text_base + quad.Smof.sym_offset + 3
-             in
+             let operand_addr = Layout.module_text_base + quad.Smof.sym_offset + 3 in
              Alcotest.(check int) "call target = mapped sq"
-               (session.Smod.module_text_base + sq.Smof.sym_offset)
+               (Layout.module_text_base + sq.Smof.sym_offset)
                (Aspace.read_word handle_as ~addr:operand_addr))));
   M.run m
 
@@ -1105,6 +1103,19 @@ let test_handle_death_mid_call () =
            (Smod.session_of_client smod ~client_pid:p.Proc.pid = None)));
   M.run m;
   Alcotest.(check bool) "woken with EIDRM mid-call" true (!outcome = `Eidrm)
+
+let cold_world () = World.create ~with_rpc:false ()
+
+let test_handle_death_cold () =
+  Install_paths.check_handle_death ~world:cold_world ~shared:false
+
+let test_handle_death_before_handshake () =
+  Install_paths.check_handshake_death (cold_world ()) ~call:Install_paths.msgq_call
+
+let test_handle_death_cold_poller () =
+  Install_paths.check_handle_death
+    ~world:(fun () -> Install_paths.with_poller (cold_world ()))
+    ~shared:false
 
 let test_module_remove_mid_session () =
   (* The admin removes the module while a session is live: the session is
@@ -1476,6 +1487,9 @@ let () =
         [
           tc "handle death between calls" test_handle_death_between_calls;
           tc "handle death mid-call" test_handle_death_mid_call;
+          tc "ring handle death (batch trap)" test_handle_death_cold;
+          tc "ring handle death (poller)" test_handle_death_cold_poller;
+          tc "handle death before the handshake" test_handle_death_before_handshake;
           tc "module removal mid-session" test_module_remove_mid_session;
         ] );
       ( "protection rings (section 2)",
