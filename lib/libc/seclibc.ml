@@ -155,8 +155,23 @@ let bind_all smod m_id =
       Clock.charge clock Cost.Getpid_client_fixup;
       Aspace.read_word h.Proc.aspace ~addr:Smod.client_pid_cache_addr)
 
+(* The vendor's half of §4.1 runs once per program, not once per world:
+   both artifacts come from one build, at module initialisation, before
+   any domain exists, and nothing mutates them afterwards ([register]
+   copies their bytes into each entry).  Plain values rather than a
+   [Lazy.t], which two domains must not force at once. *)
+let sealed_encrypted, sealed_unmap_only =
+  let image = image () in
+  ( Toolchain.seal ~image ~protection:Registry.Encrypted (),
+    Toolchain.seal ~image ~protection:Registry.Unmap_only () )
+
 let install smod ?(protection = Registry.Encrypted) ?policy () =
-  let entry = Toolchain.package smod ~image:(image ()) ~protection ?policy () in
+  let sealed =
+    match protection with
+    | Registry.Encrypted -> sealed_encrypted
+    | Registry.Unmap_only -> sealed_unmap_only
+  in
+  let entry = Toolchain.register smod sealed ?policy () in
   bind_all smod entry.Registry.m_id;
   entry
 

@@ -13,6 +13,7 @@ val module_name : string
 val version : int
 
 val image : unit -> Smod_modfmt.Smof.t
+(** The build recipe: a fresh, plaintext image on every call. *)
 
 val install :
   Secmodule.Smod.t ->
@@ -20,7 +21,13 @@ val install :
   ?policy:Secmodule.Policy.t ->
   unit ->
   Secmodule.Registry.entry
-(** Package (default: [Encrypted]) and bind all native bodies. *)
+(** Register the program's sealed seclibc for [protection] (default:
+    [Encrypted]) and bind all native bodies.  The module is built and
+    sealed ({!Secmodule.Toolchain.seal}) once per program, when this
+    module initialises; each install is only the kernel's half
+    ({!Secmodule.Toolchain.register}), so its entry equals what
+    [Toolchain.package smod ~image:(image ()) ~protection] would
+    register, in bytes it owns. *)
 
 (** Client-side wrappers (what the overriding include would generate). *)
 module Client : sig

@@ -113,10 +113,10 @@ let set_need_wakeup t v = set_hdr t h_need_wakeup (if v then 1 else 0)
 let in_flight t = head t - reaped t
 let space t = t.nslots - in_flight t
 
+(* One write of the whole region: the same pages fault, with write access
+   and in the same order, as a word-at-a-time clear would. *)
 let zero t =
-  for i = 0 to (size_bytes ~nslots:t.nslots / 4) - 1 do
-    Aspace.write_word t.aspace ~addr:(t.base + (4 * i)) 0
-  done;
+  Aspace.write_bytes t.aspace ~addr:t.base (Bytes.make (size_bytes ~nslots:t.nslots) '\000');
   set_hdr t 0 magic;
   set_hdr t 1 t.nslots
 

@@ -62,15 +62,41 @@ let assemble_module ~name ~version funcs =
     funcs;
   Smof.Builder.finish b
 
-let package smod ~image ?(protection = Registry.Unmap_only)
-    ?(policy = Policy.Session_lifetime) ?(admin_principal = "root") ?key_seed () =
+(* The vendor's half of §4.1.  Nothing here touches a kernel, a clock or
+   a metric, so a sealed module can be built once and registered with any
+   number of kernels. *)
+type sealed = {
+  image : Smof.t;
+  protection : Registry.protection;
+  key : string option;
+  nonce : bytes option;
+}
+
+let seal ~image ?(protection = Registry.Unmap_only) ?key_seed () =
   match protection with
-  | Registry.Unmap_only ->
-      Smod.register smod ~image ~protection ~policy ~admin_principal ()
+  | Registry.Unmap_only -> { image; protection; key = None; nonce = None }
   | Registry.Encrypted ->
       let seed = match key_seed with Some s -> s | None -> image.Smof.mod_name in
       let key = Bytes.to_string (Bytes.sub (Smod_crypto.Sha256.digest_string ("key:" ^ seed)) 0 16) in
       let nonce = Bytes.sub (Smod_crypto.Sha256.digest_string ("nonce:" ^ seed)) 0 16 in
       let encrypted = Smof.encrypt_text image ~key ~nonce in
-      Smod.register smod ~image:encrypted ~protection ~policy ~admin_principal
-        ~kernel_key:key ~kernel_nonce:nonce ()
+      { image = encrypted; protection; key = Some key; nonce = Some nonce }
+
+(* The kernel's half.  Every entry gets its own copy of each mutable
+   byte, so one sealed module can back entries in any number of worlds
+   (and domains) without any two of them sharing state. *)
+let register smod { image; protection; key; nonce } ?(policy = Policy.Session_lifetime)
+    ?(admin_principal = "root") () =
+  let image =
+    {
+      image with
+      Smof.text = Bytes.copy image.Smof.text;
+      data = Bytes.copy image.Smof.data;
+      text_digest = Bytes.copy image.Smof.text_digest;
+    }
+  in
+  Smod.register smod ~image ~protection ~policy ~admin_principal ?kernel_key:key
+    ?kernel_nonce:(Option.map Bytes.copy nonce) ()
+
+let package smod ~image ?protection ?policy ?admin_principal ?key_seed () =
+  register smod (seal ~image ?protection ?key_seed ()) ?policy ?admin_principal ()

@@ -5,8 +5,9 @@
     client stub per function.  {!scan_functions} reproduces that pipeline
     over SMOF images, {!stub_table} assigns the funcIDs, and
     {!stub_source} emits the (illustrative) per-function stub assembly.
-    {!package} is the registration tool: optionally encrypt the text and
-    hand the image to the kernel with its policy. *)
+    Registration has the paper's two halves (§4.1): the vendor's
+    {!seal} encrypts the text once, and each kernel's {!register} installs
+    the sealed module with its kernel-held key.  {!package} does both. *)
 
 val scan_functions : Smod_modfmt.Smof.t -> string list
 (** Names extracted from the [objdump -t] listing's [' F '] lines. *)
@@ -29,6 +30,37 @@ val assemble_module :
     not part of the module, and {!Smod_svm.Asm.Error} on assembly
     problems. *)
 
+type sealed
+(** A module as the vendor ships it: the image, with its text encrypted
+    for [Encrypted] protection, and the key material only a kernel will
+    hold.  Immutable, and it exposes no bytes, so one sealed value can be
+    shared by every kernel (world, domain) in a process. *)
+
+val seal :
+  image:Smod_modfmt.Smof.t ->
+  ?protection:Registry.protection ->
+  ?key_seed:string ->
+  unit ->
+  sealed
+(** The vendor's half.  With [Encrypted] protection (default:
+    [Unmap_only]), derives the AES-128 key and CTR nonce from [key_seed]
+    (default: the module name — change it in anything resembling
+    production) and encrypts the text with relocation sites preserved;
+    with [Unmap_only], holds the plaintext image.  Charges nothing and
+    touches no kernel or metric.  [image] must not be mutated afterwards. *)
+
+val register :
+  Smod.t ->
+  sealed ->
+  ?policy:Policy.t ->
+  ?admin_principal:string ->
+  unit ->
+  Registry.entry
+(** The kernel's half: {!Smod.register} with fresh copies of the sealed
+    image's text, data and text digest and of the nonce, so no two
+    registry entries share a mutable byte.  The key goes to the kernel
+    only. *)
+
 val package :
   Smod.t ->
   image:Smod_modfmt.Smof.t ->
@@ -38,7 +70,5 @@ val package :
   ?key_seed:string ->
   unit ->
   Registry.entry
-(** Register a module.  With [Encrypted] protection, derives the AES-128
-    key and CTR nonce from [key_seed] (default: the module name — change
-    it in anything resembling production), encrypts the text with
-    relocation sites preserved, and installs the key kernel-side only. *)
+(** [register smod (seal ~image ?protection ?key_seed ())]: seal and
+    register in one step, for modules installed in one world only. *)

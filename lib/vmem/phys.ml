@@ -21,7 +21,8 @@ let alloc t =
       f
   | [] ->
       if t.live >= t.limit_frames then raise Out_of_frames;
-      let f = { id = t.next_id; data = Bytes.create Layout.page_size; refcount = 1 } in
+      (* [Bytes.create] may hand back a freed host block, bytes and all. *)
+      let f = { id = t.next_id; data = Bytes.make Layout.page_size '\000'; refcount = 1 } in
       t.next_id <- t.next_id + 1;
       t.live <- t.live + 1;
       f

@@ -18,7 +18,9 @@ val create : ?limit_frames:int -> unit -> t
 (** Default limit: 131072 frames = 512 MB of 4 KB pages. *)
 
 val alloc : t -> frame
-(** Zero-filled frame with refcount 1. *)
+(** A zeroed frame with refcount 1, whether fresh or recycled: simulated
+    memory never shows bytes from an earlier owner, in this allocator or
+    in any other the host process ran. *)
 
 val incref : frame -> unit
 

@@ -322,6 +322,27 @@ let test_many_sessions_frames_released () =
   Install_paths.check_release_conserves (World.create ~with_rpc:false ())
     ~call:Smod_libc.Seclibc.Client.malloc
 
+(* Simulated memory must not depend on the host's heap history.  Every
+   world's client reads the payload of its first malloc before writing a
+   marker there; each earlier world wrote that marker at the same
+   address, into a frame the host may hand to the next world. *)
+let test_successive_worlds_start_zeroed () =
+  let marker = 0xDEADBEEF and last_ptr = ref None in
+  for world_no = 1 to 8 do
+    Gc.full_major ();
+    let world = World.create ~with_rpc:false () in
+    let ptr = ref 0 and seen = ref (-1) in
+    World.spawn_seclibc_client world ~name:"heap-reader" (fun p conn ->
+        let aspace = p.Smod_kern.Proc.aspace in
+        ptr := Smod_libc.Seclibc.Client.malloc conn 64;
+        seen := Smod_vmem.Aspace.read_word aspace ~addr:!ptr;
+        Smod_vmem.Aspace.write_word aspace ~addr:!ptr marker);
+    World.run world;
+    Option.iter (Alcotest.(check int) "same heap word as the previous world" !ptr) !last_ptr;
+    last_ptr := Some !ptr;
+    Alcotest.(check int) (Printf.sprintf "world %d reads zero" world_no) 0 !seen
+  done
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "integration"
@@ -352,5 +373,6 @@ let () =
           tc "one batch, counted (ring twin)" test_one_batch_metric_deltas;
           tc "ring >= 3x msgq at batch 16" test_ring_beats_msgq;
           tc "no frame leaks across sessions" test_many_sessions_frames_released;
+          tc "successive worlds start zeroed" test_successive_worlds_start_zeroed;
         ] );
     ]

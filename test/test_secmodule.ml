@@ -540,33 +540,48 @@ let test_registered_image_is_ciphertext () =
     (Bytes.equal entry.Registry.image.Smof.text plain.Smof.text)
 
 let test_tampered_handle_text_detected () =
-  (* Native symbols are integrity-checked against the registered image on
-     every call (no substituted code can run). *)
+  (* What runs is what is mapped: a native's stand-in text is compared
+     with the handle's mapped bytes on every call, so text the kernel
+     rewrites between two calls is refused, while an untouched native and
+     bytecode are still served. *)
   let m = M.create ~jitter:0.0 () in
   let smod = Smod.install m () in
   ignore (Smod_libc.Seclibc.install smod ());
-  let caught = ref false in
+  let first = ref 0 and second = ref (Ok 0) and pid = ref 0 and client_pid = ref 0 in
+  let incr = ref 0 in
   ignore
     (M.spawn m ~name:"client" (fun p ->
+         client_pid := p.Proc.pid;
          Crt0.run_client smod p ~module_name:"seclibc" ~version:1
            ~credential:(cred "alice") (fun conn ->
+             let s = Smod_libc.Seclibc.Client.malloc conn 8 in
+             Aspace.write_string p.Proc.aspace ~addr:s "abc";
+             first := Smod_libc.Seclibc.Client.strlen conn s;
+             (* Flip four bytes of 'strlen' in the handle's text, through
+                the kernel: the whole module-text entry goes rw and back. *)
              let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
              let handle_as = Smod.handle_aspace smod session in
-             ignore (Smod_libc.Seclibc.Client.strlen conn (Smod_libc.Seclibc.Client.malloc conn 8));
-             (* Corrupt the mapped text of 'strlen' in the handle. *)
              let sym = Option.get (Smof.find_symbol session.Smod.entry.Registry.image "strlen") in
              let addr = Layout.module_text_base + sym.Smof.sym_offset in
-             Aspace.protect_range handle_as ~start_addr:(Layout.page_align_down addr)
-               ~size:Layout.page_size ~prot:Prot.rwx
-             |> ignore;
-             (* protect_range requires whole entries; fall back to direct
-                page poke through a temporary writable view. *)
-             ())));
+             let text = Option.get (Aspace.find_entry handle_as addr) in
+             let start_addr = text.Aspace.start_addr in
+             let size = text.Aspace.end_addr - start_addr in
+             let flipped = Bytes.map (fun c -> Char.chr (Char.code c lxor 0xff)) in
+             Aspace.protect_range handle_as ~start_addr ~size ~prot:Prot.rw;
+             let original = Aspace.read_bytes handle_as ~addr ~len:4 in
+             Aspace.write_bytes handle_as ~addr (flipped original);
+             Aspace.protect_range handle_as ~start_addr ~size ~prot:Prot.rx;
+             (second :=
+                match Smod_libc.Seclibc.Client.strlen conn s with
+                | n -> Ok n
+                | exception Errno.Error (e, _) -> Error e);
+             pid := Smod_libc.Seclibc.Client.getpid conn;
+             incr := Smod_libc.Seclibc.Client.test_incr conn 41)));
   M.run m;
-  ignore !caught;
-  (* Full tamper path exercised in execute integrity test below via
-     registry mutation instead. *)
-  Alcotest.(check bool) "setup ran" true true
+  Alcotest.(check int) "strlen served before the rewrite" 3 !first;
+  Alcotest.(check bool) "rewritten strlen -> EACCES" true (!second = Error Errno.EACCES);
+  Alcotest.(check int) "getpid still served" !client_pid !pid;
+  Alcotest.(check int) "test_incr still served" 42 !incr
 
 let test_native_integrity_check () =
   (* Swap the native binding's expected bytes by registering a module
@@ -683,6 +698,53 @@ let test_every_install_charges_decryption () =
   | [ fifth; _; _; _; first ] ->
       Alcotest.(check (float 1e-9)) "fifth session establishes like the first" first fifth
   | _ -> Alcotest.fail "expected five sessions"
+
+(* Seclibc is built and sealed once per program and registered per
+   world.  Each world's entry must hold what a per-world package of a
+   fresh build would register, in bytes no other entry shares. *)
+let seclibc_entry ?(packaged = false) protection =
+  let smod = Smod.install (M.create ~jitter:0.0 ()) () in
+  if packaged then Toolchain.package smod ~image:(Smod_libc.Seclibc.image ()) ~protection ()
+  else Smod_libc.Seclibc.install smod ~protection ()
+
+let check_same_entry what (expected : Registry.entry) (actual : Registry.entry) =
+  let e = expected.Registry.image and a = actual.Registry.image in
+  let bytes field x y = Alcotest.(check bool) (what ^ ": " ^ field) true (Bytes.equal x y) in
+  bytes "text" e.Smof.text a.Smof.text;
+  bytes "data" e.Smof.data a.Smof.data;
+  bytes "text digest" e.Smof.text_digest a.Smof.text_digest;
+  Alcotest.(check bool) (what ^ ": encrypted flag") e.Smof.encrypted a.Smof.encrypted;
+  Alcotest.(check bool) (what ^ ": symbols") true (e.Smof.symbols = a.Smof.symbols);
+  Alcotest.(check bool) (what ^ ": relocations") true (e.Smof.relocs = a.Smof.relocs);
+  Alcotest.(check (option string)) (what ^ ": key") expected.Registry.kernel_key
+    actual.Registry.kernel_key;
+  Alcotest.(check bool) (what ^ ": nonce") true
+    (Option.equal Bytes.equal expected.Registry.kernel_nonce actual.Registry.kernel_nonce)
+
+let protections = [ ("encrypted", Registry.Encrypted); ("unmap-only", Registry.Unmap_only) ]
+
+let test_sealed_seclibc_matches_package () =
+  List.iter
+    (fun (label, protection) ->
+      let packaged = seclibc_entry ~packaged:true protection in
+      check_same_entry label packaged (seclibc_entry protection))
+    protections
+
+let test_sealed_seclibc_not_shared () =
+  List.iter
+    (fun (label, protection) ->
+      let reference = seclibc_entry ~packaged:true protection in
+      let scribbled = seclibc_entry protection and other = seclibc_entry protection in
+      Alcotest.(check bool) (label ^ ": distinct text buffers") true
+        (scribbled.Registry.image.Smof.text != other.Registry.image.Smof.text);
+      let zero b = Bytes.fill b 0 (Bytes.length b) '\000' in
+      zero scribbled.Registry.image.Smof.text;
+      zero scribbled.Registry.image.Smof.data;
+      zero scribbled.Registry.image.Smof.text_digest;
+      Option.iter zero scribbled.Registry.kernel_nonce;
+      check_same_entry (label ^ ", other world") reference other;
+      check_same_entry (label ^ ", later world") reference (seclibc_entry protection))
+    protections
 
 (* Kernel and stubs read one name -> funcID table; on a duplicate name
    both resolve to the last symbol in text order, the one a call runs. *)
@@ -1433,6 +1495,8 @@ let () =
           tc "mux installs share one linked image" test_mux_installs_share_linked_image;
           tc "every install charges decryption" test_every_install_charges_decryption;
           tc "duplicate names: last wins" test_duplicate_function_names_last_wins;
+          tc "sealed seclibc equals a fresh package" test_sealed_seclibc_matches_package;
+          tc "sealed seclibc bytes not shared" test_sealed_seclibc_not_shared;
         ] );
       ( "syscalls (Fig 4)",
         [

@@ -61,6 +61,29 @@ let test_phys_recycle () =
   Alcotest.(check bool) "recycled frame is zeroed" true
     (Bytes.get g.Phys.data 0 = '\000')
 
+(* The host reuses a freed block for a new one of the same size, bytes
+   and all, so a fresh frame must be cleared even though no frame of its
+   own allocator was ever freed. *)
+let test_phys_fresh_frames_zeroed () =
+  let frames = 64 in
+  let scribble () =
+    let phys = Phys.create () in
+    for _ = 1 to frames do
+      let f = Phys.alloc phys in
+      Bytes.fill f.Phys.data 0 (Bytes.length f.Phys.data) 'S'
+    done
+  in
+  for round = 1 to 10 do
+    scribble ();
+    Gc.full_major ();
+    let phys = Phys.create () in
+    for _ = 1 to frames do
+      let f = Phys.alloc phys in
+      if not (Bytes.for_all (fun c -> c = '\000') f.Phys.data) then
+        Alcotest.failf "round %d: fresh frame %d is not zero" round f.Phys.id
+    done
+  done
+
 let test_phys_refcounting () =
   let phys = Phys.create () in
   let f = Phys.alloc phys in
@@ -397,6 +420,7 @@ let () =
         [
           tc "alloc zeroed" test_phys_alloc_zeroed;
           tc "recycle zeroes" test_phys_recycle;
+          tc "fresh frames zeroed after a dropped allocator" test_phys_fresh_frames_zeroed;
           tc "refcounting" test_phys_refcounting;
           tc "out of frames" test_phys_out_of_frames;
         ] );
