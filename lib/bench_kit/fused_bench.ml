@@ -25,7 +25,7 @@
    - the origin-predicate ladder: 0..3 origin conjuncts ahead of the
      volatile term.  They share the matching assertion's segment with
      calls_so_far, so they stay in the residue — but each costs one
-     fused F_origin_jf superop per slot against two plain opcodes on the
+     fused origin+jf superop per slot against two plain opcodes on the
      per-slot engine (the halved slope is the measured claim; whole-
      assertion hoisting is the main ladder's job).  Plus the
      deny-by-origin path: a transport predicate that refuses ring

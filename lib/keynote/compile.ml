@@ -10,6 +10,7 @@
    attributes, so resolving it once is sound. *)
 
 type operand = O_str of string | O_attr of string
+type ofield = OF_module | OF_ring | OF_transport
 
 type instr =
   | Test of operand * Ast.cmp * operand  (* push guard comparison result *)
@@ -28,10 +29,26 @@ type instr =
   | Node_end_const of int * int  (* licensee value folded at compile time *)
   | Store_node of int  (* pop a computed value into a shared node *)
   | Root of int * int array  (* push max of a constant and the given nodes *)
+  (* superoperators ([Fuse.plan] only): two base opcodes, one dispatch, one op *)
+  | Test_jf of operand * Ast.cmp * operand * int
+  | Test_jt of operand * Ast.cmp * operand * int
+  | Test_clause of operand * Ast.cmp * operand * int
+  | Load_max of int  (* top := max top nodes.(i) *)
+  | Const_max of int  (* top := max top c *)
+  | Const_min of int  (* top := min top c *)
+  (* origin tests ([Fuse.plan] only): the left side is read from the
+     kernel-held origin record, not from the attribute list *)
+  | Origin_test of ofield * Ast.cmp * operand
+  | Origin_jf of ofield * Ast.cmp * operand * int
+  | Origin_jt of ofield * Ast.cmp * operand * int
+  | Origin_clause of ofield * Ast.cmp * operand * int
 
 type t = { instrs : instr array; nnodes : int; levels : string array }
 
 type outcome = { level : string; index : int; ops : int }
+type origin = { o_module : string; o_ring : int; o_transport : string }
+
+let no_origin = { o_module = "user"; o_ring = 3; o_transport = "msgq" }
 
 let mnemonic = function
   | Test _ -> "test"
@@ -50,6 +67,16 @@ let mnemonic = function
   | Node_end_const _ -> "node-end-const"
   | Store_node _ -> "store-node"
   | Root _ -> "root"
+  | Test_jf _ -> "test+jf"
+  | Test_jt _ -> "test+jt"
+  | Test_clause _ -> "test+clause"
+  | Load_max _ -> "load+max"
+  | Const_max _ -> "const+max"
+  | Const_min _ -> "const+min"
+  | Origin_test _ -> "origin"
+  | Origin_jf _ -> "origin+jf"
+  | Origin_jt _ -> "origin+jt"
+  | Origin_clause _ -> "origin+clause"
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -350,18 +377,25 @@ let compile ?origin ~policy ~credentials ~requesters ~levels () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The interpreter loop                                                *)
+(* The executor                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let m_scope = Smod_metrics.scope "keynote"
-let m_compiled_runs = Smod_metrics.Scope.counter m_scope "compiled_runs"
-let m_compiled_ops = Smod_metrics.Scope.counter m_scope "compiled_ops"
+let holds op c =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Ne -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | Ast.Ge -> c >= 0
 
-let run t ~attrs =
-  let n = Array.length t.instrs in
-  let nodes = Array.make (max t.nnodes 1) 0 in
-  (* Every opcode pushes at most one value, so [n] bounds the stack. *)
-  let stack = Array.make (n + 1) 0 in
+let origin_value origin = function
+  | OF_module -> origin.o_module
+  | OF_ring -> string_of_int origin.o_ring
+  | OF_transport -> origin.o_transport
+
+let exec_seg ?visit code ~nodes ~origin ~attrs ~stack ~ops =
+  let n = Array.length code in
   let sp = ref 0 in
   let push v =
     stack.(!sp) <- v;
@@ -375,24 +409,18 @@ let run t ~attrs =
     | O_str s -> s
     | O_attr a -> ( match List.assoc_opt a attrs with Some v -> v | None -> "")
   in
+  let test a op b = holds op (Eval.compare_values (operand_value a) (operand_value b)) in
+  let otest f op b =
+    holds op (Eval.compare_values (origin_value origin f) (operand_value b))
+  in
   let acc = ref 0 in
-  let ops = ref 0 in
   let pc = ref 0 in
   while !pc < n do
     incr ops;
-    match t.instrs.(!pc) with
+    (match visit with Some f -> f !pc | None -> ());
+    match code.(!pc) with
     | Test (a, op, b) ->
-        let c = Eval.compare_values (operand_value a) (operand_value b) in
-        let holds =
-          match op with
-          | Ast.Eq -> c = 0
-          | Ast.Ne -> c <> 0
-          | Ast.Lt -> c < 0
-          | Ast.Le -> c <= 0
-          | Ast.Gt -> c > 0
-          | Ast.Ge -> c >= 0
-        in
-        push (if holds then 1 else 0);
+        push (if test a op b then 1 else 0);
         incr pc
     | Push_bool b ->
         push (if b then 1 else 0);
@@ -452,11 +480,67 @@ let run t ~attrs =
         nodes.(i) <- pop ();
         incr pc
     | Root (base, roots) ->
-        let v = Array.fold_left (fun m i -> max m nodes.(i)) base roots in
-        push v;
+        push (Array.fold_left (fun m i -> max m nodes.(i)) base roots);
+        incr pc
+    (* superoperators: exact composition of the two base opcodes *)
+    | Test_jf (a, op, b, target) ->
+        if test a op b then incr pc
+        else begin
+          push 0;
+          pc := target
+        end
+    | Test_jt (a, op, b, target) ->
+        if test a op b then begin
+          push 1;
+          pc := target
+        end
+        else incr pc
+    | Test_clause (a, op, b, level) ->
+        if test a op b then acc := max !acc level;
+        incr pc
+    | Load_max i ->
+        stack.(!sp - 1) <- max stack.(!sp - 1) nodes.(i);
+        incr pc
+    | Const_max c ->
+        stack.(!sp - 1) <- max stack.(!sp - 1) c;
+        incr pc
+    | Const_min c ->
+        stack.(!sp - 1) <- min stack.(!sp - 1) c;
+        incr pc
+    | Origin_test (f, op, b) ->
+        push (if otest f op b then 1 else 0);
+        incr pc
+    | Origin_jf (f, op, b, target) ->
+        if otest f op b then incr pc
+        else begin
+          push 0;
+          pc := target
+        end
+    | Origin_jt (f, op, b, target) ->
+        if otest f op b then begin
+          push 1;
+          pc := target
+        end
+        else incr pc
+    | Origin_clause (f, op, b, level) ->
+        if otest f op b then acc := max !acc level;
         incr pc
   done;
-  let raw = if !sp > 0 then stack.(!sp - 1) else 0 in
+  !sp
+
+let m_scope = Smod_metrics.scope "keynote"
+let m_compiled_runs = Smod_metrics.Scope.counter m_scope "compiled_runs"
+let m_compiled_ops = Smod_metrics.Scope.counter m_scope "compiled_ops"
+
+(* The whole program is one segment whose jumps are absolute positions.
+   Base opcodes never read the origin record. *)
+let run t ~attrs =
+  let nodes = Array.make (max t.nnodes 1) 0 in
+  (* Every opcode pushes at most one value, so the length bounds the stack. *)
+  let stack = Array.make (Array.length t.instrs + 1) 0 in
+  let ops = ref 0 in
+  let sp = exec_seg t.instrs ~nodes ~origin:no_origin ~attrs ~stack ~ops in
+  let raw = if sp > 0 then stack.(sp - 1) else 0 in
   let index = max 0 (min (Array.length t.levels - 1) raw) in
   Smod_metrics.Counter.incr m_compiled_runs;
   Smod_metrics.Counter.add m_compiled_ops !ops;

@@ -1,4 +1,5 @@
-(** Compiler from assertion sets to flattened decision programs.
+(** Compiler from assertion sets to flattened decision programs, and the
+    one executor every compiled engine runs them on.
 
     [Eval.query] walks the delegation graph and re-interprets every
     condition expression on every call — the per-assertion cost the paper
@@ -9,10 +10,12 @@
     is ignored here (callers hoist verification — see
     [Secmodule.Policy.compile]), and every condition guard is lowered to a
     compact postfix opcode array with jump-based short-circuit [&&]/[||].
-    [run] then evaluates the program with a tight interpreter loop whose
-    per-opcode cost is charged by callers as
+    [run] then evaluates the whole program as one segment on {!exec_seg},
+    whose per-opcode cost is charged by callers as
     [Cost_model.Policy_compiled_op] — tens of cycles instead of the 420
-    cycles of [Keynote_assertion_eval].
+    cycles of [Keynote_assertion_eval].  [Fuse] (batch prefix and residue)
+    and [Vexec] (lanes) run their segments on the same executor, so every
+    engine shares one opcode semantics by construction.
 
     [run] computes exactly the verdict [Eval.query] would return for the
     same [(policy, credentials, requesters, levels)] and any [attrs]
@@ -28,6 +31,9 @@
 type operand = O_str of string | O_attr of string
 (** A [Test] side resolved at compile time: a literal, or an action
     attribute looked up per run. *)
+
+type ofield = OF_module | OF_ring | OF_transport
+(** The field of the origin record an origin opcode reads. *)
 
 type instr =
   | Test of operand * Ast.cmp * operand  (** push guard comparison result *)
@@ -47,10 +53,23 @@ type instr =
   | Node_end_const of int * int  (** licensee value folded at compile time *)
   | Store_node of int  (** pop a computed value into a shared node *)
   | Root of int * int array  (** push max of a constant and the given nodes *)
-      (** The concrete opcode set is exposed (rather than kept abstract)
-          for exactly one downstream consumer: [Fuse], which re-lowers the
-          flat program into batch-partitioned, superoperator-fused
-          segments.  Everyone else should treat programs as opaque. *)
+  | Test_jf of operand * Ast.cmp * operand * int  (** [Test] then [Jfalse] *)
+  | Test_jt of operand * Ast.cmp * operand * int  (** [Test] then [Jtrue] *)
+  | Test_clause of operand * Ast.cmp * operand * int  (** [Test] then [Clause] *)
+  | Load_max of int  (** [Load_node] then [Max2] *)
+  | Const_max of int  (** [Push_level] then [Max2] *)
+  | Const_min of int  (** [Push_level] then [Min2] *)
+  | Origin_test of ofield * Ast.cmp * operand
+      (** [Test] whose left side is the kernel's origin record *)
+  | Origin_jf of ofield * Ast.cmp * operand * int
+  | Origin_jt of ofield * Ast.cmp * operand * int
+  | Origin_clause of ofield * Ast.cmp * operand * int
+      (** The one KeyNote opcode set.  [compile] emits only the sixteen
+          base opcodes, with jumps absolute and strictly forward; the
+          superoperators (each one dispatch and one op counted) and the
+          origin opcodes are rewrites [Fuse.plan] makes within this type,
+          with jumps relative to the segment.  The set is exposed for
+          [Fuse]; everyone else should treat programs as opaque. *)
 
 type t
 (** A compiled decision program.  Immutable; safe to cache across calls
@@ -61,9 +80,18 @@ type outcome = {
   level : string;  (** [levels.(index)] *)
   index : int;
   ops : int;
-      (** opcodes the interpreter executed — the cost driver callers
-          multiply by [Cost_model.Policy_compiled_op] *)
+      (** opcodes {!exec_seg} executed — what callers multiply by
+          [Cost_model.Policy_compiled_op] *)
 }
+
+type origin = { o_module : string; o_ring : int; o_transport : string }
+(** Caller provenance, resolved by the kernel from session state at
+    dispatch — never from client-supplied data, so a compromised client
+    cannot forge its origin.  [o_module] is the SecModule whose handle
+    made the call, or ["user"] for a plain client process. *)
+
+val no_origin : origin
+(** ["user"] at ring 3 over msgq — the provenance of a plain process. *)
 
 type origin_env = { known_modules : string list }
 (** The kernel's view of valid call origins at compile time: the set of
@@ -97,12 +125,30 @@ val compile :
     kernel's valid set is also an [Error], so callers fail closed on
     origin typos exactly as on unknown levels. *)
 
-val run : t -> attrs:(string * string) list -> outcome
-(** Evaluate the program against one set of action attributes.  Total:
-    never raises, and [index] is always a valid index into the compiled
-    [levels]. *)
+val exec_seg :
+  ?visit:(int -> unit) ->
+  instr array ->
+  nodes:int array ->
+  origin:origin ->
+  attrs:(string * string) list ->
+  stack:int array ->
+  ops:int ref ->
+  int
+(** The executor: the only code that runs opcodes.  Runs one segment from
+    position 0 with an empty stack until the program counter leaves it;
+    jumps are positions within the segment.  Reads and writes value nodes
+    in [nodes], resolves [O_attr] operands in [attrs] (missing: [""]) and
+    origin opcodes in [origin].  Adds one to [ops] per opcode executed, a
+    superoperator included, and, when given, passes [visit] the position
+    of each before executing it.  Returns the stack height left ([Root]
+    leaves one value, every other segment [compile] emits none); [stack]
+    must hold one more entry than the segment has opcodes.  Counters are
+    the callers' job. *)
 
-val kth_largest : int -> int list -> int
+val run : t -> attrs:(string * string) list -> outcome
+(** Evaluate the program against one set of action attributes, as one
+    segment on {!exec_seg}.  Total: never raises, and [index] is always a
+    valid index into the compiled [levels]. *)
 
 val length : t -> int
 (** Number of opcodes in the program (static size, not per-run cost). *)
@@ -119,6 +165,8 @@ val levels : t -> string array
 (** The compliance ladder the program's ordinals index into. *)
 
 val mnemonic : instr -> string
+(** ["test"], ["test+jf"], ["origin+clause"], … — the names [smodctl
+    policy status] prints. *)
 
 val op_counts : t -> (string * int) list
 (** Static opcode histogram by mnemonic, most frequent first — surfaced

@@ -1,15 +1,18 @@
 (** Fused batch execution of compiled decision programs.
 
-    [Compile.run] is one full interpreter pass per admission query; under
-    a 64-slot ring batch that is 64 passes over a program most of whose
-    opcodes depend only on batch-invariant inputs (credential chain,
-    module identity, call origin, static attributes).  [plan] re-lowers a
-    compiled program into contiguous segments, fuses common opcode pairs
-    into superoperators, interns segment arrays in a domain-local
-    structural-sharing arena, and partitions the segments into a
-    batch-invariant prefix and a per-slot residue.  [begin_batch] runs the
-    prefix once into a {!snapshot}; [run_slot] replays only the residue
-    per slot.
+    [Compile.run] is one full pass over the program per admission query;
+    under a 64-slot ring batch that is 64 passes over a program most of
+    whose opcodes depend only on batch-invariant inputs (credential chain,
+    module identity, call origin, static attributes).  [plan] splits a
+    compiled program into contiguous segments and rewrites each within
+    [Compile.instr]: origin tests against literals become origin opcodes,
+    a peephole pass fuses common opcode pairs into superoperators, and
+    jumps become relative to the segment.  It interns segment arrays in a
+    domain-local structural-sharing arena, and partitions the segments
+    into a batch-invariant prefix and a per-slot residue.  [begin_batch]
+    runs the prefix once into a {!snapshot}; [run_slot] replays only the
+    residue per slot.  Both run segments on [Compile.exec_seg], the one
+    executor every engine shares.
 
     Cost accounting is the caller's job, mirroring [Compile.run]: charge
     [Cost_model.Policy_fused_setup] plus [s_setup_ops] compiled-op units
@@ -23,53 +26,15 @@
     [run_slot] returns exactly [Compile.run]'s outcome modulo [ops] —
     asserted over randomized programs by [test/test_compile.ml]. *)
 
-type origin = { o_module : string; o_ring : int; o_transport : string }
-(** Caller provenance, resolved by the kernel from session state at
-    dispatch — never from client-supplied data, so a compromised client
-    cannot forge its origin.  [o_module] is the SecModule whose handle
-    made the call, or ["user"] for a plain client process. *)
+type origin = Compile.origin = { o_module : string; o_ring : int; o_transport : string }
+(** [Compile.origin], re-exported for the dispatcher and its callers. *)
 
 val no_origin : origin
 (** ["user"] at ring 3 over msgq — the provenance of a plain process. *)
 
-type ofield = OF_module | OF_ring | OF_transport
-
-type fop =
-  (* base opcodes, unchanged semantics (jumps segment-relative) *)
-  | F_test of Compile.operand * Ast.cmp * Compile.operand
-  | F_push_bool of bool
-  | F_not
-  | F_jfalse of int
-  | F_jtrue of int
-  | F_node_begin
-  | F_clause of int
-  | F_push_level of int
-  | F_load_node of int
-  | F_min2
-  | F_max2
-  | F_kof of int * int
-  | F_node_end of int
-  | F_node_end_const of int * int
-  | F_store_node of int
-  | F_root of int * int array
-  (* superoperators: two base opcodes, one dispatch, one op charged *)
-  | F_test_jf of Compile.operand * Ast.cmp * Compile.operand * int
-  | F_test_jt of Compile.operand * Ast.cmp * Compile.operand * int
-  | F_test_clause of Compile.operand * Ast.cmp * Compile.operand * int
-  | F_load_max of int
-  | F_const_max of int
-  | F_const_min of int
-  (* origin predicates, resolved from the kernel-held origin record *)
-  | F_origin of ofield * Ast.cmp * Compile.operand
-  | F_origin_jf of ofield * Ast.cmp * Compile.operand * int
-  | F_origin_jt of ofield * Ast.cmp * Compile.operand * int
-  | F_origin_clause of ofield * Ast.cmp * Compile.operand * int
-      (** The lowered opcode set, public so the batch-major executor
-          ({!Vexec}) can re-interpret residue segments lane-major.  All
-          jumps are segment-relative and — a property [Compile.compile]
-          guarantees and {!Vexec} relies on — strictly forward. *)
-
-type seg = { ops : fop array; invariant : bool }
+type seg = { ops : Compile.instr array; invariant : bool }
+(** One rewritten segment: base, superoperator and origin opcodes with
+    segment-relative, strictly forward jumps. *)
 
 type t
 (** A fused plan for one compiled program.  Immutable and, like the
@@ -105,9 +70,6 @@ val run_slot :
     snapshot may be reused across any number of slots and batches until
     the program it came from is invalidated. *)
 
-val run : t -> origin:origin -> attrs:(string * string) list -> snapshot * Compile.outcome
-(** [begin_batch] + [run_slot] in one step, for scalar callers and tests. *)
-
 (** {2 Plan internals (consumed by {!Vexec})} *)
 
 val segments : t -> seg array
@@ -116,14 +78,8 @@ val residue_segments : t -> int array
     (includes the root segment). *)
 
 val levels : t -> string array
-val node_count : t -> int
 val max_seg : t -> int
-(** Longest segment in opcodes — bounds any per-lane evaluation stack. *)
-
-val origin_value : origin -> ofield -> string
-val holds : Ast.cmp -> int -> bool
-(** [holds cmp c] applies [cmp] to an {!Eval.compare_values} result —
-    exported so every engine shares one comparison semantics. *)
+(** Longest segment in opcodes — bounds the executor's stack. *)
 
 val residue_reads : t -> string list -> bool
 (** Does any residue opcode read one of the named attributes?  Used by
@@ -145,9 +101,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val prefix_fraction : t -> float
-(** [invariant_fops / total_fops], 0 for an empty plan. *)
 
 type arena_stats = {
   a_segments : int;  (** distinct segment arrays interned on this domain *)

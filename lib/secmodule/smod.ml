@@ -243,7 +243,27 @@ let set_dispatch_gate t gate = t.dispatch_gate <- gate
 let set_policy_compile t b = t.compile_policies <- b
 let policy_compile_enabled t = t.compile_policies
 
-let set_policy_fuse t b = t.fuse_policies <- b
+(* Drop every registry entry's compiled programs and every live session's
+   compiled and fused memos, so the next call compiles afresh under the
+   current keystore and switches. *)
+let drop_programs t =
+  List.iter
+    (fun e ->
+      Smod_metrics.Counter.add m_compile_invalidations (Registry.flush_compiled e))
+    (Registry.entries t.registry);
+  Hashtbl.iter
+    (fun _ s ->
+      s.compiled_memo <- None;
+      s.fused_memo <- None)
+    t.sessions_by_client
+
+(* A program carries a fused plan only if fusion was on when it compiled. *)
+let set_policy_fuse t b =
+  if b <> t.fuse_policies then begin
+    t.fuse_policies <- b;
+    drop_programs t
+  end
+
 let policy_fuse_enabled t = t.fuse_policies
 let set_policy_vectorize t b = t.vectorize_policies <- b
 let policy_vectorize_enabled t = t.vectorize_policies
@@ -1690,7 +1710,7 @@ let batch_decider t a =
 
 (* E25 batch-major pre-pass: when vectorization is on and the session's
    armed fused context is vector-eligible, the whole batch's verdicts are
-   computed lane-major — SoA columns gathered from the kernel's own read
+   computed lane-major — one lane per slot, from the kernel's own read
    of each submitted slot, one vector pass per residue opcode — before
    the stamp loop consumes them positionally.  Returns a seq-indexed
    lookup; [fun _ -> None] (the slot-major decider runs as usual) when
@@ -2279,16 +2299,7 @@ let install machine ?keystore () =
      [Keystore.add_principal], before any further call can observe the
      new generation with a stale program (the smodd decision cache flushes
      from its own hook in the same iteration). *)
-  Keystore.on_change t.keystore (fun () ->
-      List.iter
-        (fun e ->
-          Smod_metrics.Counter.add m_compile_invalidations (Registry.flush_compiled e))
-        (Registry.entries t.registry);
-      Hashtbl.iter
-        (fun _ s ->
-          s.compiled_memo <- None;
-          s.fused_memo <- None)
-        t.sessions_by_client);
+  Keystore.on_change t.keystore (fun () -> drop_programs t);
   Machine.register_syscall machine Sysno.smod_find ~name:"smod_find" (fun _m p args ->
       sys_find t p ~name_addr:args.(0) ~version:args.(1));
   Machine.register_syscall machine Sysno.smod_start_session ~name:"smod_start_session"

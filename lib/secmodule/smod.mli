@@ -325,7 +325,10 @@ val set_policy_fuse : t -> bool -> unit
     [origin_ring], [origin_transport]) resolve against kernel-held
     session state on every engine; compilation fails closed when one
     names an unknown module, ring, or transport.  Stateful arms
-    (quotas, rate limits) still evaluate per slot.  Default: off. *)
+    (quotas, rate limits) still evaluate per slot.  Changing the value
+    drops every compiled program and session memo, as a keystore change
+    does, so the next call compiles with or without a plan.  Default:
+    off. *)
 
 val policy_fuse_enabled : t -> bool
 
@@ -333,11 +336,11 @@ val set_policy_vectorize : t -> bool -> unit
 (** Layer batch-major residue execution (E25, {!Smod_keynote.Vexec}) on
     top of fused policies (requires both {!set_policy_compile} and
     {!set_policy_fuse} on to take effect): before the stamp loop of a
-    ring batch or a poller sweep, the varying attributes of every
-    evaluable submitted slot are gathered into struct-of-arrays columns
-    and the residue executes one pass per opcode over all lanes,
-    charging {!Smod_sim.Cost_model.Policy_vector_op} at
-    [ceil(live_lanes/W)] units per pass.  Per-lane verdict masks keep
+    ring batch or a poller sweep, every evaluable submitted slot becomes
+    a lane, each lane replays the residue, and the batch is charged as
+    one pass per opcode position over all lanes:
+    {!Smod_sim.Cost_model.Policy_vector_op} at [ceil(live_lanes/W)]
+    units per pass.  Per-lane verdict masks keep
     denied lanes out of later passes; verdicts, quota state transitions,
     and denial reasons are identical to the slot-major path (the
     four-way differential in test/test_compile.ml asserts it).  The

@@ -196,7 +196,7 @@ let reap_blocking c ring =
 
 (* The general batch loop: each element names its own function, so one
    batch can carry a mixed function column — what the vectorized
-   admission path (E25) gathers into its SoA lanes. *)
+   admission path (E25) gathers into its lanes. *)
 let call_batch_funcs c calls =
   let machine = Smod.machine c.smod in
   let clock = Machine.clock machine in

@@ -69,7 +69,7 @@ val call_batch_funcs :
   conn -> (int * int array) list -> (int, Smod_kern.Errno.t * string) result list
 (** Like {!call_batch_id}, but each element names its own [(func_id,
     args)] — one batch carrying a mixed function column, the shape the
-    vectorized admission path (E25) gathers into SoA lanes.  Unknown
+    vectorized admission path (E25) gathers into lanes.  Unknown
     function ids fail their slot alone ([Error (EINVAL, _)]), exactly as
     a denied slot does. *)
 

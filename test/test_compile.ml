@@ -295,7 +295,9 @@ let prop_fused_matches_compiled_and_interpreted =
 
 (* Snapshot reuse across batches: re-arming must be unnecessary as long
    as the program is live.  Run the same slot through two snapshots and a
-   shared one many times — verdicts and op counts must be stable. *)
+   shared one many times — verdicts and op counts must be stable — with a
+   vectorized batch over every slot on each snapshot between slots, since
+   its lanes replay on the snapshot's nodes too. *)
 let prop_snapshot_reusable =
   QCheck.Test.make ~name:"snapshot reusable across batches" ~count:300
     (QCheck.make ~print:print_fused_query (QCheck.Gen.pair gen_query gen_origin))
@@ -311,12 +313,22 @@ let prop_snapshot_reusable =
           let snap1 = Fuse.begin_batch plan ~origin ~attrs:base in
           let snap2 = Fuse.begin_batch plan ~origin ~attrs:base in
           let o1 = Fuse.run_slot plan snap1 ~origin ~attrs:base in
+          let slots = batch_slots base @ [ base; base ] in
+          let lanes =
+            Array.of_list
+              (List.map (fun attrs -> { Vexec.l_origin = origin; l_attrs = attrs }) slots)
+          in
+          let vector snap = Vexec.run_residue plan snap ~width:Vexec.default_width ~lanes in
+          let v1 = vector snap1 in
           List.for_all
             (fun slot ->
               let a = Fuse.run_slot plan snap1 ~origin ~attrs:slot in
+              let va = vector snap1 in
               let b = Fuse.run_slot plan snap2 ~origin ~attrs:slot in
-              a.Compile.index = b.Compile.index && a.Compile.ops = b.Compile.ops)
-            (batch_slots base @ [ base; base ])
+              let vb = vector snap2 in
+              a.Compile.index = b.Compile.index && a.Compile.ops = b.Compile.ops
+              && va = v1 && vb = v1)
+            slots
           &&
           let o1' = Fuse.run_slot plan snap1 ~origin ~attrs:base in
           o1'.Compile.index = o1.Compile.index && o1'.Compile.ops = o1.Compile.ops)
@@ -325,14 +337,14 @@ let prop_snapshot_reusable =
 (* Vectorized batch engine (E25): Vexec ≡ run_slot ≡ Compile ≡ Eval    *)
 (* ------------------------------------------------------------------ *)
 
-(* The four-way differential: the min-pc uniform walk over SoA lanes
-   computes, per lane, exactly the verdict of the slot-major fused
-   replay, the per-slot compiled pass, and the interpreted checker —
-   over generated programs that include origin predicates, per-lane
-   attribute divergence (different functions, calls_so_far extremes) and
-   the early-deny short-circuits fused test+jf produces.  At one lane
-   the walk must also charge exactly the scalar residue op count: the
-   honest fallback the batch-1 bench row relies on. *)
+(* The four-way differential: the vectorized lanes compute, per lane,
+   exactly the verdict of the slot-major fused replay, the per-slot
+   compiled pass, and the interpreted checker — over generated programs
+   that include origin predicates, per-lane attribute divergence
+   (different functions, calls_so_far extremes) and the early-deny
+   short-circuits fused test+jf produces.  At one lane the vector path
+   must also charge exactly the scalar residue op count: the honest
+   fallback the batch-1 bench row relies on. *)
 let prop_vectorized_matches_all =
   QCheck.Test.make ~name:"vectorized = fused = per-slot = interpreted (batch)"
     ~count:2000
@@ -387,6 +399,251 @@ let prop_vectorized_matches_all =
                           solo.Vexec.vr_units f.Compile.ops
                       else true)
                   slots))
+
+(* The lockstep walk Vexec ran before it derived its charge from lane
+   paths, kept here as the reference for [vr_indices], [vr_passes] and
+   [vr_units].  Every lane has its own pc, stack, accumulator and node
+   column seeded from the snapshot, which the walk never writes.  The walk
+   position is the minimum pc over live lanes: the opcode there runs for
+   exactly the lanes whose pc sits on it, lanes that jumped ahead sleep,
+   and a lane leaves the live set by running off the end of the segment.
+   Each pass costs ceil(live/W) units.  Opcode semantics are written out
+   again here, so the reference shares no code with the executor.  Needs
+   at least one lane. *)
+let reference_walk plan (snapshot : Fuse.snapshot) ~width ~(lanes : Vexec.lane array) =
+  let holds op c =
+    match op with
+    | Ast.Eq -> c = 0
+    | Ast.Ne -> c <> 0
+    | Ast.Lt -> c < 0
+    | Ast.Le -> c <= 0
+    | Ast.Gt -> c > 0
+    | Ast.Ge -> c >= 0
+  in
+  let kth_largest k values =
+    match List.nth_opt (List.sort (fun a b -> compare b a) values) (k - 1) with
+    | Some v -> v
+    | None -> 0
+  in
+  let origin_value (o : Fuse.origin) = function
+    | Compile.OF_module -> o.Fuse.o_module
+    | Compile.OF_ring -> string_of_int o.Fuse.o_ring
+    | Compile.OF_transport -> o.Fuse.o_transport
+  in
+  let n = Array.length lanes in
+  let levels = Fuse.levels plan in
+  let segs = Fuse.segments plan in
+  let nodes = Array.init n (fun _ -> Array.copy snapshot.Fuse.s_nodes) in
+  let stacks = Array.init n (fun _ -> Array.make (Fuse.max_seg plan + 1) 0) in
+  let sp = Array.make n 0 in
+  let acc = Array.make n 0 in
+  let pc = Array.make n 0 in
+  let result = Array.make n 0 in
+  let passes = ref 0 and units = ref 0 in
+  let operand_value k = function
+    | Compile.O_str s -> s
+    | Compile.O_attr a -> (
+        match List.assoc_opt a lanes.(k).Vexec.l_attrs with Some v -> v | None -> "")
+  in
+  let test k a op b = holds op (Eval.compare_values (operand_value k a) (operand_value k b)) in
+  let otest k f op b =
+    holds op
+      (Eval.compare_values (origin_value lanes.(k).Vexec.l_origin f) (operand_value k b))
+  in
+  (* One opcode for one lane, over lane [k]'s columns; updates [pc.(k)]. *)
+  let exec_one op k =
+    let st = stacks.(k) in
+    let push v =
+      st.(sp.(k)) <- v;
+      sp.(k) <- sp.(k) + 1
+    in
+    let pop () =
+      sp.(k) <- sp.(k) - 1;
+      st.(sp.(k))
+    in
+    let advance () = pc.(k) <- pc.(k) + 1 in
+    let jump_unless cond target v =
+      if cond then advance ()
+      else begin
+        push v;
+        pc.(k) <- target
+      end
+    in
+    match op with
+    | Compile.Test (a, op, b) ->
+        push (if test k a op b then 1 else 0);
+        advance ()
+    | Compile.Push_bool b ->
+        push (if b then 1 else 0);
+        advance ()
+    | Compile.Not_top ->
+        st.(sp.(k) - 1) <- (if st.(sp.(k) - 1) = 0 then 1 else 0);
+        advance ()
+    | Compile.Jfalse target ->
+        if st.(sp.(k) - 1) = 0 then pc.(k) <- target
+        else begin
+          ignore (pop ());
+          advance ()
+        end
+    | Compile.Jtrue target ->
+        if st.(sp.(k) - 1) <> 0 then pc.(k) <- target
+        else begin
+          ignore (pop ());
+          advance ()
+        end
+    | Compile.Node_begin ->
+        acc.(k) <- 0;
+        advance ()
+    | Compile.Clause level ->
+        if pop () <> 0 then acc.(k) <- max acc.(k) level;
+        advance ()
+    | Compile.Push_level v ->
+        push v;
+        advance ()
+    | Compile.Load_node i ->
+        push nodes.(k).(i);
+        advance ()
+    | Compile.Min2 ->
+        let b = pop () in
+        let a = pop () in
+        push (min a b);
+        advance ()
+    | Compile.Max2 ->
+        let b = pop () in
+        let a = pop () in
+        push (max a b);
+        advance ()
+    | Compile.Kof (kk, count) ->
+        let members = ref [] in
+        for _ = 1 to count do
+          members := pop () :: !members
+        done;
+        push (kth_largest kk !members);
+        advance ()
+    | Compile.Node_end i ->
+        let lic = pop () in
+        nodes.(k).(i) <- min acc.(k) lic;
+        advance ()
+    | Compile.Node_end_const (i, lic) ->
+        nodes.(k).(i) <- min acc.(k) lic;
+        advance ()
+    | Compile.Store_node i ->
+        nodes.(k).(i) <- pop ();
+        advance ()
+    | Compile.Root (base, roots) ->
+        push (Array.fold_left (fun m i -> max m nodes.(k).(i)) base roots);
+        advance ()
+    | Compile.Test_jf (a, op, b, target) -> jump_unless (test k a op b) target 0
+    | Compile.Test_jt (a, op, b, target) -> jump_unless (not (test k a op b)) target 1
+    | Compile.Test_clause (a, op, b, level) ->
+        if test k a op b then acc.(k) <- max acc.(k) level;
+        advance ()
+    | Compile.Load_max i ->
+        st.(sp.(k) - 1) <- max st.(sp.(k) - 1) nodes.(k).(i);
+        advance ()
+    | Compile.Const_max c ->
+        st.(sp.(k) - 1) <- max st.(sp.(k) - 1) c;
+        advance ()
+    | Compile.Const_min c ->
+        st.(sp.(k) - 1) <- min st.(sp.(k) - 1) c;
+        advance ()
+    | Compile.Origin_test (f, op, b) ->
+        push (if otest k f op b then 1 else 0);
+        advance ()
+    | Compile.Origin_jf (f, op, b, target) -> jump_unless (otest k f op b) target 0
+    | Compile.Origin_jt (f, op, b, target) -> jump_unless (not (otest k f op b)) target 1
+    | Compile.Origin_clause (f, op, b, level) ->
+        if otest k f op b then acc.(k) <- max acc.(k) level;
+        advance ()
+  in
+  Array.iter
+    (fun si ->
+      let ops = segs.(si).Fuse.ops in
+      let len = Array.length ops in
+      Array.fill pc 0 n 0;
+      Array.fill sp 0 n 0;
+      let w = ref 0 in
+      while !w < len do
+        let live = ref 0 in
+        for k = 0 to n - 1 do
+          if pc.(k) < len then incr live
+        done;
+        incr passes;
+        units := !units + ((!live + width - 1) / width);
+        let op = ops.(!w) in
+        for k = 0 to n - 1 do
+          if pc.(k) = !w then exec_one op k
+        done;
+        let next = ref max_int in
+        for k = 0 to n - 1 do
+          if pc.(k) < len && pc.(k) < !next then next := pc.(k)
+        done;
+        w := !next
+      done;
+      for k = 0 to n - 1 do
+        if sp.(k) > 0 then result.(k) <- stacks.(k).(sp.(k) - 1)
+      done)
+    (Fuse.residue_segments plan);
+  {
+    Vexec.vr_indices = Array.map (fun r -> max 0 (min (Array.length levels - 1) r)) result;
+    vr_passes = !passes;
+    vr_units = !units;
+  }
+
+(* Vexec's charge, derived from lane paths, equals the lockstep walk's on
+   generated programs: 1-64 lanes whose function and calls_so_far differ
+   lane to lane (so lanes diverge and some deny early), at lane widths 1,
+   2, 8 and 64.  Seeded, so a failure reproduces. *)
+let prop_vector_charge_matches_walk =
+  let gen_lane_value =
+    QCheck.Gen.(
+      oneof [ map string_of_int (int_range (-2) 3); oneofl [ "x"; "libc"; "f1"; "g"; "" ] ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (pair gen_query gen_origin)
+        (pair (oneofl [ 1; 2; 8; 64 ])
+           (list_size (1 -- 64) (pair gen_lane_value gen_lane_value))))
+  in
+  let print (q, (width, lanes)) =
+    Printf.sprintf "%s\nwidth %d, %d lanes (function, calls_so_far): %s" (print_fused_query q)
+      width (List.length lanes)
+      (String.concat " " (List.map (fun (f, c) -> Printf.sprintf "(%S,%S)" f c) lanes))
+  in
+  QCheck.Test.make ~name:"vector charge = lockstep walk (lanes, widths)" ~count:500
+    (QCheck.make ~print gen)
+    (fun (((policy, credentials, attrs0, requesters), origin), (width, lane_vals)) ->
+      let base =
+        List.filter
+          (fun (k, _) ->
+            not (List.mem k Compile.origin_attrs || List.mem k Policy.batch_varying_attrs))
+          attrs0
+        @ origin_pairs origin
+      in
+      match Compile.compile ~policy ~credentials ~requesters ~levels () with
+      | Error e -> QCheck.Test.fail_reportf "compile failed on valid levels: %s" e
+      | Ok prog ->
+          let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
+          let snap = Fuse.begin_batch plan ~origin ~attrs:base in
+          let lanes =
+            Array.of_list
+              (List.map
+                 (fun (f, c) ->
+                   {
+                     Vexec.l_origin = origin;
+                     l_attrs = ("function", f) :: ("calls_so_far", c) :: base;
+                   })
+                 lane_vals)
+          in
+          let expected = reference_walk plan snap ~width ~lanes in
+          let got = Vexec.run_residue plan snap ~width ~lanes in
+          if got <> expected then
+            QCheck.Test.fail_reportf
+              "run_residue passes %d units %d, walk passes %d units %d (indices %s)"
+              got.Vexec.vr_passes got.Vexec.vr_units expected.Vexec.vr_passes
+              expected.Vexec.vr_units
+              (if got.Vexec.vr_indices = expected.Vexec.vr_indices then "equal" else "differ")
+          else true)
 
 (* The lane-mask accounting, pinned on a hand-built ladder: a lane that
    fails the matching rung's first test jumps forward to the join point
@@ -1508,6 +1765,34 @@ let test_set_policy_evicts () =
   Alcotest.(check int) "evicted" 0 (Hashtbl.length entry.Registry.compiled_cache);
   Alcotest.(check int) "revision bumped" (rev0 + 1) entry.Registry.policy_rev
 
+(* A program carries a fused plan only if fusion was on when it
+   compiled.  Turning fusion on later must reach the session that
+   compiled the program and a new session with the same credential:
+   each then arms exactly one fused batch for its next call. *)
+let test_late_fusion_takes_effect () =
+  let world = World.create ~with_rpc:false ~policy:(client_keynote_policy ()) () in
+  let smod = world.World.smod in
+  Smod.set_policy_compile smod true;
+  let armed call =
+    let batches () =
+      Option.value ~default:0 (Smod_metrics.counter_value "keynote.fused_batches")
+    in
+    let before = batches () in
+    call ();
+    batches () - before
+  in
+  let same = ref (-1) and fresh = ref (-1) in
+  World.spawn_seclibc_client world ~name:"compiled-unfused" (fun _p conn ->
+      ignore (Smod_libc.Seclibc.Client.test_incr conn 1);
+      Smod.set_policy_fuse smod true;
+      same := armed (fun () -> ignore (Smod_libc.Seclibc.Client.test_incr conn 2)));
+  World.run world;
+  World.spawn_seclibc_client world ~name:"fresh-session" (fun _p conn ->
+      fresh := armed (fun () -> ignore (Smod_libc.Seclibc.Client.test_incr conn 3)));
+  World.run world;
+  Alcotest.(check int) "same session runs fused" 1 !same;
+  Alcotest.(check int) "new session runs fused" 1 !fresh
+
 (* ------------------------------------------------------------------ *)
 (* Fail closed on compliance levels outside the policy's ordering      *)
 (* ------------------------------------------------------------------ *)
@@ -1803,7 +2088,11 @@ let () =
           tc "policy vector parity over quota composite" test_policy_vector_parity;
           tc "vectorized dispatch end to end" test_vectorized_dispatch_end_to_end;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_vectorized_matches_all ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_vectorized_matches_all ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+              prop_vector_charge_matches_walk;
+          ] );
       ( "origin",
         [
           tc "origin validation fails closed" test_origin_validation_fails_closed;
@@ -1854,5 +2143,6 @@ let () =
           tc "fused snapshot dropped on rotation" test_fused_rotation_between_batches;
           tc "attach clause across rotation" test_attach_clause_across_rotation;
           tc "set_policy evicts" test_set_policy_evicts;
+          tc "late fusion takes effect" test_late_fusion_takes_effect;
         ] );
     ]

@@ -285,6 +285,97 @@ let test_one_batch_metric_deltas () =
   Alcotest.(check int) "1 ring batch" 1 (delta "ring.batches");
   Alcotest.(check int) "16 ring submits" batch (delta "ring.submits")
 
+(* The engine twin of "one dispatch, counted": one steady-state call per
+   KeyNote engine, counted exactly.  The e2e keynote.*_per_call metrics
+   are computed from these counters.  The policy is a quota composite, so
+   every ring slot is its own vector lane (no per-function dedup); its
+   KeyNote arm has one function-reading rung (the per-slot residue) and
+   one batch-invariant rung (the fused prefix). *)
+let test_one_call_per_engine_metric_deltas () =
+  let counter name =
+    match Smod_metrics.counter_value name with
+    | Some v -> v
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
+  let watched =
+    [
+      "keynote.compiled_runs";
+      "keynote.compiled_ops";
+      "keynote.fused_batches";
+      "keynote.fused_slots";
+      "keynote.fused_ops";
+      "keynote.vector_batches";
+      "keynote.vector_lanes";
+      "keynote.vector_passes";
+      "keynote.vector_units";
+      "secmodule.policy_checks";
+    ]
+  in
+  let rung cond =
+    Smod_keynote.Parse.assertion_of_string
+      (Printf.sprintf
+         "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+          conditions: %s -> \"allow\";\n"
+         cond)
+  in
+  let policy =
+    Secmodule.Policy.All_of
+      [
+        Secmodule.Policy.Call_quota 1_000;
+        Secmodule.Policy.Keynote
+          {
+            policy =
+              [
+                rung "module == \"seclibc\" && function != \"abs\"";
+                rung "module == \"seclibc\" && clause == 1";
+              ];
+            levels = [| "deny"; "allow" |];
+            min_level = "allow";
+            attrs = [];
+          };
+      ]
+  in
+  let measure ~fuse ~vectorize call =
+    let world = World.create ~with_rpc:false ~policy () in
+    let smod = world.World.smod in
+    Secmodule.Smod.set_policy_compile smod true;
+    Secmodule.Smod.set_policy_fuse smod fuse;
+    Secmodule.Smod.set_policy_vectorize smod vectorize;
+    let deltas = ref [] in
+    World.spawn_seclibc_client world ~name:"engine-client" (fun _p conn ->
+        (* Warm up: compile, plan, arm the fused context and the ring. *)
+        call conn;
+        let before = List.map (fun n -> (n, counter n)) watched in
+        call conn;
+        deltas := List.map (fun (n, b) -> (n, counter n - b)) before);
+    World.run world;
+    !deltas
+  in
+  let check label expected deltas =
+    List.iter2
+      (fun want (name, got) -> Alcotest.(check int) (label ^ ": " ^ name) want got)
+      expected deltas
+  in
+  let msgq conn = ignore (Smod_libc.Seclibc.Client.test_incr conn 1) in
+  let ring conn =
+    List.iteri
+      (fun i r ->
+        match r with
+        | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i + 1) v
+        | Error (_, m) -> Alcotest.failf "slot %d failed: %s" i m)
+      (Secmodule.Stub.call_batch conn ~func:"test_incr" (List.init 16 (fun i -> [| i |])))
+  in
+  (* Columns in [watched] order.  Compiled: the whole program, 13 ops.
+     Fused: the snapshot armed in warm-up serves the call, which replays a
+     6-op residue.  Vectorized: 16 lanes on one path of 6 positions, each
+     pass ceil(16/8) = 2 units; the quota arm checks every lane. *)
+  check "compiled msgq call" [ 1; 13; 0; 0; 0; 0; 0; 0; 0; 1 ]
+    (measure ~fuse:false ~vectorize:false msgq);
+  check "fused msgq call" [ 0; 0; 0; 1; 6; 0; 0; 0; 0; 1 ]
+    (measure ~fuse:true ~vectorize:false msgq);
+  check "vectorized 16-lane ring batch" [ 0; 0; 0; 0; 0; 1; 16; 6; 12; 16 ]
+    (measure ~fuse:true ~vectorize:true ring)
+
 let test_ring_beats_msgq () =
   (* The E18 headline, asserted as a test: at batch 16 the ring is at
      least 3x faster per call than the legacy msgq transport, in the
@@ -371,6 +462,7 @@ let () =
           tc "figure-1 trace sequence" test_trace_example_sequence;
           tc "one dispatch, counted" test_one_dispatch_metric_deltas;
           tc "one batch, counted (ring twin)" test_one_batch_metric_deltas;
+          tc "one call per engine, counted" test_one_call_per_engine_metric_deltas;
           tc "ring >= 3x msgq at batch 16" test_ring_beats_msgq;
           tc "no frame leaks across sessions" test_many_sessions_frames_released;
           tc "successive worlds start zeroed" test_successive_worlds_start_zeroed;
