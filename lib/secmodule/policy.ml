@@ -182,12 +182,14 @@ let check ~clock ~now_us ~credential ~attrs policy state =
    their interpreted (and stateful) evaluation — they are already a single
    counter check.  A compiled policy is valid for exactly one (credential,
    policy revision, keystore generation) triple; the registry entry's
-   cache and the session memo in [Smod.policy_of] key on that. *)
+   cache and the session's program slot in [Smod] key on that. *)
 type compiled =
   | C_pass of t
   | C_keynote of {
       program : Compile.t;
-      plan : Fuse.t option;  (* fused lowering, built when the kernel opts in *)
+      plan : (Fuse.t * int) option;
+          (* the fused lowering, built when the kernel opts in, and the
+             index of its snapshot in a prepared program *)
       min_index : int;
       min_level : string;
       static_attrs : (string * string) list;
@@ -206,6 +208,8 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
   Clock.charge_n clock Cost.Cred_check
     (max 1 (List.length credential.Credential.assertions));
   let verified = Credential.verify_signatures keystore credential in
+  (* Planned arms are numbered in tree order, the order [prepare] walks. *)
+  let planned = ref 0 in
   let rec arm p =
     match p with
     | Keynote { policy = assertions; levels; min_level; attrs = static_attrs } ->
@@ -225,7 +229,11 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
           | Ok program ->
               let min_index = min_index ~levels ~min_level in
               let plan =
-                if fuse then Some (Fuse.plan program ~varying:batch_varying_attrs)
+                if fuse then begin
+                  let pos = !planned in
+                  incr planned;
+                  Some (Fuse.plan program ~varying:batch_varying_attrs, pos)
+                end
                 else None
               in
               C_keynote { program; plan; min_index; min_level; static_attrs; policy = p }
@@ -238,11 +246,40 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
   in
   arm policy
 
-let rec check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state =
+(* A prepared program is the compiled tree plus, for every planned KeyNote
+   arm, the snapshot its batch-invariant prefix produced, at the arm's
+   index.  Stateful arms ([C_pass] quotas, rate limits) keep their per-call
+   interpreted evaluation — preparing must not change when a quota
+   decrements. *)
+type prepared = { tree : compiled; snapshots : Fuse.snapshot array }
+
+(* Run each planned arm's invariant prefix once, in tree order, charging
+   the amortized setup ([Policy_fused_setup] plus the prefix opcodes) to
+   the caller — every check then pays only residue opcodes.  [attrs] are
+   the batch-invariant attributes (module, phase, origin pairs); no prefix
+   opcode reads a varying attribute. *)
+let prepare ~clock ~origin ~attrs tree =
+  let rec walk acc = function
+    | C_keynote { plan = Some (plan, _); static_attrs; _ } ->
+        Clock.charge clock Cost.Policy_fused_setup;
+        let snapshot = Fuse.begin_batch plan ~origin ~attrs:(attrs @ static_attrs) in
+        Clock.charge_n clock Cost.Policy_compiled_op snapshot.Fuse.s_setup_ops;
+        snapshot :: acc
+    | C_all (cs, _) -> List.fold_left walk acc cs
+    | C_pass _ | C_keynote { plan = None; _ } | C_deny _ -> acc
+  in
+  { tree; snapshots = Array.of_list (List.rev (walk [] tree)) }
+
+let rec check_arm ~clock ~now_us ~credential ~origin ~attrs snapshots compiled state =
   match (compiled, state) with
   | C_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | C_keynote { program; min_index; min_level; static_attrs; policy; plan = _ }, S_none ->
-      let outcome = Compile.run program ~attrs:(attrs @ static_attrs) in
+  | C_keynote { program; plan; min_index; min_level; static_attrs; policy }, S_none ->
+      let attrs = attrs @ static_attrs in
+      let outcome =
+        match plan with
+        | Some (plan, pos) -> Fuse.run_slot plan snapshots.(pos) ~origin ~attrs
+        | None -> Compile.run program ~attrs
+      in
       Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
       keynote_verdict policy ~min_index ~min_level ~index:outcome.Compile.index
         ~level:outcome.Compile.level
@@ -250,86 +287,18 @@ let rec check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state =
       Clock.charge clock Cost.Policy_compiled_op;
       deny policy reason
   | C_all (cs, policy), S_list states ->
-      all_of policy (check_compiled_inner ~clock ~now_us ~credential ~attrs) cs states
+      all_of policy (check_arm ~clock ~now_us ~credential ~origin ~attrs snapshots) cs states
   | C_keynote { policy; _ }, _ | C_all (_, policy), _ ->
       deny policy "policy/state shape mismatch"
 
-let check_compiled ~clock ~now_us ~credential ~attrs compiled state =
-  counted (check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state)
-
-(* ------------------------------------------------------------------ *)
-(* Fused batch checking                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A fused context is a compiled tree armed for one batch: every planned
-   KeyNote arm carries the snapshot its batch-invariant prefix produced.
-   Stateful arms ([C_pass] quotas, rate limits) keep their per-slot
-   interpreted evaluation — batching must not change when a quota
-   decrements.  Arms compiled without a plan (fusion off at compile time)
-   fall back to per-slot [Compile.run], so a context is always total. *)
-type fused_ctx =
-  | FC_pass of t
-  | FC_keynote of {
-      plan : Fuse.t;
-      snapshot : Fuse.snapshot;
-      min_index : int;
-      min_level : string;
-      static_attrs : (string * string) list;
-      policy : t;
-    }
-  | FC_slow of compiled  (* no plan: per-slot compiled execution *)
-  | FC_deny of { reason : string; policy : t }
-  | FC_all of fused_ctx list * t
-
-let rec fusible = function
-  | C_keynote { plan = Some _; _ } -> true
-  | C_all (cs, _) -> List.exists fusible cs
-  | C_pass _ | C_keynote { plan = None; _ } | C_deny _ -> false
-
-(* Arm the compiled tree for a batch: run each planned arm's invariant
-   prefix once, charging the amortized setup ([Policy_fused_setup] plus
-   the prefix opcodes) to the caller — the per-slot loop then pays only
-   residue opcodes.  [attrs] are the batch-invariant attributes (module,
-   phase, origin pairs); no prefix opcode reads a varying attribute. *)
-let begin_fused ~clock ~origin ~attrs compiled =
-  let rec arm = function
-    | C_pass p -> FC_pass p
-    | C_deny { reason; policy } -> FC_deny { reason; policy }
-    | C_keynote { plan = None; _ } as c -> FC_slow c
-    | C_keynote { plan = Some plan; min_index; min_level; static_attrs; policy; _ } ->
-        Clock.charge clock Cost.Policy_fused_setup;
-        let snapshot = Fuse.begin_batch plan ~origin ~attrs:(attrs @ static_attrs) in
-        Clock.charge_n clock Cost.Policy_compiled_op snapshot.Fuse.s_setup_ops;
-        FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }
-    | C_all (cs, p) -> FC_all (List.map arm cs, p)
-  in
-  arm compiled
-
-let rec check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state =
-  match (ctx, state) with
-  | FC_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | FC_slow c, s -> check_compiled_inner ~clock ~now_us ~credential ~attrs c s
-  | FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }, S_none ->
-      let outcome = Fuse.run_slot plan snapshot ~origin ~attrs:(attrs @ static_attrs) in
-      Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      keynote_verdict policy ~min_index ~min_level ~index:outcome.Compile.index
-        ~level:outcome.Compile.level
-  | FC_deny { reason; policy }, _ ->
-      Clock.charge clock Cost.Policy_compiled_op;
-      deny policy reason
-  | FC_all (cs, policy), S_list states ->
-      all_of policy (check_fused_inner ~clock ~now_us ~credential ~origin ~attrs) cs states
-  | FC_keynote { policy; _ }, _ | FC_all (_, policy), _ ->
-      deny policy "policy/state shape mismatch"
-
-let check_fused ~clock ~now_us ~credential ~origin ~attrs ctx state =
-  counted (check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state)
+let check_compiled ~clock ~now_us ~credential ~origin ~attrs { tree; snapshots } state =
+  counted (check_arm ~clock ~now_us ~credential ~origin ~attrs snapshots tree state)
 
 (* ------------------------------------------------------------------ *)
 (* Vectorized (batch-major) checking — E25                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Arm-major evaluation of a whole batch: each arm of the fused tree is
+(* Arm-major evaluation of a whole batch: each arm of the prepared tree is
    evaluated over all lanes before the next arm runs, with a shared
    alive mask so an arm never touches a lane an earlier arm already
    denied.  KeyNote arms run batch-major through [Vexec]; stateful arms
@@ -338,31 +307,32 @@ let check_fused ~clock ~now_us ~credential ~origin ~attrs ctx state =
    k depends only on how many earlier lanes reached that arm, and the
    alive mask is precisely "reached".
 
-   Eligibility is conservative and decided per batch from the armed
-   context:
+   Eligibility is conservative and decided per batch from the prepared
+   program:
 
+   - a program with no planned arm has no residue to vectorize;
    - a residue that reads a volatile attribute ([calls_so_far]) has a
      lane-order data dependency — lane k's value depends on earlier
      lanes' overall verdicts — so it stays slot-major;
    - clock-dependent arms ([Rate_limit], [Time_window]) are excluded
      because arm-major charge reordering shifts [now_us] at evaluation
      relative to the slot-major path;
-   - unplanned arms ([FC_slow]) have no residue to vectorize.
+   - unplanned KeyNote arms have no residue to vectorize.
 
-   An ineligible tree simply keeps the fused slot-major path — the
-   dispatcher falls back wholesale, never per arm. *)
+   An ineligible tree simply keeps the slot-major path — the dispatcher
+   falls back wholesale, never per arm. *)
 
-type vector_lane = { vl_origin : Fuse.origin; vl_attrs : (string * string) list }
+let vector_eligible { tree; snapshots } =
+  let rec eligible = function
+    | C_pass (Always_allow | Session_lifetime | Call_quota _) | C_deny _ -> true
+    | C_pass _ | C_keynote { plan = None; _ } -> false
+    | C_keynote { plan = Some (plan, _); _ } -> not (Fuse.residue_reads plan volatile_attrs)
+    | C_all (cs, _) -> List.for_all eligible cs
+  in
+  Array.length snapshots > 0 && eligible tree
 
-let rec vector_eligible = function
-  | FC_pass (Always_allow | Session_lifetime | Call_quota _) -> true
-  | FC_pass _ -> false
-  | FC_keynote { plan; _ } -> not (Fuse.residue_reads plan volatile_attrs)
-  | FC_slow _ -> false
-  | FC_deny _ -> true
-  | FC_all (cs, _) -> List.for_all vector_eligible cs
-
-let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) ctx state =
+let check_vector ~clock ~now_us ~credential ~width ~(lanes : Vexec.lane array)
+    { tree; snapshots } state =
   let n = Array.length lanes in
   let alive = Array.make n true in
   let results : (unit, denial) result array = Array.make n (Ok ()) in
@@ -371,28 +341,22 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
     results.(k) <- Error d
   in
   let live () = Array.fold_left (fun a b -> if b then a + 1 else a) 0 alive in
-  let rec arm ctx state =
-    match (ctx, state) with
-    | FC_pass p, s ->
+  let rec arm compiled state =
+    match (compiled, state) with
+    | (C_pass _ | C_keynote { plan = None; _ }), s ->
+        (* Per lane, in lane order; an unplanned KeyNote arm is
+           unreachable under [vector_eligible], but stay total. *)
         Array.iteri
-          (fun k lane ->
-            if alive.(k) then
-              match check_inner ~clock ~now_us ~credential ~attrs:lane.vl_attrs p s with
-              | Ok () -> ()
-              | Error d -> kill k d)
-          lanes
-    | FC_slow c, s ->
-        (* Unreachable under [vector_eligible], but stay total. *)
-        Array.iteri
-          (fun k lane ->
+          (fun k (lane : Vexec.lane) ->
             if alive.(k) then
               match
-                check_compiled_inner ~clock ~now_us ~credential ~attrs:lane.vl_attrs c s
+                check_arm ~clock ~now_us ~credential ~origin:lane.l_origin
+                  ~attrs:lane.l_attrs snapshots compiled s
               with
               | Ok () -> ()
               | Error d -> kill k d)
           lanes
-    | FC_deny { reason; policy }, _ ->
+    | C_deny { reason; policy }, _ ->
         let l = live () in
         if l > 0 then begin
           Clock.charge_n clock Cost.Policy_vector_op ((l + width - 1) / width);
@@ -400,7 +364,8 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
             if alive.(k) then kill k { reason; policy }
           done
         end
-    | FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }, S_none ->
+    | C_keynote { plan = Some (plan, pos); min_index; min_level; static_attrs; policy; _ }, S_none
+      ->
         (* Lane compaction: only still-alive lanes enter the vector walk,
            so an early-denied lane drops out of the ceil(L/W) charge. *)
         let packed_idx =
@@ -410,15 +375,15 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
           done;
           Array.of_list !l
         in
-        let packed = Array.map (fun k -> lanes.(k)) packed_idx in
-        if Array.length packed > 0 then begin
+        if Array.length packed_idx > 0 then begin
           let vlanes =
             Array.map
-              (fun (l : vector_lane) ->
-                Vexec.{ l_origin = l.vl_origin; l_attrs = l.vl_attrs @ static_attrs })
-              packed
+              (fun k ->
+                let lane = lanes.(k) in
+                { lane with Vexec.l_attrs = lane.Vexec.l_attrs @ static_attrs })
+              packed_idx
           in
-          let res = Vexec.run_residue plan snapshot ~width ~lanes:vlanes in
+          let res = Vexec.run_residue plan snapshots.(pos) ~width ~lanes:vlanes in
           Clock.charge_n clock Cost.Policy_vector_op res.Vexec.vr_units;
           Array.iteri
             (fun j k ->
@@ -431,7 +396,7 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
               | Error d -> kill k d)
             packed_idx
         end
-    | FC_all (cs, policy), S_list states ->
+    | C_all (cs, policy), S_list states ->
         let rec all cs states =
           match (cs, states) with
           | [], [] -> ()
@@ -444,12 +409,12 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
               done
         in
         all cs states
-    | FC_keynote { policy; _ }, _ | FC_all (_, policy), _ ->
+    | C_keynote { policy; _ }, _ | C_all (_, policy), _ ->
         for k = 0 to n - 1 do
           if alive.(k) then kill k { reason = "policy/state shape mismatch"; policy }
         done
   in
-  arm ctx state;
+  arm tree state;
   (* Metrics parity with the slot-major paths: one check per lane, one
      denial per denied lane. *)
   Smod_metrics.Counter.add m_policy_checks n;
@@ -547,7 +512,7 @@ let fusion_stats compiled =
       }
   in
   let rec fold acc = function
-    | C_keynote { plan = Some plan; _ } -> (
+    | C_keynote { plan = Some (plan, _); _ } -> (
         let s = Fuse.stats plan in
         match acc with None -> Some s | Some a -> Some (add a s))
     | C_all (cs, _) -> List.fold_left fold acc cs

@@ -4,7 +4,15 @@
     that richer policies cost time in proportion to their complexity (§5).
     This module supplies that ladder: from the free [Always_allow] through
     counters up to full KeyNote compliance queries, so the prediction can
-    be measured (bench E9). *)
+    be measured (bench E9).
+
+    Two engines decide a call.  {!check} interprets the policy: the
+    paper's path, and the oracle for the other engine.  {!compile}
+    flattens it once per (credential, policy revision, keystore
+    generation) into one tree of decision programs, and {!prepare} runs
+    each fused arm's batch-invariant prefix against that tree.
+    {!check_compiled} decides one call on the prepared program;
+    {!check_vector} decides a whole batch arm-major on the same tree. *)
 
 type t =
   | Always_allow
@@ -74,94 +82,76 @@ val compile :
     batch plan ({!Smod_keynote.Fuse}) partitioned against
     {!batch_varying_attrs}; planning is folded into the compile charge. *)
 
+type prepared
+(** A compiled policy prepared for one origin: the compiled tree plus,
+    for every KeyNote arm that carries a fused plan, the snapshot its
+    batch-invariant prefix produced.  Valid exactly as long as the
+    compiled policy it was built from — the dispatcher keeps one per
+    session beside that policy, re-prepared when the transport changes
+    because the origin differs per path. *)
+
+val prepare :
+  clock:Smod_sim.Clock.t ->
+  origin:Smod_keynote.Fuse.origin ->
+  attrs:(string * string) list ->
+  compiled ->
+  prepared
+(** Run every planned arm's batch-invariant prefix once, in tree order,
+    charging {!Smod_sim.Cost_model.Policy_fused_setup} plus one
+    {!Smod_sim.Cost_model.Policy_compiled_op} per prefix opcode for each.
+    [attrs] are the batch-invariant attributes (module, phase, origin
+    pairs).  A policy compiled without [~fuse] prepares for free. *)
+
 val check_compiled :
   clock:Smod_sim.Clock.t ->
   now_us:float ->
   credential:Credential.t ->
+  origin:Smod_keynote.Fuse.origin ->
   attrs:(string * string) list ->
-  compiled ->
+  prepared ->
   state ->
   (unit, denial) result
 (** The compiled counterpart of {!check}: same verdicts over the same
     [state] (asserted by test/test_compile.ml), but KeyNote arms charge
     {!Smod_sim.Cost_model.Policy_compiled_op} per executed opcode instead
     of 420-cycle assertion evaluations, and no per-call credential
-    revalidation is needed (the chain was pre-verified). *)
+    revalidation is needed (the chain was pre-verified).  A planned arm
+    replays only its residue against the prepared snapshot; any other
+    KeyNote arm runs its whole program.  Stateful arms (quotas, rate
+    limits) still evaluate per call. *)
 
-type fused_ctx
-(** A compiled policy armed for one batch: every fused KeyNote arm
-    carries the node snapshot its batch-invariant prefix produced.  Valid
-    exactly as long as the compiled policy it was built from — the
-    dispatcher caches it under the same (policy revision, keystore
-    generation) key, further split by transport because the origin
-    differs per path. *)
-
-val fusible : compiled -> bool
-(** True when at least one KeyNote arm carries a fused plan (i.e. was
-    compiled with [~fuse:true]). *)
-
-val begin_fused :
-  clock:Smod_sim.Clock.t ->
-  origin:Smod_keynote.Fuse.origin ->
-  attrs:(string * string) list ->
-  compiled ->
-  fused_ctx
-(** Run every fused arm's batch-invariant prefix once, charging
-    {!Smod_sim.Cost_model.Policy_fused_setup} plus one
-    {!Smod_sim.Cost_model.Policy_compiled_op} per prefix opcode.  [attrs]
-    are the batch-invariant attributes (module, phase, origin pairs). *)
-
-val check_fused :
-  clock:Smod_sim.Clock.t ->
-  now_us:float ->
-  credential:Credential.t ->
-  origin:Smod_keynote.Fuse.origin ->
-  attrs:(string * string) list ->
-  fused_ctx ->
-  state ->
-  (unit, denial) result
-(** The per-slot residue check: same verdicts over the same [state] as
-    {!check_compiled} and {!check} (asserted by the fused differential
-    suite in test/test_compile.ml), but fused KeyNote arms charge only
-    residue opcodes.  Stateful arms (quotas, rate limits) still evaluate
-    per slot — batching never changes when a counter moves. *)
-
-type vector_lane = {
-  vl_origin : Smod_keynote.Fuse.origin;
-  vl_attrs : (string * string) list;
-      (** the lane's full per-slot attribute list, function and origin
-          pairs included — exactly what the slot-major path would pass *)
-}
-
-val vector_eligible : fused_ctx -> bool
-(** True when the armed tree can be evaluated batch-major with verdicts,
-    state transitions, and total charge order all matching the
-    slot-major path: every KeyNote arm is planned and its residue reads
-    no volatile attribute (a [calls_so_far] read makes lane k's input
-    depend on earlier lanes' verdicts), and no arm is clock-dependent
-    ([Rate_limit]/[Time_window] — arm-major evaluation would shift
-    [now_us] at their evaluation points).  Quota arms are fine: the
-    alive-mask discipline reproduces their counter order exactly. *)
+val vector_eligible : prepared -> bool
+(** True when the prepared tree can be evaluated batch-major with
+    verdicts, state transitions, and total charge order all matching the
+    slot-major path: at least one arm is planned, every KeyNote arm is
+    planned and its residue reads no volatile attribute (a [calls_so_far]
+    read makes lane k's input depend on earlier lanes' verdicts), and no
+    arm is clock-dependent ([Rate_limit]/[Time_window] — arm-major
+    evaluation would shift [now_us] at their evaluation points).  Quota
+    arms are fine: the alive-mask discipline reproduces their counter
+    order exactly. *)
 
 val check_vector :
   clock:Smod_sim.Clock.t ->
   now_us:float ->
   credential:Credential.t ->
   width:int ->
-  lanes:vector_lane array ->
-  fused_ctx ->
+  lanes:Smod_keynote.Vexec.lane array ->
+  prepared ->
   state ->
   (unit, denial) result array
-(** Evaluate one whole batch arm-major (E25): each arm of the fused tree
-    runs over all still-alive lanes before the next arm, KeyNote arms
-    batch-major through {!Smod_keynote.Vexec} (charging
+(** Evaluate one whole batch arm-major (E25): each arm of the prepared
+    tree runs over all still-alive lanes before the next arm, KeyNote
+    arms batch-major through {!Smod_keynote.Vexec} (charging
     {!Smod_sim.Cost_model.Policy_vector_op} per [ceil(live/width)]-unit
     pass, compacted as lanes are denied), stateful quota arms per lane
-    in lane order.  Returns one verdict per lane, positionally: the same
-    verdict, against the same [state], that [check_fused] would return
-    slot-major — asserted by the four-way differential in
-    test/test_compile.ml.  The caller is responsible for only invoking
-    this on {!vector_eligible} trees (it stays total regardless). *)
+    in lane order.  A lane carries its full per-slot attribute list,
+    function and origin pairs included.  Returns one verdict per lane,
+    positionally: the same verdict, against the same [state], that
+    [check_compiled] would return slot-major — asserted by the four-way
+    differential in test/test_compile.ml.  The caller is responsible for
+    only invoking this on {!vector_eligible} programs (it stays total
+    regardless). *)
 
 type compiled_stats = {
   programs : int;  (** KeyNote arms compiled to decision programs *)

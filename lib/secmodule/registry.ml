@@ -20,9 +20,9 @@ type entry = {
   (* Compiled-policy cache: Policy.compiled keyed by
      "<credential digest>\x00<policy_rev>\x00<keystore generation>", so a
      stale program can never be returned — but stale entries are also
-     flushed eagerly (policy change here, keystore change and module
-     removal in Smod) to keep the table bounded and the invalidation
-     counters honest. *)
+     flushed eagerly (policy change here; keystore change, engine switch
+     and module registration or removal in Smod) to keep the table
+     bounded and the invalidation counters honest. *)
   compiled_cache : (string, Policy.compiled) Hashtbl.t;
   mutable compile_hits : int;
   mutable compile_misses : int;
@@ -115,13 +115,26 @@ let func_id e name = Hashtbl.find_opt e.func_ids name
 let symbol_of_func_id e id =
   if id >= 0 && id < Array.length e.functions then Some e.functions.(id) else None
 
-let flush_compiled e =
+(* The program cache's traffic, counted once here for every caller.  A
+   policy swap flushes through [reset_compiled], which counts on the entry
+   only: the metric counts programs dropped by kernel-wide events (a
+   keystore change, an engine switch, module registration or removal). *)
+let m_scope = Smod_metrics.scope "secmodule"
+let m_compile_hits = Smod_metrics.Scope.counter m_scope "policy_compile_hits"
+let m_compile_misses = Smod_metrics.Scope.counter m_scope "policy_compile_misses"
+
+let m_compile_invalidations =
+  Smod_metrics.Scope.counter m_scope "policy_compile_invalidations"
+
+let reset_compiled e =
   let n = Hashtbl.length e.compiled_cache in
   if n > 0 then begin
     Hashtbl.reset e.compiled_cache;
     e.compile_invalidations <- e.compile_invalidations + n
   end;
   n
+
+let flush_compiled e = Smod_metrics.Counter.add m_compile_invalidations (reset_compiled e)
 
 let compiled_key ~cred_digest ~policy_rev ~keystore_gen =
   Printf.sprintf "%s\x00%d\x00%d" cred_digest policy_rev keystore_gen
@@ -130,17 +143,19 @@ let find_compiled e key =
   match Hashtbl.find_opt e.compiled_cache key with
   | Some c ->
       e.compile_hits <- e.compile_hits + 1;
+      Smod_metrics.Counter.incr m_compile_hits;
       Some c
   | None -> None
 
 let store_compiled e key compiled =
   e.compile_misses <- e.compile_misses + 1;
+  Smod_metrics.Counter.incr m_compile_misses;
   Hashtbl.replace e.compiled_cache key compiled
 
 let set_policy e policy =
   e.policy <- policy;
   e.policy_rev <- e.policy_rev + 1;
-  ignore (flush_compiled e)
+  ignore (reset_compiled e)
 
 let bind_native e ~name fn = Hashtbl.replace e.natives name fn
 let native e name = Hashtbl.find_opt e.natives name

@@ -77,11 +77,16 @@ val linked_image : entry -> Smod_modfmt.Smof.t
 val set_policy : entry -> Policy.t -> unit
 (** Replace the module's access policy and bump [policy_rev] so stale
     cached decisions can never be served against the new policy; also
-    flushes the compiled-program cache. *)
+    drops the compiled-program cache, counting the dropped programs in
+    [compile_invalidations] only. *)
 
 val compiled_key : cred_digest:string -> policy_rev:int -> keystore_gen:int -> string
 (** Cache key for one compiled policy: everything a program's verdicts
     depend on besides per-call action attributes. *)
+
+(** The program cache counts its own traffic, on the entry and in the
+    [secmodule.policy_compile_hits], [policy_compile_misses] and
+    [policy_compile_invalidations] metrics. *)
 
 val find_compiled : entry -> string -> Policy.compiled option
 (** Probe the compiled-program cache (counts a hit). *)
@@ -89,9 +94,9 @@ val find_compiled : entry -> string -> Policy.compiled option
 val store_compiled : entry -> string -> Policy.compiled -> unit
 (** Insert a freshly compiled program (counts a miss). *)
 
-val flush_compiled : entry -> int
-(** Drop every cached program, e.g. after a keystore rotation; returns
-    how many entries were evicted (added to [compile_invalidations]). *)
+val flush_compiled : entry -> unit
+(** Drop every cached program, e.g. after a keystore rotation, counting
+    each as an invalidation. *)
 
 val func_id : entry -> string -> int option
 (** One lookup in [func_ids]: the client stubs use the same table. *)

@@ -78,11 +78,9 @@ type session = {
   mutable client_waiting_handshake : bool;
   mutable ring : ring_state option;
   mutable cred_digest : string option;
-  mutable compiled_memo : (int * int * Policy.compiled) option;
-  mutable fused_memo : (int * int * string * Policy.fused_ctx) option;
-      (* (policy_rev, keystore_gen, transport) -> armed batch context.
-         Transport is part of the key because [origin_transport] differs
-         per admission path and one session can mix paths. *)
+  mutable program : (int * int * Policy.compiled * string * Policy.prepared) option;
+      (* (policy_rev, keystore_gen, compiled program, transport, the
+         program prepared for that transport) *)
   mutable client_exit_hook : (Proc.t -> unit) option;
 }
 
@@ -161,7 +159,6 @@ type t = {
   mutable compile_policies : bool;
   mutable fuse_policies : bool;
   mutable vectorize_policies : bool;
-  mutable vector_width : int;
   mutable dispatch_gate : (unit -> unit) option;
   mutable spin_budget : int;
   mutable poller : poller option;
@@ -191,14 +188,6 @@ let count_func ~denied ~mod_name ~func_name =
   let kind = if denied then "func_denied" else "func_calls" in
   Smod_metrics.Counter.incr
     (Smod_metrics.counter (String.concat "." [ "secmodule"; kind; mod_name; func_name ]))
-
-(* Compiled-policy cache traffic (the cache itself lives on registry
-   entries). *)
-let m_compile_hits = Smod_metrics.Scope.counter m_scope "policy_compile_hits"
-let m_compile_misses = Smod_metrics.Scope.counter m_scope "policy_compile_misses"
-
-let m_compile_invalidations =
-  Smod_metrics.Scope.counter m_scope "policy_compile_invalidations"
 
 let m_call_us =
   Smod_metrics.Scope.histogram m_scope "call_us"
@@ -244,18 +233,11 @@ let set_policy_compile t b = t.compile_policies <- b
 let policy_compile_enabled t = t.compile_policies
 
 (* Drop every registry entry's compiled programs and every live session's
-   compiled and fused memos, so the next call compiles afresh under the
-   current keystore and switches. *)
+   program slot, so the next call compiles afresh under the current
+   keystore, switches and module set. *)
 let drop_programs t =
-  List.iter
-    (fun e ->
-      Smod_metrics.Counter.add m_compile_invalidations (Registry.flush_compiled e))
-    (Registry.entries t.registry);
-  Hashtbl.iter
-    (fun _ s ->
-      s.compiled_memo <- None;
-      s.fused_memo <- None)
-    t.sessions_by_client
+  List.iter Registry.flush_compiled (Registry.entries t.registry);
+  Hashtbl.iter (fun _ s -> s.program <- None) t.sessions_by_client
 
 (* A program carries a fused plan only if fusion was on when it compiled. *)
 let set_policy_fuse t b =
@@ -267,12 +249,6 @@ let set_policy_fuse t b =
 let policy_fuse_enabled t = t.fuse_policies
 let set_policy_vectorize t b = t.vectorize_policies <- b
 let policy_vectorize_enabled t = t.vectorize_policies
-
-let set_vector_width t w =
-  if w < 1 then invalid_arg "Smod.set_vector_width: width < 1";
-  t.vector_width <- w
-
-let vector_width t = t.vector_width
 let toctou_mitigation t = t.toctou
 
 let secret_stack_top = Layout.secret_base + (Layout.secret_pages * Layout.page_size)
@@ -308,10 +284,16 @@ let handle_alive t session =
 (* Registration (trusted tool chain)                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A program compiled before this registration may have failed closed on
+   an [origin_module] literal naming the new module, so every program goes. *)
 let register t ~image ?(protection = Registry.Unmap_only) ?(policy = Policy.Session_lifetime)
     ?(admin_principal = "root") ?kernel_key ?kernel_nonce () =
-  Registry.add t.registry ~image ~protection ~policy ~admin_principal ?kernel_key
-    ?kernel_nonce ()
+  let entry =
+    Registry.add t.registry ~image ~protection ~policy ~admin_principal ?kernel_key
+      ?kernel_nonce ()
+  in
+  drop_programs t;
+  entry
 
 let bind_native t ~m_id ~name fn =
   match Registry.find_by_id t.registry m_id with
@@ -747,53 +729,6 @@ let session_cred_digest session =
       session.cred_digest <- Some d;
       d
 
-(* The compiled program for this session's (credential, policy revision,
-   keystore generation), or [None] when compilation is off.  Steady state
-   is the per-session memo (two integer compares); a memo miss probes the
-   registry entry's cache, the one program cache shared across sessions,
-   and only compiles — charging the one-time flattening and hoisted
-   signature checks — when that misses too. *)
-let policy_of t session =
-  if not t.compile_policies then None
-  else begin
-    let entry = session.entry in
-    let rev = entry.Registry.policy_rev in
-    let gen = Keystore.generation t.keystore in
-    match session.compiled_memo with
-    | Some (r, g, c) when r = rev && g = gen -> Some c
-    | _ ->
-        let clock = Machine.clock t.machine in
-        Clock.charge clock Cost.Policy_cache_probe;
-        let key =
-          Registry.compiled_key ~cred_digest:(session_cred_digest session) ~policy_rev:rev
-            ~keystore_gen:gen
-        in
-        let compiled =
-          match Registry.find_compiled entry key with
-          | Some c ->
-              Smod_metrics.Counter.incr m_compile_hits;
-              c
-          | None ->
-              let origin_env =
-                {
-                  KCompile.known_modules =
-                    List.map
-                      (fun e -> e.Registry.image.Smof.mod_name)
-                      (Registry.entries t.registry);
-                }
-              in
-              let c =
-                Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock ~keystore:t.keystore
-                  ~credential:session.credential entry.Registry.policy
-              in
-              Smod_metrics.Counter.incr m_compile_misses;
-              Registry.store_compiled entry key c;
-              c
-        in
-        session.compiled_memo <- Some (rev, gen, compiled);
-        Some compiled
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Caller provenance                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -827,29 +762,56 @@ let origin_attr_pairs (origin : Fuse.origin) =
     ("origin_transport", origin.Fuse.o_transport);
   ]
 
-(* The session's armed fused context for one transport, or [None] when
-   fusion is off or nothing in the compiled tree carries a plan.  [attrs]
-   are the batch-invariant attributes the prefix runs against.  The
-   snapshot survives across batches and scalar calls under the same
-   (policy revision, keystore generation, transport) — eager invalidation
-   clears it exactly where [compiled_memo] is cleared. *)
-let fused_of t session ~transport ~origin ~attrs =
-  if not (t.compile_policies && t.fuse_policies) then None
-  else
-    match policy_of t session with
-    | None -> None
-    | Some compiled when not (Policy.fusible compiled) -> None
-    | Some compiled -> (
-        let rev = session.entry.Registry.policy_rev in
-        let gen = Keystore.generation t.keystore in
-        match session.fused_memo with
-        | Some (r, g, tr, ctx) when r = rev && g = gen && tr = transport -> Some ctx
-        | _ ->
-            let ctx =
-              Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs compiled
-            in
-            session.fused_memo <- Some (rev, gen, transport, ctx);
-            Some ctx)
+(* The session's program prepared for [origin]'s transport, or [None]
+   when compilation is off.  Steady state is the session's slot (two
+   integer and one string compare).  A stale slot charges one
+   [Policy_cache_probe] and takes the registry entry's program, the one
+   program cache shared across sessions, or compiles, charging the
+   one-time flattening and hoisted signature checks.  A transport switch
+   re-prepares the slot's program without a probe: [origin_transport]
+   differs per admission path and one session can mix paths. *)
+let program_of t session ~origin ~attrs =
+  if not t.compile_policies then None
+  else begin
+    let entry = session.entry in
+    let rev = entry.Registry.policy_rev in
+    let gen = Keystore.generation t.keystore in
+    let transport = origin.Fuse.o_transport in
+    match session.program with
+    | Some (r, g, _, tr, prepared) when r = rev && g = gen && tr = transport -> Some prepared
+    | slot ->
+        let clock = Machine.clock t.machine in
+        let compiled =
+          match slot with
+          | Some (r, g, compiled, _, _) when r = rev && g = gen -> compiled
+          | Some _ | None -> (
+              Clock.charge clock Cost.Policy_cache_probe;
+              let key =
+                Registry.compiled_key ~cred_digest:(session_cred_digest session)
+                  ~policy_rev:rev ~keystore_gen:gen
+              in
+              match Registry.find_compiled entry key with
+              | Some c -> c
+              | None ->
+                  let origin_env =
+                    {
+                      KCompile.known_modules =
+                        List.map
+                          (fun e -> e.Registry.image.Smof.mod_name)
+                          (Registry.entries t.registry);
+                    }
+                  in
+                  let c =
+                    Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock
+                      ~keystore:t.keystore ~credential:session.credential entry.Registry.policy
+                  in
+                  Registry.store_compiled entry key c;
+                  c)
+        in
+        let prepared = Policy.prepare ~clock ~origin ~attrs compiled in
+        session.program <- Some (rev, gen, compiled, transport, prepared);
+        Some prepared
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Admission: the one access-control decision per call (§3.1)          *)
@@ -857,19 +819,26 @@ let fused_of t session ~transport ~origin ~attrs =
 
 (* What one call, ring batch or poller sweep of a session decides
    against: the caller's origin, the batch-invariant attributes, the
-   armed fused context, and which shortcuts may answer. *)
+   program when fusion fetched it up front, and which shortcuts may
+   answer. *)
 type admission = {
   a_session : session;
   a_origin : Fuse.origin;
   a_attrs : (string * string) list;  (* phase, module and the origin pairs *)
-  a_fused : Policy.fused_ctx option;
+  a_program : Policy.prepared option;
   a_fast_path : bool;
   a_cacheable : bool;
   a_cache : policy_cache_hooks option;
 }
 
-(* Arms the fused context before the first decision, even when a shortcut
-   then answers every call: the batch paths' charge order depends on it. *)
+(* The program has two fetch points.  With fusion on, admission prepares
+   it before any shortcut answers: the batch paths' charge order depends
+   on the prefix being charged first, even when a shortcut then answers
+   every call.  With fusion off there is no prefix, and the first decision
+   no shortcut answers fetches it ([decide]): smodd's decision cache
+   answers most of a pooled session's calls without a program, so fetching
+   here would add a probe per session and move the session-churn
+   workload's latencies. *)
 let admission t session ~transport =
   let policy = session.entry.Registry.policy in
   let origin = origin_of_client t ~client_pid:session.client_pid ~transport in
@@ -878,13 +847,17 @@ let admission t session ~transport =
     :: ("module", session.entry.Registry.image.Smof.mod_name)
     :: origin_attr_pairs origin
   in
-  let fused = fused_of t session ~transport ~origin ~attrs in
-  let cacheable = Policy.cacheable policy in
+  let program = if t.fuse_policies then program_of t session ~origin ~attrs else None in
+  (* A decision is reusable — by smodd's cache, the batch memo and the
+     vector pre-pass's function dedupe — only when it is a pure function
+     of (credential, module, function, policy revision): neither the
+     policy nor the credential may read a per-call attribute. *)
+  let cacheable = Policy.cacheable policy && Policy.credential_cacheable session.credential in
   {
     a_session = session;
     a_origin = origin;
     a_attrs = attrs;
-    a_fused = fused;
+    a_program = program;
     (* The §5 future-work fast path skips the re-verification only when
        the policy is stateless-permissive: its answer cannot change after
        session establishment. *)
@@ -897,13 +870,7 @@ let admission t session ~transport =
       | Policy.All_of _ ->
           false);
     a_cacheable = cacheable;
-    (* smodd's decision cache only answers decisions that are a pure
-       function of (credential, module, function, policy revision). *)
-    a_cache =
-      (match t.policy_cache with
-      | Some hooks when cacheable && Policy.credential_cacheable session.credential ->
-          Some hooks
-      | Some _ | None -> None);
+    a_cache = (if cacheable then t.policy_cache else None);
   }
 
 let call_attrs a ~func_name =
@@ -913,7 +880,7 @@ let denial_message (d : Policy.denial) =
   Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy) d.Policy.reason
 
 (* One call's verdict: the stateless fast path, then smodd's decision
-   cache, then the engine ladder — fused, compiled, interpreted — whose
+   cache, then the session's program or the interpreted policy, whose
    verdict goes back into the cache. *)
 let decide t a ~func_name =
   let session = a.a_session in
@@ -930,26 +897,26 @@ let decide t a ~func_name =
       let clock = Machine.clock t.machine in
       let credential = session.credential and state = session.policy_state in
       let attrs = call_attrs a ~func_name in
+      let program =
+        match a.a_program with
+        | Some _ as p -> p
+        | None -> program_of t session ~origin:a.a_origin ~attrs:a.a_attrs
+      in
       let verdict =
-        match a.a_fused with
-        | Some ctx ->
-            (* The invariant prefix was charged when the context was armed;
-               this call pays residue opcodes only. *)
-            Policy.check_fused ~clock ~now_us:(Clock.now_us clock) ~credential
-              ~origin:a.a_origin ~attrs ctx state
-        | None -> (
-            match policy_of t session with
-            | Some compiled ->
-                (* The credential chain was verified when the program was
-                   compiled, so no per-call Cred_check. *)
-                Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
-                  compiled state
-            | None ->
-                (* Per-call revalidation: the kernel "will then verify that
-                   p did provide the proper credentials" (§3.1). *)
-                Clock.charge clock Cost.Cred_check;
-                Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
-                  session.entry.Registry.policy state)
+        match program with
+        | Some program ->
+            (* The credential chain was verified when the program was
+               compiled and any invariant prefix was charged when it was
+               prepared, so this call pays no Cred_check and only the
+               opcodes left to run. *)
+            Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential
+              ~origin:a.a_origin ~attrs program state
+        | None ->
+            (* Per-call revalidation: the kernel "will then verify that p
+               did provide the proper credentials" (§3.1). *)
+            Clock.charge clock Cost.Cred_check;
+            Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+              session.entry.Registry.policy state
       in
       let d =
         match verdict with
@@ -1029,8 +996,7 @@ let new_session ~sid ~entry ~client_pid ~credential ~handle_pid kind =
     client_waiting_handshake = false;
     ring = None;
     cred_digest = None;
-    compiled_memo = None;
-    fused_memo = None;
+    program = None;
     client_exit_hook = None;
   }
 
@@ -1689,10 +1655,10 @@ let trap_ring t (p : Proc.t) session ~trap =
   | Error `Corrupt -> Errno.raise_errno Errno.EINVAL (trap ^ ": ring header corrupt")
 
 (* The slot decider for one ring batch or poller sweep.  Cacheable
-   policies are decided once per distinct function in the batch — the
-   per-batch amortization of the policy cost; stateful ones (quota, rate,
-   time-window, volatile KeyNote) are decided per slot so their ordering
-   matches the per-call path.  The memo is fresh per call, so each
+   admissions are decided once per distinct function in the batch — the
+   per-batch amortization of the policy cost; the rest (quota, rate,
+   time-window, a policy or credential reading [calls_so_far]) are
+   decided per slot so their ordering matches the per-call path.  The memo is fresh per call, so each
    sweep/batch amortizes within itself only. *)
 let batch_decider t a =
   let memo : (int, cached_decision) Hashtbl.t = Hashtbl.create 4 in
@@ -1709,7 +1675,7 @@ let batch_decider t a =
             d)
 
 (* E25 batch-major pre-pass: when vectorization is on and the session's
-   armed fused context is vector-eligible, the whole batch's verdicts are
+   prepared program is vector-eligible, the whole batch's verdicts are
    computed lane-major — one lane per slot, from the kernel's own read
    of each submitted slot, one vector pass per residue opcode — before
    the stamp loop consumes them positionally.  Returns a seq-indexed
@@ -1719,13 +1685,13 @@ let batch_decider t a =
    - fewer than two evaluable lanes (honest scalar fallback at N=1);
    - the stateless fast path or the smodd decision cache already reduces
      the batch to cheaper-than-vector work;
-   - the tree is not {!Policy.vector_eligible} (volatile residue reads,
-     clock-dependent arms, unplanned arms);
-   - a cacheable policy's batch has fewer than two distinct functions —
+   - the program is not {!Policy.vector_eligible} (no planned arm,
+     volatile residue reads, clock-dependent arms, unplanned arms);
+   - a cacheable admission's batch has fewer than two distinct functions —
      the decider's per-batch memo already evaluates once per function,
      so vectorizing a single-function batch would be a regression.
 
-   For cacheable policies lanes are deduplicated by function and the
+   For cacheable admissions lanes are deduplicated by function and the
    verdicts broadcast, matching the decider's memo exactly (same
    evaluation count, same state: cacheable policies have none). *)
 let vector_prestamp t a ring ~stamped0 ~limit =
@@ -1734,10 +1700,10 @@ let vector_prestamp t a ring ~stamped0 ~limit =
   if (not t.vectorize_policies) || limit - stamped0 < 2 || a.a_fast_path || a.a_cache <> None
   then no_pre
   else
-    match a.a_fused with
+    match a.a_program with
     | None -> no_pre
-    | Some ctx when not (Policy.vector_eligible ctx) -> no_pre
-    | Some ctx ->
+    | Some program when not (Policy.vector_eligible program) -> no_pre
+    | Some program ->
         (* Gather the function column.  Slots that fail the structural
            checks (torn write, wrong m_id, unknown function) are left to the
            stamp loop, which denies them before any policy evaluation —
@@ -1759,12 +1725,12 @@ let vector_prestamp t a ring ~stamped0 ~limit =
             Array.of_list
               (List.map
                  (fun (_, func_name) ->
-                   { Policy.vl_origin = a.a_origin; vl_attrs = call_attrs a ~func_name })
+                   { Vexec.l_origin = a.a_origin; l_attrs = call_attrs a ~func_name })
                  keys)
           in
           let clock = Machine.clock t.machine in
           Policy.check_vector ~clock ~now_us:(Clock.now_us clock) ~credential:session.credential
-            ~width:t.vector_width ~lanes ctx session.policy_state
+            ~width:Vexec.default_width ~lanes program session.policy_state
           |> Array.map (function
                | Ok () -> Cache_allow
                | Error denial -> Cache_deny (denial_message denial))
@@ -2215,7 +2181,9 @@ let sys_remove t (p : Proc.t) ~m_id ~cred_addr ~cred_size =
     (fun s -> if s.m_id = m_id then detach_session t s)
     (active_sessions t);
   List.iter (fun hook -> hook ~m_id) t.remove_hooks;
-  Smod_metrics.Counter.add m_compile_invalidations (Registry.flush_compiled entry);
+  (* A program naming the module in an [origin_module] literal no longer
+     matches the module set it was checked against. *)
+  drop_programs t;
   Registry.remove t.registry ~m_id
 
 (* ------------------------------------------------------------------ *)
@@ -2286,7 +2254,6 @@ let install machine ?keystore () =
       compile_policies = false;
       fuse_policies = false;
       vectorize_policies = false;
-      vector_width = Vexec.default_width;
       dispatch_gate = None;
       spin_budget = default_spin_budget;
       poller = None;

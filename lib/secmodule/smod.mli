@@ -81,14 +81,15 @@ type session = {
   mutable cred_digest : string option;
       (** lazily computed SHA-256 of the wire credential; part of every
           policy-cache key *)
-  mutable compiled_memo : (int * int * Policy.compiled) option;
-      (** the session's compiled policy, valid while the stamped
-          (policy_rev, keystore generation) pair still matches *)
-  mutable fused_memo : (int * int * string * Policy.fused_ctx) option;
-      (** the armed fused-batch context, additionally keyed by transport
-          (["msgq"]/["ring"]/["poller"]) because [origin_transport]
-          differs per admission path; same invalidation discipline as
-          [compiled_memo] *)
+  mutable program : (int * int * Policy.compiled * string * Policy.prepared) option;
+      (** the session's one program slot: (policy_rev, keystore
+          generation, compiled policy, transport, that policy prepared
+          for the transport).  The compiled policy is valid while the
+          (policy_rev, keystore generation) pair still matches; the
+          prepared one also needs the same transport
+          (["msgq"]/["ring"]/["poller"]), because [origin_transport]
+          differs per admission path.  Emptied whenever programs are
+          dropped. *)
   mutable client_exit_hook : (Smod_kern.Proc.t -> unit) option;
       (** the hook that detaches the session when its client exits;
           removed from the client when the session detaches *)
@@ -139,7 +140,9 @@ val register :
   Registry.entry
 (** Defaults: [Unmap_only], [Session_lifetime], admin "root".  For
     [Encrypted] protection the key/nonce must be supplied and stay
-    kernel-side. *)
+    kernel-side.  Drops every compiled program, as a keystore change
+    does: one compiled earlier may deny an [origin_module] literal that
+    names the new module. *)
 
 val bind_native : t -> m_id:int -> name:string -> Registry.native_fn -> unit
 
@@ -281,7 +284,7 @@ type policy_cache_hooks = {
 }
 (** smodd's decision cache as the kernel sees it.  Compiled programs are
     not cached here: the registry entry's cache, behind each session's
-    one-entry memo, is the only program cache shared across sessions. *)
+    program slot, is the only program cache shared across sessions. *)
 
 val session_cred_digest : session -> string
 (** SHA-256 over the session credential's canonical byte form, computed
@@ -295,7 +298,9 @@ val set_policy_cache : t -> policy_cache_hooks option -> unit
     and {!Policy.credential_cacheable} for its credential; a hit replaces
     the per-call credential re-verification and policy evaluation, a miss
     evaluates as usual and stores the outcome (denials included — they
-    still count and raise exactly as uncached ones do). *)
+    still count and raise exactly as uncached ones do).  The same rule
+    decides whether a ring batch or poller sweep decides once per
+    distinct function or once per slot. *)
 
 val set_policy_compile : t -> bool -> unit
 (** Switch admission onto compiled decision programs ({!Policy.compile}):
@@ -304,9 +309,11 @@ val set_policy_compile : t -> bool -> unit
     conditions lowered to opcodes — and every subsequent evaluation for
     that (credential, policy revision, keystore generation) runs the
     program at {!Smod_sim.Cost_model.Policy_compiled_op} per opcode with
-    no per-call [Cred_check].  Programs are cached per registry entry,
-    and are invalidated by [Registry.set_policy], keystore changes and
-    [sys_smod_remove].
+    no per-call [Cred_check].  Programs are cached per registry entry
+    and in each session's program slot, and are invalidated by
+    [Registry.set_policy], keystore changes, {!set_policy_fuse},
+    {!register} and [sys_smod_remove] (an [origin_module] literal is
+    checked against the registered module set).
     Default: off — the interpreted path is byte-for-byte what the
     baselines measured. *)
 
@@ -326,9 +333,9 @@ val set_policy_fuse : t -> bool -> unit
     session state on every engine; compilation fails closed when one
     names an unknown module, ring, or transport.  Stateful arms
     (quotas, rate limits) still evaluate per slot.  Changing the value
-    drops every compiled program and session memo, as a keystore change
-    does, so the next call compiles with or without a plan.  Default:
-    off. *)
+    drops every compiled program and session program slot, as a
+    keystore change does, so the next call compiles with or without a
+    plan.  Default: off. *)
 
 val policy_fuse_enabled : t -> bool
 
@@ -345,22 +352,14 @@ val set_policy_vectorize : t -> bool -> unit
     and denial reasons are identical to the slot-major path (the
     four-way differential in test/test_compile.ml asserts it).  The
     pre-pass declines — falling back to slot-major fused evaluation
-    wholesale — for batches under two lanes, single-function batches of
-    cacheable policies (the per-batch memo is already cheaper),
-    vector-ineligible trees ({!Policy.vector_eligible}), and sessions
-    served by the smodd decision cache.  The msgq path stays scalar —
-    there is nothing to vectorize.  Default: off. *)
+    wholesale — for batches under two lanes, single-function batches
+    whose decisions are cacheable (the per-batch memo is already
+    cheaper), vector-ineligible programs ({!Policy.vector_eligible}),
+    and sessions served by the smodd decision cache.  Passes are priced at
+    {!Smod_keynote.Vexec.default_width} lanes.  The msgq path stays
+    scalar — there is nothing to vectorize.  Default: off. *)
 
 val policy_vectorize_enabled : t -> bool
-
-val set_vector_width : t -> int -> unit
-(** Lane width W for the vector cost discount (default 8, the
-    {!Smod_keynote.Vexec.default_width}).  Raises [Invalid_argument]
-    below 1.  Width 1 prices every pass like a scalar compiled op —
-    useful for differential tests that want vectorized execution with
-    scalar-identical charging. *)
-
-val vector_width : t -> int
 
 type compile_status = {
   cs_m_id : int;

@@ -17,6 +17,7 @@ module Compile = Smod_keynote.Compile
 module Fuse = Smod_keynote.Fuse
 module Vexec = Smod_keynote.Vexec
 module Keystore = Smod_keynote.Keystore
+module Smof = Smod_modfmt.Smof
 module World = Smod_bench_kit.World
 module Smodd = Smod_pool.Smodd
 open Secmodule
@@ -219,6 +220,10 @@ let origin_pairs (o : Fuse.origin) =
     ("origin_ring", string_of_int o.Fuse.o_ring);
     ("origin_transport", o.Fuse.o_transport);
   ]
+
+(* A policy compiled without fusion prepares for free, and each KeyNote
+   arm then runs its whole program per check. *)
+let whole ~clock compiled = Policy.prepare ~clock ~origin:Fuse.no_origin ~attrs:[] compiled
 
 let gen_origin =
   let open QCheck.Gen in
@@ -715,7 +720,7 @@ let policy_trusting_vendor ?(conds = "calls_so_far < 3 -> \"allow\";") () =
       attrs = [ ("color", "red") ];
     }
 
-(* Which armed trees the dispatcher may evaluate batch-major: volatile
+(* Which prepared trees the dispatcher may evaluate batch-major: volatile
    residues (calls_so_far makes lane k's input depend on earlier
    verdicts) and clock-dependent arms must fall back slot-major; quota
    composites and function-varying ladders are fair game. *)
@@ -726,12 +731,12 @@ let test_vector_eligibility () =
     Credential.make ~principal:"alice" ~assertions:[ signed_license ks () ] ()
   in
   let keynote_arm conds = policy_trusting_vendor ~conds () in
-  let ctx_of policy =
+  let prepared_of policy =
     let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
-    Policy.begin_fused ~clock ~origin:Fuse.no_origin
+    Policy.prepare ~clock ~origin:Fuse.no_origin
       ~attrs:(origin_pairs Fuse.no_origin) compiled
   in
-  let eligible p = Policy.vector_eligible (ctx_of p) in
+  let eligible p = Policy.vector_eligible (prepared_of p) in
   Alcotest.(check bool) "function-varying arm eligible" true
     (eligible (keynote_arm "function != \"x\" -> \"allow\";"));
   Alcotest.(check bool) "volatile residue ineligible" false
@@ -757,7 +762,7 @@ let test_vector_eligibility () =
 
 (* Arm-major evaluation of a quota + KeyNote composite: one check_vector
    call over six lanes must hand back, lane for lane, the verdicts (and
-   denial reasons) six sequential check_fused calls produce against a
+   denial reasons) six sequential check_compiled calls produce against a
    twin state — quota consumed in lane order, the KeyNote arm evaluated
    batch-major through Vexec with lane compaction. *)
 let test_policy_vector_parity () =
@@ -775,30 +780,30 @@ let test_policy_vector_parity () =
   in
   let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
   let origin = Fuse.no_origin in
-  let ctx =
-    Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled
+  let prepared =
+    Policy.prepare ~clock ~origin ~attrs:(origin_pairs origin) compiled
   in
   Alcotest.(check bool) "composite is vector eligible" true
-    (Policy.vector_eligible ctx);
+    (Policy.vector_eligible prepared);
   let funcs = [| "f0"; "blocked"; "f1"; "f2"; "f3"; "f4" |] in
   let attrs_of f = ("function", f) :: origin_pairs origin in
   let lanes =
     Array.map
-      (fun f -> { Policy.vl_origin = origin; vl_attrs = attrs_of f })
+      (fun f -> { Vexec.l_origin = origin; l_attrs = attrs_of f })
       funcs
   in
   let s_vec = Policy.initial_state policy in
   let s_seq = Policy.initial_state policy in
   let vec =
-    Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes ctx s_vec
+    Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes prepared s_vec
   in
   Alcotest.(check int) "one verdict per lane" (Array.length funcs)
     (Array.length vec);
   Array.iteri
     (fun i f ->
       let seq =
-        Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin
-          ~attrs:(attrs_of f) ctx s_seq
+        Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin
+          ~attrs:(attrs_of f) prepared s_seq
       in
       match (vec.(i), seq) with
       | Ok (), Ok () -> ()
@@ -836,16 +841,16 @@ let test_policy_fused_parity () =
   let s_interp = Policy.initial_state policy in
   let s_fused = Policy.initial_state policy in
   let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
-  Alcotest.(check bool) "composite is fusible" true (Policy.fusible compiled);
+  Alcotest.(check bool) "composite is fusible" true (Policy.fusion_stats compiled <> None);
   let origin = Fuse.no_origin in
-  let ctx =
-    Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled
+  let prepared =
+    Policy.prepare ~clock ~origin ~attrs:(origin_pairs origin) compiled
   in
   for i = 0 to 5 do
     let attrs = ("calls_so_far", string_of_int i) :: origin_pairs origin in
     let a = Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy s_interp in
     let b =
-      Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin ~attrs ctx s_fused
+      Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin ~attrs prepared s_fused
     in
     match (a, b) with
     | Ok (), Ok () ->
@@ -930,17 +935,18 @@ let test_origin_unknown_denies_at_policy_layer () =
         attrs = [];
       }
   in
-  let compiled =
-    Policy.compile ~fuse:true
+  let compile ~fuse =
+    Policy.compile ~fuse
       ~origin_env:{ Compile.known_modules = [] }
       ~clock ~keystore:ks ~credential policy
   in
-  (match Policy.compiled_stats compiled with
+  (match Policy.compiled_stats (compile ~fuse:true) with
   | { Policy.denied = Some r; programs = 0; _ } ->
       Alcotest.(check bool) "reason names the module" true (contains r "ghost")
   | _ -> Alcotest.fail "expected a deny-all stub with no program");
   match
-    Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs:[] compiled
+    Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin:Fuse.no_origin ~attrs:[]
+      (whole ~clock (compile ~fuse:false))
       (Policy.initial_state policy)
   with
   | Ok () -> Alcotest.fail "deny-all stub must deny"
@@ -1013,11 +1019,14 @@ let test_policy_check_parity () =
   let policy = Policy.All_of [ Policy.Call_quota 4; policy_trusting_vendor () ] in
   let s_interp = Policy.initial_state policy in
   let s_comp = Policy.initial_state policy in
-  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
+  let compiled = whole ~clock (Policy.compile ~clock ~keystore:ks ~credential policy) in
   for i = 0 to 5 do
     let attrs = [ ("calls_so_far", string_of_int i) ] in
     let a = Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy s_interp in
-    let b = Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled s_comp in
+    let b =
+      Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin:Fuse.no_origin ~attrs
+        compiled s_comp
+    in
     match (a, b) with
     | Ok (), Ok () -> Alcotest.(check bool) (Printf.sprintf "call %d allowed" i) true (i < 3)
     | Error da, Error db ->
@@ -1051,8 +1060,8 @@ let test_unknown_level_fails_closed () =
       Alcotest.(check bool) "interpreted reason names the level" true
         (contains d.Policy.reason "sudo"));
   let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
-  (match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs:[] compiled
-           (Policy.initial_state policy)
+  (match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin:Fuse.no_origin
+           ~attrs:[] (whole ~clock compiled) (Policy.initial_state policy)
    with
   | Ok () -> Alcotest.fail "unknown level must deny"
   | Error d ->
@@ -1076,8 +1085,8 @@ let test_unverified_chain_fails_closed () =
   in
   let credential = Credential.make ~principal:"alice" ~assertions:[ unsigned ] () in
   let policy = policy_trusting_vendor () in
-  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
-  match Policy.check_compiled ~clock ~now_us:0.0 ~credential
+  let compiled = whole ~clock (Policy.compile ~clock ~keystore:ks ~credential policy) in
+  match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin:Fuse.no_origin
           ~attrs:[ ("calls_so_far", "0") ]
           compiled (Policy.initial_state policy)
   with
@@ -1107,10 +1116,13 @@ let test_compiled_cycles_cheaper () =
     | Error _ -> Alcotest.fail "interpreted denied"
   done;
   let interp_us = Clock.now_us clock -. interp_t0 in
-  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
+  let compiled = whole ~clock (Policy.compile ~clock ~keystore:ks ~credential policy) in
   let comp_t0 = Clock.now_us clock in
   for _ = 1 to 100 do
-    match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled state with
+    match
+      Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin:Fuse.no_origin ~attrs
+        compiled state
+    with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "compiled denied"
   done;
@@ -1326,6 +1338,47 @@ let test_batch_volatile_fused_per_slot () =
           (s = `Err Errno.EACCES))
     fused
 
+(* One program slot per session across transports.  The first call
+   probes once and compiles; each later switch between msgq and the ring
+   re-prepares the slot's program without a probe.  So a msgq call, a
+   batch, a msgq call and a batch compile once, never hit the registry,
+   and prepare one fused batch per switch — none with fusion off. *)
+let test_program_slot_across_transports () =
+  List.iter
+    (fun (fuse, prepares) ->
+      let world = World.create ~with_rpc:false ~policy:(client_keynote_policy ()) () in
+      let smod = world.World.smod in
+      Smod.set_policy_compile smod true;
+      Smod.set_policy_fuse smod fuse;
+      let counters =
+        [
+          "secmodule.policy_compile_misses";
+          "secmodule.policy_compile_hits";
+          "keynote.fused_batches";
+        ]
+      in
+      let read () =
+        List.map (fun n -> Option.value ~default:0 (Smod_metrics.counter_value n)) counters
+      in
+      let before = read () in
+      World.spawn_seclibc_client world ~name:"mixed-transports" (fun _p conn ->
+          let batch () =
+            List.iter
+              (function
+                | Ok _ -> () | Error _ -> Alcotest.fail "batch slot refused")
+              (Stub.call_batch conn ~func:"test_incr" (List.init 4 (fun i -> [| i |])))
+          in
+          ignore (Stub.call conn ~func:"test_incr" [| 1 |]);
+          batch ();
+          ignore (Stub.call conn ~func:"test_incr" [| 2 |]);
+          batch ());
+      World.run world;
+      Alcotest.(check (list int))
+        (Printf.sprintf "fuse %b: misses, hits, fused batches" fuse)
+        [ 1; 0; prepares ]
+        (List.map2 ( - ) (read ()) before))
+    [ (true, 4); (false, 0) ]
+
 (* Origin predicates at dispatch: the kernel resolves the caller's
    transport, so the same session is admitted over msgq and refused over
    the ring batch path — and the client has no attribute to forge. *)
@@ -1411,6 +1464,39 @@ let test_origin_module_ring_admits () =
    call, never an allow, never a crash.  Establishment still interprets
    (origin_module resolves to "user" there, so the hostile clause simply
    never fires). *)
+(* Compiling checks every [origin_module] literal against the registered
+   module set, so no program compiled before a registration may outlive
+   it.  Before [late] registers, the compiled engine denies (an unknown
+   name fails closed); a new session after it registers is admitted, as
+   the interpreter admits both. *)
+let test_registration_drops_programs () =
+  List.iter
+    (fun (compile, expected) ->
+      let world =
+        origin_world "origin_module == \"user\" || origin_module == \"late\" -> \"allow\";"
+      in
+      let smod = world.World.smod in
+      Smod.set_policy_compile smod compile;
+      let session name =
+        let outcome = ref "unset" in
+        World.spawn_seclibc_client world ~name (fun _p conn ->
+            outcome :=
+              match Stub.call conn ~func:"test_incr" [| 1 |] with
+              | v -> Printf.sprintf "returned %d" v
+              | exception Errno.Error (Errno.EACCES, _) -> "EACCES");
+        World.run world;
+        !outcome
+      in
+      let before = session "before" in
+      let b = Smof.Builder.create ~name:"late" ~version:1 in
+      ignore (Smof.Builder.add_native_function b ~name:"f" ~native:"f" ~size_hint:16 ());
+      ignore (Smod.register smod ~image:(Smof.Builder.finish b) ());
+      let after = session "after" in
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "compile %b: before and after registration" compile)
+        expected (before, after))
+    [ (false, ("returned 2", "returned 2")); (true, ("EACCES", "returned 2")) ]
+
 let test_unknown_origin_module_fails_closed_at_dispatch () =
   let world =
     origin_world
@@ -1885,20 +1971,23 @@ let test_unknown_min_level_fails_closed () =
   in
   denied "check"
     (Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy (Policy.initial_state policy));
-  let compiled =
-    Policy.compile ~fuse:true ~clock ~keystore:(Keystore.create ()) ~credential policy
+  let compile ~fuse =
+    Policy.compile ~fuse ~clock ~keystore:(Keystore.create ()) ~credential policy
   in
-  denied "check_compiled"
-    (Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled
+  denied "check_compiled, whole program"
+    (Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin ~attrs
+       (whole ~clock (compile ~fuse:false))
        (Policy.initial_state policy));
-  let ctx = Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled in
-  denied "check_fused"
-    (Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin ~attrs ctx
+  let prepared =
+    Policy.prepare ~clock ~origin ~attrs:(origin_pairs origin) (compile ~fuse:true)
+  in
+  denied "check_compiled, prepared"
+    (Policy.check_compiled ~clock ~now_us:0.0 ~credential ~origin ~attrs prepared
        (Policy.initial_state policy));
-  let lane = { Policy.vl_origin = origin; vl_attrs = attrs } in
+  let lane = { Vexec.l_origin = origin; l_attrs = attrs } in
   Array.iter (denied "check_vector")
-    (Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes:[| lane; lane |] ctx
-       (Policy.initial_state policy));
+    (Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes:[| lane; lane |]
+       prepared (Policy.initial_state policy));
   (* One msgq dispatch per engine: establishment admits under the old
      policy, then the module's policy changes under the live session. *)
   List.iter
@@ -2062,6 +2151,54 @@ let test_parity_fast_path () =
       Alcotest.(check int) (cell ^ ": establishment check only") 1 c;
       Alcotest.(check int) (cell ^ ": no denials") 0 d)
 
+(* A credential may read a per-call attribute its policy does not: here a
+   vendor license good for two calls, under a policy that only names the
+   module.  Every cell then decides per slot, as msgq does: neither the
+   per-batch memo nor the vector pre-pass's function dedupe may reuse the
+   first slot's verdict. *)
+let two_call_license_verdicts (compile, fuse, vectorize) transport =
+  let world =
+    World.create ~with_rpc:false
+      ~policy:(policy_trusting_vendor ~conds:"module == \"seclibc\" -> \"allow\";" ())
+      ()
+  in
+  let smod = world.World.smod in
+  Smod.set_policy_compile smod compile;
+  Smod.set_policy_fuse smod fuse;
+  Smod.set_policy_vectorize smod vectorize;
+  if transport = `Poller then Smod.set_kernel_poller smod true;
+  let ks = Smod.keystore smod in
+  Keystore.add_principal ks ~name:"vendor" ~secret:"vk";
+  let credential =
+    Credential.make ~principal:"alice"
+      ~assertions:[ signed_license ks ~conds:"calls_so_far < 2 -> \"allow\";" () ]
+      ()
+  in
+  let verdicts = ref [] in
+  ignore
+    (M.spawn world.World.machine ~name:"two-call-license" (fun p ->
+         Crt0.run_client smod p ~module_name:Smod_libc.Seclibc.module_name
+           ~version:Smod_libc.Seclibc.version ~credential (fun conn ->
+             verdicts :=
+               match transport with
+               | `Msgq ->
+                   List.init 5 (fun i ->
+                       match Stub.call conn ~func:"test_incr" [| i |] with
+                       | v -> Ok v
+                       | exception Errno.Error (e, _) -> Error e)
+               | `Batch | `Poller ->
+                   Stub.call_batch conn ~func:"test_incr" (List.init 5 (fun i -> [| i |]))
+                   |> List.map (Result.map_error fst))));
+  World.run world;
+  !verdicts
+
+let test_batch_volatile_credential_per_slot () =
+  let denied = Error Errno.EACCES in
+  for_each_cell (fun cell engine transport ->
+      Alcotest.check verdict_testable cell
+        [ Ok 1; Ok 2; denied; denied; denied ]
+        (two_call_license_verdicts engine transport))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "compile"
@@ -2135,6 +2272,8 @@ let () =
           tc "end to end with caches" test_compiled_dispatch_end_to_end;
           tc "batch volatile per slot" test_batch_volatile_compiled_per_slot;
           tc "batch volatile fused per slot" test_batch_volatile_fused_per_slot;
+          tc "batch volatile credential per slot" test_batch_volatile_credential_per_slot;
+          tc "program slot across transports" test_program_slot_across_transports;
         ] );
       ( "invalidation",
         [
@@ -2143,6 +2282,7 @@ let () =
           tc "fused snapshot dropped on rotation" test_fused_rotation_between_batches;
           tc "attach clause across rotation" test_attach_clause_across_rotation;
           tc "set_policy evicts" test_set_policy_evicts;
+          tc "registration drops programs" test_registration_drops_programs;
           tc "late fusion takes effect" test_late_fusion_takes_effect;
         ] );
     ]
