@@ -394,36 +394,43 @@ let origin_value origin = function
   | OF_ring -> string_of_int origin.o_ring
   | OF_transport -> origin.o_transport
 
-let exec_seg ?visit code ~nodes ~origin ~attrs ~stack ~ops =
+(* [List.assoc_opt], a missing attribute reading [""], without the option. *)
+let rec attr_value name = function
+  | [] -> ""
+  | (k, v) :: rest -> if String.equal k name then v else attr_value name rest
+
+let operand_value attrs = function O_str s -> s | O_attr a -> attr_value a attrs
+
+let test attrs a op b =
+  holds op (Eval.compare_values (operand_value attrs a) (operand_value attrs b))
+
+let otest origin attrs f op b =
+  holds op (Eval.compare_values (origin_value origin f) (operand_value attrs b))
+
+type trace = { seen : bool array; mutable last : int }
+
+(* No closure captures the stack pointer, accumulator or program counter,
+   so they stay unboxed locals and the loop allocates no closure or cell. *)
+let exec_seg ?trace code ~nodes ~origin ~attrs ~stack ~ops =
   let n = Array.length code in
   let sp = ref 0 in
-  let push v =
-    stack.(!sp) <- v;
-    incr sp
-  in
-  let pop () =
-    decr sp;
-    stack.(!sp)
-  in
-  let operand_value = function
-    | O_str s -> s
-    | O_attr a -> ( match List.assoc_opt a attrs with Some v -> v | None -> "")
-  in
-  let test a op b = holds op (Eval.compare_values (operand_value a) (operand_value b)) in
-  let otest f op b =
-    holds op (Eval.compare_values (origin_value origin f) (operand_value b))
-  in
   let acc = ref 0 in
   let pc = ref 0 in
   while !pc < n do
     incr ops;
-    (match visit with Some f -> f !pc | None -> ());
+    (match trace with
+    | Some t ->
+        t.seen.(!pc) <- true;
+        t.last <- !pc
+    | None -> ());
     match code.(!pc) with
     | Test (a, op, b) ->
-        push (if test a op b then 1 else 0);
+        stack.(!sp) <- (if test attrs a op b then 1 else 0);
+        incr sp;
         incr pc
     | Push_bool b ->
-        push (if b then 1 else 0);
+        stack.(!sp) <- (if b then 1 else 0);
+        incr sp;
         incr pc
     | Not_top ->
         stack.(!sp - 1) <- (if stack.(!sp - 1) = 0 then 1 else 0);
@@ -431,99 +438,113 @@ let exec_seg ?visit code ~nodes ~origin ~attrs ~stack ~ops =
     | Jfalse target ->
         if stack.(!sp - 1) = 0 then pc := target
         else begin
-          ignore (pop ());
+          decr sp;
           incr pc
         end
     | Jtrue target ->
         if stack.(!sp - 1) <> 0 then pc := target
         else begin
-          ignore (pop ());
+          decr sp;
           incr pc
         end
     | Node_begin ->
         acc := 0;
         incr pc
     | Clause level ->
-        if pop () <> 0 then acc := max !acc level;
+        decr sp;
+        if stack.(!sp) <> 0 then acc := Int.max !acc level;
         incr pc
     | Push_level v ->
-        push v;
+        stack.(!sp) <- v;
+        incr sp;
         incr pc
     | Load_node i ->
-        push nodes.(i);
+        stack.(!sp) <- nodes.(i);
+        incr sp;
         incr pc
     | Min2 ->
-        let b = pop () in
-        let a = pop () in
-        push (min a b);
+        decr sp;
+        stack.(!sp - 1) <- Int.min stack.(!sp - 1) stack.(!sp);
         incr pc
     | Max2 ->
-        let b = pop () in
-        let a = pop () in
-        push (max a b);
+        decr sp;
+        stack.(!sp - 1) <- Int.max stack.(!sp - 1) stack.(!sp);
         incr pc
     | Kof (k, count) ->
         let members = ref [] in
         for _ = 1 to count do
-          members := pop () :: !members
+          decr sp;
+          members := stack.(!sp) :: !members
         done;
-        push (kth_largest k !members);
+        stack.(!sp) <- kth_largest k !members;
+        incr sp;
         incr pc
     | Node_end i ->
-        let lic = pop () in
-        nodes.(i) <- min !acc lic;
+        decr sp;
+        nodes.(i) <- Int.min !acc stack.(!sp);
         incr pc
     | Node_end_const (i, lic) ->
-        nodes.(i) <- min !acc lic;
+        nodes.(i) <- Int.min !acc lic;
         incr pc
     | Store_node i ->
-        nodes.(i) <- pop ();
+        decr sp;
+        nodes.(i) <- stack.(!sp);
         incr pc
     | Root (base, roots) ->
-        push (Array.fold_left (fun m i -> max m nodes.(i)) base roots);
+        let m = ref base in
+        for k = 0 to Array.length roots - 1 do
+          m := Int.max !m nodes.(roots.(k))
+        done;
+        stack.(!sp) <- !m;
+        incr sp;
         incr pc
     (* superoperators: exact composition of the two base opcodes *)
     | Test_jf (a, op, b, target) ->
-        if test a op b then incr pc
+        if test attrs a op b then incr pc
         else begin
-          push 0;
+          stack.(!sp) <- 0;
+          incr sp;
           pc := target
         end
     | Test_jt (a, op, b, target) ->
-        if test a op b then begin
-          push 1;
+        if test attrs a op b then begin
+          stack.(!sp) <- 1;
+          incr sp;
           pc := target
         end
         else incr pc
     | Test_clause (a, op, b, level) ->
-        if test a op b then acc := max !acc level;
+        if test attrs a op b then acc := Int.max !acc level;
         incr pc
     | Load_max i ->
-        stack.(!sp - 1) <- max stack.(!sp - 1) nodes.(i);
+        stack.(!sp - 1) <- Int.max stack.(!sp - 1) nodes.(i);
         incr pc
     | Const_max c ->
-        stack.(!sp - 1) <- max stack.(!sp - 1) c;
+        stack.(!sp - 1) <- Int.max stack.(!sp - 1) c;
         incr pc
     | Const_min c ->
-        stack.(!sp - 1) <- min stack.(!sp - 1) c;
+        stack.(!sp - 1) <- Int.min stack.(!sp - 1) c;
         incr pc
     | Origin_test (f, op, b) ->
-        push (if otest f op b then 1 else 0);
+        stack.(!sp) <- (if otest origin attrs f op b then 1 else 0);
+        incr sp;
         incr pc
     | Origin_jf (f, op, b, target) ->
-        if otest f op b then incr pc
+        if otest origin attrs f op b then incr pc
         else begin
-          push 0;
+          stack.(!sp) <- 0;
+          incr sp;
           pc := target
         end
     | Origin_jt (f, op, b, target) ->
-        if otest f op b then begin
-          push 1;
+        if otest origin attrs f op b then begin
+          stack.(!sp) <- 1;
+          incr sp;
           pc := target
         end
         else incr pc
     | Origin_clause (f, op, b, level) ->
-        if otest f op b then acc := max !acc level;
+        if otest origin attrs f op b then acc := Int.max !acc level;
         incr pc
   done;
   !sp

@@ -125,8 +125,15 @@ val compile :
     kernel's valid set is also an [Error], so callers fail closed on
     origin typos exactly as on unknown levels. *)
 
+type trace = {
+  seen : bool array;  (** [seen.(pc)]: some run executed position [pc] *)
+  mutable last : int;  (** the position the latest run executed last *)
+}
+(** Where {!exec_seg} runs went in one segment, recorded in place;
+    [seen] has one entry per opcode of the segment. *)
+
 val exec_seg :
-  ?visit:(int -> unit) ->
+  ?trace:trace ->
   instr array ->
   nodes:int array ->
   origin:origin ->
@@ -139,11 +146,13 @@ val exec_seg :
     jumps are positions within the segment.  Reads and writes value nodes
     in [nodes], resolves [O_attr] operands in [attrs] (missing: [""]) and
     origin opcodes in [origin].  Adds one to [ops] per opcode executed, a
-    superoperator included, and, when given, passes [visit] the position
-    of each before executing it.  Returns the stack height left ([Root]
-    leaves one value, every other segment [compile] emits none); [stack]
-    must hold one more entry than the segment has opcodes.  Counters are
-    the callers' job. *)
+    superoperator included, and, when given a [trace], marks each position
+    it executes as seen and leaves the last one in [trace.last].  Returns
+    the stack height left ([Root] leaves one value, every other segment
+    [compile] emits none); [stack] must hold one more entry than the
+    segment has opcodes.  It builds no closure or reference cell, so a
+    run allocates only what a [Kof] or an operand comparison needs.
+    Counters are the callers' job. *)
 
 val run : t -> attrs:(string * string) list -> outcome
 (** Evaluate the program against one set of action attributes, as one

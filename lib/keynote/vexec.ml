@@ -8,11 +8,11 @@
 
    The charge is computed from lane paths.  Each lane replays the
    residue on [Compile.exec_seg], the executor every engine shares, and
-   the executor reports the positions it executes.  Jumps are strictly
-   forward, so a lockstep walk whose position is the minimum pc over
-   live lanes visits exactly the union of the lanes' positions, in
-   order, and a lane stays live until it has executed its last op in
-   the segment.  So within each residue segment:
+   the executor records the positions it executes in a per-segment
+   trace.  Jumps are strictly forward, so a lockstep walk whose position
+   is the minimum pc over live lanes visits exactly the union of the
+   lanes' positions, in order, and a lane stays live until it has
+   executed its last op in the segment.  So within each residue segment:
 
      passes = positions at least one lane executes
      units  = sum over those positions of ceil(live/W), where live counts
@@ -47,9 +47,13 @@ let run_residue plan snapshot ~width ~lanes =
     let segs =
       Array.map (fun si -> (Fuse.segments plan).(si).Fuse.ops) (Fuse.residue_segments plan)
     in
-    (* Per residue segment and position: did any lane execute it, and how
-       many lanes executed their last op there. *)
-    let visited = Array.map (fun ops -> Array.make (Array.length ops) false) segs in
+    (* Per residue segment: the positions any lane executed, and per
+       position how many lanes executed their last op there. *)
+    let traces =
+      Array.map
+        (fun ops -> { Compile.seen = Array.make (Array.length ops) false; last = 0 })
+        segs
+    in
     let leaving = Array.map (fun ops -> Array.make (Array.length ops) 0) segs in
     let stack = Array.make (Fuse.max_seg plan + 1) 0 in
     let levels = Fuse.levels plan in
@@ -57,28 +61,25 @@ let run_residue plan snapshot ~width ~lanes =
        [Fuse.run_slot]: invariant entries are never written. *)
     let nodes = snapshot.Fuse.s_nodes in
     let ops = ref 0 in
-    let index_of lane =
-      let result = ref 0 in
-      Array.iteri
-        (fun j code ->
-          let last = ref 0 in
-          let visit pc =
-            visited.(j).(pc) <- true;
-            last := pc
-          in
-          let sp =
-            Compile.exec_seg ~visit code ~nodes ~origin:lane.l_origin ~attrs:lane.l_attrs
-              ~stack ~ops
-          in
-          if sp > 0 then result := stack.(sp - 1);
-          leaving.(j).(!last) <- leaving.(j).(!last) + 1)
-        segs;
-      max 0 (min (Array.length levels - 1) !result)
+    let indices =
+      Array.map
+        (fun lane ->
+          let result = ref 0 in
+          for j = 0 to Array.length segs - 1 do
+            let trace = traces.(j) in
+            let sp =
+              Compile.exec_seg ~trace segs.(j) ~nodes ~origin:lane.l_origin
+                ~attrs:lane.l_attrs ~stack ~ops
+            in
+            if sp > 0 then result := stack.(sp - 1);
+            leaving.(j).(trace.last) <- leaving.(j).(trace.last) + 1
+          done;
+          max 0 (min (Array.length levels - 1) !result))
+        lanes
     in
-    let indices = Array.map index_of lanes in
     let passes = ref 0 and units = ref 0 in
     Array.iteri
-      (fun j seen ->
+      (fun j (trace : Compile.trace) ->
         let live = ref n in
         Array.iteri
           (fun pos hit ->
@@ -87,8 +88,8 @@ let run_residue plan snapshot ~width ~lanes =
               units := !units + ((!live + width - 1) / width)
             end;
             live := !live - leaving.(j).(pos))
-          seen)
-      visited;
+          trace.seen)
+      traces;
     Smod_metrics.Counter.incr m_vector_batches;
     Smod_metrics.Counter.add m_vector_lanes n;
     Smod_metrics.Counter.add m_vector_passes !passes;

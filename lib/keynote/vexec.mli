@@ -11,8 +11,10 @@
     entirely.  Forward-only jumps (a [Compile.compile] invariant the
     rewrite preserves) make that walk monotone, so it is computed from
     the lanes' paths: each lane replays the residue on
-    [Compile.exec_seg], and per residue segment a pass is a position at
-    least one lane executes.
+    [Compile.exec_seg], which records the positions it executes and the
+    last one in the segment's {!Compile.trace}, and per residue segment a
+    pass is a position at least one lane executes.  Replaying a lane
+    builds no closure.
 
     Verdict parity: for every lane, [vr_indices.(k)] equals the [index]
     [Fuse.run_slot] would return for that lane's origin and attribute

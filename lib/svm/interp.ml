@@ -29,31 +29,26 @@ let to_signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
   Smod_metrics.Counter.incr m_runs;
   let aspace = env.aspace in
-  (* Instruction fetch happens through the address space with execute
-     access: verify each touched code page once, then read the bytes. *)
-  let verified_pages = Hashtbl.create 8 in
-  let fetch_check addr =
-    let vpn = Layout.vpn_of_addr addr in
-    if not (Hashtbl.mem verified_pages vpn) then begin
-      Aspace.fault aspace ~addr ~access:Prot.Exec;
-      Hashtbl.replace verified_pages vpn ()
-    end
+  (* Instruction fetch goes through the address space: each text page is
+     checked once per run, in order, for execute and then read access,
+     and instructions decode in place from the checked frames.  Real
+     hardware would fetch incrementally, but the protection consequence is
+     identical. *)
+  let first_vpn = Layout.vpn_of_addr code_base in
+  let pages =
+    if code_len <= 0 then [||]
+    else
+      Array.init
+        (Layout.vpn_of_addr (code_base + code_len - 1) - first_vpn + 1)
+        (fun i ->
+          let addr = max code_base (Layout.addr_of_vpn (first_vpn + i)) in
+          Aspace.fault aspace ~addr ~access:Prot.Exec;
+          Aspace.read_page aspace ~addr)
   in
-  (* Pull the image once page-by-page (each page exec-checked); real
-     hardware would fetch incrementally but the protection consequence is
-     identical and decode stays simple. *)
-  let code =
-    let out = Bytes.create code_len in
-    let pos = ref 0 in
-    while !pos < code_len do
-      let addr = code_base + !pos in
-      fetch_check addr;
-      let page_off = addr land (Layout.page_size - 1) in
-      let chunk = min (Layout.page_size - page_off) (code_len - !pos) in
-      Bytes.blit (Aspace.read_bytes aspace ~addr ~len:chunk) 0 out !pos chunk;
-      pos := !pos + chunk
-    done;
-    out
+  let byte i =
+    let addr = code_base + i in
+    Char.code
+      (Bytes.get pages.(Layout.vpn_of_addr addr - first_vpn) (addr land (Layout.page_size - 1)))
   in
   let stack = ref [] in
   let return_stack = ref [] in
@@ -70,10 +65,11 @@ let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
   let rec exec pc fuel =
     if fuel <= 0 then raise (Fault { pc; reason = "out of fuel" });
     if pc < 0 || pc >= code_len then raise (Fault { pc; reason = "pc out of code range" });
-    let instr, next =
-      try Isa.decode_at code pc
+    let instr =
+      try Isa.decode ~len:code_len byte pc
       with Invalid_argument msg -> raise (Fault { pc; reason = msg })
     in
+    let next = pc + Isa.length instr in
     env.executed <- env.executed + 1;
     Smod_metrics.Counter.incr m_instructions;
     Clock.charge env.clock Cost.Svm_instr;

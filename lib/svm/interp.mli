@@ -30,9 +30,19 @@ val run : env -> code_base:int -> code_len:int -> ?entry:int -> args_base:int ->
     [arg1] slot).  [Call] targets must be absolute addresses inside
     [\[code_base, code_base + code_len)] — normally relocation-patched
     symbol addresses within the same module.  Returns the popped return
-    value.  Raises {!Fault} on bad opcodes, stack underflow, division by
-    zero, out-of-range pc or call target, call-depth overflow, or fuel
-    exhaustion; address-space exceptions ({!Smod_vmem.Aspace.Segv} etc.)
-    propagate unchanged. *)
+    value.
+
+    Fetch: before the first instruction, every page of the text is
+    checked once, in address order, for execute and then read access
+    (faulting it in if needed), and instructions are decoded from those
+    pages' frames in place; nothing is copied.  A text rewrite between two
+    runs is therefore what the next run executes.
+
+    Raises {!Fault} on bad opcodes, stack underflow, division by zero,
+    out-of-range pc or call target, call-depth overflow, or fuel
+    exhaustion; an instruction that straddles a page boundary decodes
+    like any other, and one truncated at the text end faults with the
+    decoder's message.  Address-space exceptions
+    ({!Smod_vmem.Aspace.Segv} etc.) propagate unchanged. *)
 
 val instructions_executed : env -> int

@@ -107,52 +107,59 @@ let encode instrs =
     instrs;
   out
 
-let decode_at code off =
-  let n = Bytes.length code in
-  if off >= n then invalid_arg "Isa.decode_at: past end of code";
-  let u8 i =
-    if i >= n then invalid_arg "Isa.decode_at: truncated instruction";
-    Char.code (Bytes.get code i)
-  in
-  let u32 i = u8 i lor (u8 (i + 1) lsl 8) lor (u8 (i + 2) lsl 16) lor (u8 (i + 3) lsl 24) in
-  let s16 i =
-    let raw = u8 i lor (u8 (i + 1) lsl 8) in
-    if raw land 0x8000 <> 0 then raw - 0x10000 else raw
-  in
-  let op = u8 off in
-  let simple instr = (instr, off + 1) in
-  match op with
-  | 0x00 -> simple Nop
-  | 0x01 -> (Push (u32 (off + 1)), off + 5)
-  | 0x02 -> (Loadarg (u8 (off + 1)), off + 2)
-  | 0x03 -> simple Loadw
-  | 0x04 -> simple Storew
-  | 0x05 -> simple Loadb
-  | 0x06 -> simple Storeb
-  | 0x07 -> simple Add
-  | 0x08 -> simple Sub
-  | 0x09 -> simple Mul
-  | 0x0A -> simple Divu
-  | 0x0B -> simple And
-  | 0x0C -> simple Or
-  | 0x0D -> simple Xor
-  | 0x0E -> simple Shl
-  | 0x0F -> simple Shr
-  | 0x10 -> simple Eq
-  | 0x11 -> simple Lt
-  | 0x12 -> simple Ltu
-  | 0x13 -> (Jmp (s16 (off + 1)), off + 3)
-  | 0x14 -> (Jz (s16 (off + 1)), off + 3)
-  | 0x15 -> (Jnz (s16 (off + 1)), off + 3)
-  | 0x16 -> simple Dup
-  | 0x17 -> simple Drop
-  | 0x18 -> simple Swap
-  | 0x19 -> (Localget (u8 (off + 1)), off + 2)
-  | 0x1A -> (Localset (u8 (off + 1)), off + 2)
-  | 0x1B -> (Sys (u8 (off + 1) lor (u8 (off + 2) lsl 8), u8 (off + 3)), off + 4)
-  | 0x1C -> simple Ret
-  | 0x1D -> (Call (u32 (off + 1)), off + 5)
+let u8 ~len byte i =
+  if i >= len then invalid_arg "Isa.decode_at: truncated instruction";
+  byte i
+
+let u32 ~len byte i =
+  u8 ~len byte i
+  lor (u8 ~len byte (i + 1) lsl 8)
+  lor (u8 ~len byte (i + 2) lsl 16)
+  lor (u8 ~len byte (i + 3) lsl 24)
+
+let s16 ~len byte i =
+  let raw = u8 ~len byte i lor (u8 ~len byte (i + 1) lsl 8) in
+  if raw land 0x8000 <> 0 then raw - 0x10000 else raw
+
+let decode ~len byte off =
+  if off >= len then invalid_arg "Isa.decode_at: past end of code";
+  match u8 ~len byte off with
+  | 0x00 -> Nop
+  | 0x01 -> Push (u32 ~len byte (off + 1))
+  | 0x02 -> Loadarg (u8 ~len byte (off + 1))
+  | 0x03 -> Loadw
+  | 0x04 -> Storew
+  | 0x05 -> Loadb
+  | 0x06 -> Storeb
+  | 0x07 -> Add
+  | 0x08 -> Sub
+  | 0x09 -> Mul
+  | 0x0A -> Divu
+  | 0x0B -> And
+  | 0x0C -> Or
+  | 0x0D -> Xor
+  | 0x0E -> Shl
+  | 0x0F -> Shr
+  | 0x10 -> Eq
+  | 0x11 -> Lt
+  | 0x12 -> Ltu
+  | 0x13 -> Jmp (s16 ~len byte (off + 1))
+  | 0x14 -> Jz (s16 ~len byte (off + 1))
+  | 0x15 -> Jnz (s16 ~len byte (off + 1))
+  | 0x16 -> Dup
+  | 0x17 -> Drop
+  | 0x18 -> Swap
+  | 0x19 -> Localget (u8 ~len byte (off + 1))
+  | 0x1A -> Localset (u8 ~len byte (off + 1))
+  | 0x1B ->
+      Sys (u8 ~len byte (off + 1) lor (u8 ~len byte (off + 2) lsl 8), u8 ~len byte (off + 3))
+  | 0x1C -> Ret
+  | 0x1D -> Call (u32 ~len byte (off + 1))
   | bad -> invalid_arg (Printf.sprintf "Isa.decode_at: bad opcode 0x%02x at %d" bad off)
+
+let decode_at code off =
+  let instr = decode ~len:(Bytes.length code) (fun i -> Char.code (Bytes.get code i)) off in
+  (instr, off + length instr)
 
 let pp ppf = function
   | Nop -> Format.pp_print_string ppf "nop"

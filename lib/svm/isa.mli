@@ -51,6 +51,13 @@ type instr =
 val encode : instr list -> bytes
 (** Flat bytecode image. *)
 
+val decode : len:int -> (int -> int) -> int -> instr
+(** [decode ~len byte off] is the instruction at offset [off] of a code
+    image of [len] bytes whose byte at offset [i] is [byte i]; [byte] is
+    only asked for offsets below [len].  The next instruction starts at
+    [off + length instr].  Raises [Invalid_argument] on a bad opcode or
+    truncation, with the messages of {!decode_at}. *)
+
 val decode_at : bytes -> int -> instr * int
 (** [decode_at code off] is the instruction at [off] and the offset of the
     next one.  Raises [Invalid_argument] on a bad opcode or truncation. *)

@@ -41,6 +41,13 @@ type t = {
   mutable peer : t option;
   mutable share_lo : int;
   mutable share_hi : int;
+  (* One-entry software TLB: the last translation [ensure_mapped] made
+     (page, mapping, governing entry's prot), trusted only while the
+     allocator's epoch is still [tlb_epoch]. *)
+  mutable tlb_vpn : int;
+  mutable tlb_map : mapping option;
+  mutable tlb_prot : Prot.t;
+  mutable tlb_epoch : int;
 }
 
 let create ~phys ~clock ~name =
@@ -55,7 +62,17 @@ let create ~phys ~clock ~name =
     peer = None;
     share_lo = 0;
     share_hi = 0;
+    tlb_vpn = 0;
+    tlb_map = None;
+    tlb_prot = Prot.none;
+    tlb_epoch = 0;
   }
+
+(* Any change to what [governing_entry] or a page table answers, in any
+   space on this allocator, ends every cached translation: inside the
+   share window a space's governing entry can be its peer's, so a change
+   to one space can stale the other's translation. *)
+let invalidate t = Phys.bump_epoch t.phys
 
 let name t = t.name
 let phys t = t.phys
@@ -79,6 +96,7 @@ let add_entry t ~start_addr ~size ~prot ~kind ~name =
     (fun e -> if overlaps e start_addr end_addr then raise (Overlap { start_addr; end_addr }))
     t.entries;
   let entry = { start_addr; end_addr; prot; kind; name; inherited_from_peer = false } in
+  invalidate t;
   t.entries <- List.sort (fun a b -> compare a.start_addr b.start_addr) (entry :: t.entries)
 
 let find_entry t addr =
@@ -150,12 +168,15 @@ let remove_range t ~start_addr ~size =
       e :: acc
     end
   in
+  invalidate t;
   t.entries <-
     List.sort (fun a b -> compare a.start_addr b.start_addr) (List.fold_left adjust [] t.entries)
 
 let protect_range t ~start_addr ~size ~prot =
   check_range ~start_addr ~size;
   let end_addr = start_addr + size in
+  (* Before the walk: a partial cover raises after earlier entries changed. *)
+  invalidate t;
   List.iter
     (fun e ->
       if overlaps e start_addr end_addr then begin
@@ -169,41 +190,56 @@ let protect_range t ~start_addr ~size ~prot =
 
 let install_shared t vpn frame =
   Phys.incref frame;
-  Hashtbl.replace t.pages vpn { frame; shared = true };
+  let m = { frame; shared = true } in
+  Hashtbl.replace t.pages vpn m;
+  invalidate t;
   Smod_metrics.Counter.incr m_pages_mapped;
-  Clock.charge t.clock Cost.Page_map
+  Clock.charge t.clock Cost.Page_map;
+  m
 
-let fault t ~addr ~access =
-  let vpn = Layout.vpn_of_addr addr in
+(* The governing entry of [addr] allows the access: find or materialize
+   the page's mapping. *)
+let fault_in t ~addr vpn =
+  match Hashtbl.find_opt t.pages vpn with
+  | Some m -> m
+  | None -> (
+      let peer_mapping =
+        if in_share_range t addr then
+          match t.peer with
+          | Some p -> Hashtbl.find_opt p.pages vpn
+          | None -> None
+        else None
+      in
+      Smod_metrics.Counter.incr m_faults;
+      match peer_mapping with
+      | Some pm ->
+          (* Modified uvm_fault: the peer already has this page — map the
+             same frame here as a share. *)
+          Clock.charge t.clock Cost.Peer_share_fault;
+          Smod_metrics.Counter.incr m_peer_share_faults;
+          pm.shared <- true;
+          install_shared t vpn pm.frame
+      | None ->
+          Clock.charge t.clock Cost.Page_fault_resolve;
+          let frame = Phys.alloc t.phys in
+          let m = { frame; shared = in_share_range t addr } in
+          Hashtbl.replace t.pages vpn m;
+          invalidate t;
+          Smod_metrics.Counter.incr m_pages_mapped;
+          Clock.charge t.clock Cost.Page_map;
+          m)
+
+(* The prot of the entry governing [addr], if it allows [access]. *)
+let checked_prot t ~addr ~access =
   match governing_entry t addr with
   | None -> raise (Segv { addr; access })
   | Some entry ->
       if not (Prot.allows entry.prot access) then raise (Prot_violation { addr; access });
-      if not (Hashtbl.mem t.pages vpn) then begin
-        let peer_mapping =
-          if in_share_range t addr then
-            match t.peer with
-            | Some p -> Hashtbl.find_opt p.pages vpn
-            | None -> None
-          else None
-        in
-        Smod_metrics.Counter.incr m_faults;
-        match peer_mapping with
-        | Some pm ->
-            (* Modified uvm_fault: the peer already has this page — map the
-               same frame here as a share. *)
-            Clock.charge t.clock Cost.Peer_share_fault;
-            Smod_metrics.Counter.incr m_peer_share_faults;
-            pm.shared <- true;
-            install_shared t vpn pm.frame
-        | None ->
-            Clock.charge t.clock Cost.Page_fault_resolve;
-            let frame = Phys.alloc t.phys in
-            let shared = in_share_range t addr in
-            Hashtbl.replace t.pages vpn { frame; shared };
-            Smod_metrics.Counter.incr m_pages_mapped;
-            Clock.charge t.clock Cost.Page_map
-      end
+      entry.prot
+
+let fault t ~addr ~access =
+  ignore (checked_prot t ~addr ~access);
+  ignore (fault_in t ~addr (Layout.vpn_of_addr addr))
 
 let is_mapped t addr = Hashtbl.mem t.pages (Layout.vpn_of_addr addr)
 
@@ -218,7 +254,9 @@ let is_shared_with_peer t addr =
 let frame_id t addr =
   Option.map (fun m -> m.frame.Phys.id) (Hashtbl.find_opt t.pages (Layout.vpn_of_addr addr))
 
-let set_peer t p = t.peer <- p
+let set_peer t p =
+  t.peer <- p;
+  invalidate t
 
 let force_share ~client ~handle ~lo ~hi =
   if not (Layout.is_page_aligned lo && Layout.is_page_aligned hi && lo < hi) then
@@ -252,7 +290,7 @@ let force_share ~client ~handle ~lo ~hi =
       if addr >= lo && addr < hi then begin
         m.shared <- true;
         Smod_metrics.Counter.incr m_pages_force_shared;
-        install_shared handle vpn m.frame
+        ignore (install_shared handle vpn m.frame)
       end)
     client.pages;
   (* 4. Wire the pair up for future faults and heap growth. *)
@@ -264,6 +302,7 @@ let force_share ~client ~handle ~lo ~hi =
   handle.share_hi <- hi;
   handle.heap_base_addr <- client.heap_base_addr;
   handle.brk_addr <- client.brk_addr;
+  invalidate client;
   Clock.charge client.clock Cost.Tlb_flush
 
 let heap_base t = t.heap_base_addr
@@ -300,6 +339,7 @@ let rec obreak t new_brk =
   in
   ignore old_end;
   grow_entry ();
+  invalidate t;
   t.brk_addr <- new_brk;
   (* Modified sys_obreak: keep the paired space's heap converged so that
      faults on either side can resolve through the share. *)
@@ -311,16 +351,26 @@ let rec obreak t new_brk =
 (* Byte access                                                      *)
 (* --------------------------------------------------------------- *)
 
+(* Every load and store checks protection against the governing entry,
+   faulting the page in on first touch.  A TLB hit re-checks the cached
+   prot and skips the entry walk and page-table lookup; neither path
+   charges anything beyond what a fault charges. *)
 let ensure_mapped t addr access =
   let vpn = Layout.vpn_of_addr addr in
-  (match Hashtbl.find_opt t.pages vpn with
-  | Some _ -> (
-      (* Page present: still verify protection via the governing entry. *)
-      match governing_entry t addr with
-      | Some e -> if not (Prot.allows e.prot access) then raise (Prot_violation { addr; access })
-      | None -> raise (Segv { addr; access }))
-  | None -> fault t ~addr ~access);
-  Hashtbl.find t.pages vpn
+  match t.tlb_map with
+  | Some m when t.tlb_vpn = vpn && t.tlb_epoch = Phys.epoch t.phys ->
+      if not (Prot.allows t.tlb_prot access) then raise (Prot_violation { addr; access });
+      m
+  | _ ->
+      let prot = checked_prot t ~addr ~access in
+      let m = fault_in t ~addr vpn in
+      t.tlb_vpn <- vpn;
+      t.tlb_map <- Some m;
+      t.tlb_prot <- prot;
+      t.tlb_epoch <- Phys.epoch t.phys;
+      m
+
+let read_page t ~addr = (ensure_mapped t addr Prot.Read).frame.Phys.data
 
 let read_bytes t ~addr ~len =
   if len < 0 then raise (Bad_range "negative length");
@@ -435,7 +485,9 @@ let destroy t =
   Hashtbl.iter (fun _ m -> Phys.decref t.phys m.frame) t.pages;
   Hashtbl.reset t.pages;
   t.entries <- [];
-  t.peer <- None
+  t.peer <- None;
+  t.tlb_map <- None;
+  invalidate t
 
 let clone t ~name =
   let child = create ~phys:t.phys ~clock:t.clock ~name in

@@ -11,7 +11,19 @@
     - {!obreak} — the modified [sys_obreak]/[uvm_map]: heap growth on either
       side of a pair materialises as shared mappings.
 
-    Addresses are byte addresses; regions are page aligned. *)
+    Addresses are byte addresses; regions are page aligned.
+
+    Every load and store checks protection against the entry governing
+    its address.  Each space caches its last translation (page, mapping,
+    governing entry's protection) in a one-entry software TLB, trusted
+    while the allocator's {!Phys.epoch} is unchanged.  Every operation
+    here that can change what the entry walk or a page table answers, in
+    any space on the allocator, bumps that epoch: {!add_entry},
+    {!remove_range}, {!protect_range}, a page installed by {!fault} or
+    {!force_share}, {!force_share} itself, {!obreak}, {!set_peer} and
+    {!destroy}.  The TLB is host state only: a hit raises what the walk
+    would raise, charges nothing (nor did the walk on a present page),
+    and reads the frame's bytes live. *)
 
 type kind = Text | Data | Heap | Stack | Secret | Mmap
 
@@ -89,6 +101,13 @@ val obreak : t -> int -> unit
 
 val read_bytes : t -> addr:int -> len:int -> bytes
 (** Demand-pages via {!fault} as needed. *)
+
+val read_page : t -> addr:int -> Bytes.t
+(** The bytes of the frame backing [addr]'s page, after the same read
+    check and demand paging as {!read_bytes}: the whole page, indexed by
+    [addr land (Layout.page_size - 1)].  This is the live frame, shared
+    with every space that maps it, so callers never write to it; a later
+    write to the page through any space shows in it at once. *)
 
 val write_bytes : t -> addr:int -> bytes -> unit
 val read_u8 : t -> addr:int -> int

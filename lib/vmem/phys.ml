@@ -7,9 +7,11 @@ type t = {
   mutable next_id : int;
   mutable live : int;
   limit_frames : int;
+  mutable epoch : int;
 }
 
-let create ?(limit_frames = 131072) () = { free = []; next_id = 0; live = 0; limit_frames }
+let create ?(limit_frames = 131072) () =
+  { free = []; next_id = 0; live = 0; limit_frames; epoch = 0 }
 
 let alloc t =
   match t.free with
@@ -39,3 +41,5 @@ let decref t frame =
 
 let live_frames t = t.live
 let limit t = t.limit_frames
+let epoch t = t.epoch
+let bump_epoch t = t.epoch <- t.epoch + 1

@@ -31,3 +31,12 @@ val live_frames : t -> int
 (** Frames currently referenced at least once. *)
 
 val limit : t -> int
+
+val epoch : t -> int
+(** The translation epoch of every address space on this allocator.  An
+    address space caches one translation and trusts it only while the
+    epoch is the one it was filled at (see {!Aspace}); a change to any
+    space's entries or page table bumps it.  Host state only: it charges
+    nothing and no simulated result reads it. *)
+
+val bump_epoch : t -> unit

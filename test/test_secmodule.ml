@@ -583,6 +583,46 @@ let test_tampered_handle_text_detected () =
   Alcotest.(check int) "getpid still served" !client_pid !pid;
   Alcotest.(check int) "test_incr still served" 42 !incr
 
+let test_rewritten_bytecode_runs () =
+  (* What runs is what is mapped, for bytecode too: an immediate the
+     kernel rewrites in the handle's text between two calls is what the
+     next call executes, and text made non-executable no longer runs. *)
+  let m = M.create ~jitter:0.0 () in
+  let smod = Smod.install m () in
+  ignore (Smod_libc.Seclibc.install smod ());
+  let first = ref 0 and immediate = ref 0 and second = ref 0 in
+  let third = ref (Ok 0) in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         Crt0.run_client smod p ~module_name:"seclibc" ~version:1
+           ~credential:(cred "alice") (fun conn ->
+             first := Smod_libc.Seclibc.Client.test_incr conn 41;
+             let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
+             let handle_as = Smod.handle_aspace smod session in
+             let sym =
+               Option.get (Smof.find_symbol session.Smod.entry.Registry.image "test_incr")
+             in
+             (* "loadarg 0" is two bytes; "push 1"'s immediate follows its opcode. *)
+             let addr = Layout.module_text_base + sym.Smof.sym_offset + 3 in
+             let text = Option.get (Aspace.find_entry handle_as addr) in
+             let start_addr = text.Aspace.start_addr in
+             let size = text.Aspace.end_addr - start_addr in
+             immediate := Aspace.read_word handle_as ~addr;
+             Aspace.protect_range handle_as ~start_addr ~size ~prot:Prot.rw;
+             Aspace.write_word handle_as ~addr 100;
+             Aspace.protect_range handle_as ~start_addr ~size ~prot:Prot.rx;
+             second := Smod_libc.Seclibc.Client.test_incr conn 41;
+             Aspace.protect_range handle_as ~start_addr ~size ~prot:Prot.r;
+             third :=
+               match Smod_libc.Seclibc.Client.test_incr conn 41 with
+               | n -> Ok n
+               | exception Errno.Error (e, _) -> Error e)));
+  M.run m;
+  Alcotest.(check int) "served before the rewrite" 42 !first;
+  Alcotest.(check int) "push 1's immediate" 1 !immediate;
+  Alcotest.(check int) "rewritten immediate runs" 141 !second;
+  Alcotest.(check bool) "non-executable text -> EFAULT" true (!third = Error Errno.EFAULT)
+
 let test_native_integrity_check () =
   (* Swap the native binding's expected bytes by registering a module
      whose native symbol name does not match the stub image content. *)
@@ -1483,6 +1523,7 @@ let () =
           tc "encrypted module executes" test_encrypted_module_executes;
           tc "registered image is ciphertext" test_registered_image_is_ciphertext;
           tc "tamper setup" test_tampered_handle_text_detected;
+          tc "rewritten bytecode runs" test_rewritten_bytecode_runs;
           tc "native integrity check" test_native_integrity_check;
           tc "unbound native" test_unbound_native_enosys;
           tc "unmap-only removes plain copy" test_unmap_only_removes_plain_library;

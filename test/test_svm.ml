@@ -251,6 +251,37 @@ let test_unmapped_code_segv () =
     | _ -> false
     | exception Aspace.Segv _ -> true)
 
+(* Fetch decodes from the text's frames in place, so an instruction that
+   straddles a page boundary must decode as it would from one contiguous
+   image, and one truncated at the text end must fault at its own pc.
+   Both are run with the text starting on a page boundary and mid-page. *)
+let test_fetch_page_edges () =
+  List.iter
+    (fun base_off ->
+      let a, clock = setup () in
+      let code_base = code_base + base_off in
+      (* [push]'s five bytes start two bytes before the first page
+         boundary; a [jmp] skips the [nop] padding up to it. *)
+      let push_at = Layout.page_size - base_off - 2 in
+      let pad = List.init (push_at - 3) (fun _ -> Isa.Nop) in
+      let code = (Isa.Jmp (push_at - 3) :: pad) @ [ Isa.Push 0xA1B2C3D4; Isa.Ret ] in
+      let text = Isa.encode (code @ List.init 1000 (fun _ -> Isa.Nop)) in
+      Alcotest.(check bool) "longer than a page" true (Bytes.length text > Layout.page_size);
+      Aspace.write_bytes a ~addr:code_base text;
+      let env = Interp.make_env ~aspace:a ~clock () in
+      Alcotest.(check int) "push across the boundary" 0xA1B2C3D4
+        (Interp.run env ~code_base ~code_len:(Bytes.length text) ~args_base ());
+      Alcotest.(check int) "jmp, push, ret" 3 (Interp.instructions_executed env);
+      (* The same image cut two bytes into the push's immediate: the bytes
+         beyond the text end are mapped but must not be decoded. *)
+      let env = Interp.make_env ~aspace:a ~clock () in
+      match Interp.run env ~code_base ~code_len:(push_at + 3) ~args_base () with
+      | v -> Alcotest.failf "truncated push ran and returned %d" v
+      | exception Interp.Fault { pc; reason } ->
+          Alcotest.(check int) "fault pc" push_at pc;
+          Alcotest.(check string) "fault reason" "Isa.decode_at: truncated instruction" reason)
+    [ 0; 0x10 ]
+
 let test_instruction_charging () =
   let a, clock = setup () in
   let code = Asm.assemble "push 1\npush 2\nadd\nret" in
@@ -495,6 +526,7 @@ let () =
           tc "pc out of range" test_pc_out_of_range;
           tc "exec protection" test_exec_protection;
           tc "unmapped code" test_unmapped_code_segv;
+          tc "fetch at page edges" test_fetch_page_edges;
           tc "instruction accounting" test_instruction_charging;
           tc "fibonacci" test_fibonacci;
         ] );

@@ -409,6 +409,164 @@ let prop_obreak_convergence =
         moves;
       Aspace.brk client = Aspace.brk handle)
 
+(* The one-entry TLB must answer every access exactly as the entry walk
+   does, under any interleaving of map changes on a force-shared pair.
+   The oracle uses public state only: [find_entry] on the space, else on
+   its peer inside the share window.  Values are checked against a shadow
+   of every word written, kept per physical frame; a page faulted in
+   fresh (not the peer's frame) reads zero.  After every step both
+   spaces re-access the word they touched last, read then write back, so
+   a translation left stale by any map change is exercised at once. *)
+type tlb_op =
+  | T_add of bool * int * int * Prot.t  (* handle side?, first page, pages, prot *)
+  | T_remove of bool * int * int
+  | T_protect of bool * int * Prot.t  (* the whole entry covering the page *)
+  | T_obreak of bool * int  (* break at heap base + n half-pages *)
+  | T_set_peer of bool * bool  (* paired? *)
+  | T_read of bool * int * int  (* page, word slot *)
+  | T_write of bool * int * int * int
+
+let tlb_pages = 6
+let tlb_slots = [| 0; 4; 2048; Layout.page_size - 4 |]
+let tlb_addr page slot = Layout.data_base + (page * Layout.page_size) + tlb_slots.(slot)
+
+let gen_tlb_op =
+  let open QCheck.Gen in
+  let side = bool and page = int_bound (tlb_pages - 1) and slot = int_bound 3 in
+  let prot = oneofl [ Prot.none; Prot.r; Prot.rw; Prot.rx ] in
+  frequency
+    [
+      (2, map4 (fun h p n pr -> T_add (h, p, n, pr)) side page (1 -- 2) prot);
+      (2, map3 (fun h p n -> T_remove (h, p, n)) side page (1 -- 2));
+      (2, map3 (fun h p pr -> T_protect (h, p, pr)) side page prot);
+      (2, map2 (fun h n -> T_obreak (h, n)) side (int_bound 8));
+      (1, map2 (fun h paired -> T_set_peer (h, paired)) side bool);
+      (3, map3 (fun h p k -> T_read (h, p, k)) side page slot);
+      (3, map4 (fun h p k v -> T_write (h, p, k, v)) side page slot (int_bound 0xFFFF));
+    ]
+
+let print_tlb_op = function
+  | T_add (h, p, n, pr) -> Printf.sprintf "add h=%b p=%d n=%d %s" h p n (Prot.to_string pr)
+  | T_remove (h, p, n) -> Printf.sprintf "remove h=%b p=%d n=%d" h p n
+  | T_protect (h, p, pr) -> Printf.sprintf "protect h=%b p=%d %s" h p (Prot.to_string pr)
+  | T_obreak (h, n) -> Printf.sprintf "obreak h=%b +%d" h n
+  | T_set_peer (h, b) -> Printf.sprintf "set_peer h=%b %b" h b
+  | T_read (h, p, k) -> Printf.sprintf "read h=%b p=%d k=%d" h p k
+  | T_write (h, p, k, v) -> Printf.sprintf "write h=%b p=%d k=%d v=%d" h p k v
+
+let walk_outcome space addr access =
+  let entry =
+    match Aspace.find_entry space addr with
+    | Some _ as found -> found
+    | None -> (
+        match Aspace.peer space with
+        | Some p when addr >= Layout.share_lo && addr < Layout.share_hi ->
+            Aspace.find_entry p addr
+        | Some _ | None -> None)
+  in
+  match entry with
+  | None -> `Segv
+  | Some e -> if Prot.allows e.Aspace.prot access then `Ok else `Prot_violation
+
+let arb_tlb_ops =
+  QCheck.make ~shrink:QCheck.Shrink.list ~print:QCheck.Print.(list print_tlb_op)
+    QCheck.Gen.(list_size (1 -- 40) gen_tlb_op)
+
+let prop_tlb_matches_walk =
+  QCheck.Test.make ~name:"TLB agrees with the entry walk" ~count:300 arb_tlb_ops (fun ops ->
+      let phys = Phys.create () in
+      let clock = mk_clock () in
+      let client = Aspace.create ~phys ~clock ~name:"client" in
+      let handle = Aspace.create ~phys ~clock ~name:"handle" in
+      Aspace.add_entry client ~start_addr:Layout.data_base ~size:(2 * Layout.page_size)
+        ~prot:Prot.rw ~kind:Aspace.Data ~name:"data";
+      Aspace.set_heap_base client (Layout.data_base + (2 * Layout.page_size));
+      Aspace.write_word client ~addr:Layout.data_base 7;
+      Aspace.force_share ~client ~handle ~lo:Layout.share_lo ~hi:Layout.share_hi;
+      let space h = if h then handle else client in
+      let off addr = addr land (Layout.page_size - 1) in
+      (* (frame id, page offset) -> the last word written there *)
+      let shadow = Hashtbl.create 16 in
+      let value fid addr = Option.value ~default:0 (Hashtbl.find_opt shadow (fid, off addr)) in
+      Hashtbl.replace shadow (Option.get (Aspace.frame_id client Layout.data_base), 0) 7;
+      let last = [| None; None |] in
+      let access h addr write v =
+        let s = space h in
+        last.(Bool.to_int h) <- Some addr;
+        let was_mapped = Aspace.is_mapped s addr in
+        let peer_frame = Option.bind (Aspace.peer s) (fun p -> Aspace.frame_id p addr) in
+        let expected = walk_outcome s addr (if write then Prot.Write else Prot.Read) in
+        let attempt () =
+          if not write then Aspace.read_word s ~addr
+          else begin
+            Aspace.write_word s ~addr v;
+            v
+          end
+        in
+        let got =
+          match attempt () with
+          | v -> `Value v
+          | exception Aspace.Segv _ -> `Segv
+          | exception Aspace.Prot_violation _ -> `Prot_violation
+        in
+        match (expected, got, Aspace.frame_id s addr) with
+        | `Ok, `Value v, Some fid ->
+            if (not was_mapped) && peer_frame <> Some fid then
+              Hashtbl.filter_map_inplace
+                (fun (f, _) w -> if f = fid then None else Some w)
+                shadow;
+            if write then begin
+              Hashtbl.replace shadow (fid, off addr) v;
+              true
+            end
+            else v = value fid addr
+        | `Segv, `Segv, _ | `Prot_violation, `Prot_violation, _ -> true
+        | _ -> false
+      in
+      let probe h =
+        match last.(Bool.to_int h) with
+        | None -> true
+        | Some addr ->
+            access h addr false 0
+            &&
+            let v =
+              match Aspace.frame_id (space h) addr with Some f -> value f addr | None -> 0
+            in
+            access h addr true v
+      in
+      let step = function
+        | T_read (h, p, k) -> access h (tlb_addr p k) false 0
+        | T_write (h, p, k, v) -> access h (tlb_addr p k) true v
+        | T_add (h, p, n, prot) ->
+            (try
+               Aspace.add_entry (space h) ~start_addr:(tlb_addr p 0)
+                 ~size:(n * Layout.page_size) ~prot ~kind:Aspace.Mmap ~name:"mmap"
+             with Aspace.Overlap _ -> ());
+            true
+        | T_remove (h, p, n) ->
+            Aspace.remove_range (space h) ~start_addr:(tlb_addr p 0)
+              ~size:(n * Layout.page_size);
+            true
+        | T_protect (h, p, prot) ->
+            (match Aspace.find_entry (space h) (tlb_addr p 0) with
+            | None -> ()
+            | Some e -> (
+                try
+                  Aspace.protect_range (space h) ~start_addr:e.Aspace.start_addr
+                    ~size:(e.Aspace.end_addr - e.Aspace.start_addr) ~prot
+                with Aspace.Bad_range _ -> ()));
+            true
+        | T_obreak (h, n) ->
+            (let s = space h in
+             try Aspace.obreak s (Aspace.heap_base s + (n * Layout.page_size / 2))
+             with Aspace.Bad_range _ | Aspace.Overlap _ -> ());
+            true
+        | T_set_peer (h, paired) ->
+            Aspace.set_peer (space h) (if paired then Some (space (not h)) else None);
+            true
+      in
+      List.for_all (fun op -> step op && probe false && probe true) ops)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vmem"
@@ -463,5 +621,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_write_read; prop_share_convergence; prop_obreak_convergence ] );
+          [ prop_write_read; prop_share_convergence; prop_obreak_convergence ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
+              prop_tlb_matches_walk;
+          ] );
     ]
