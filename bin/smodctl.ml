@@ -400,21 +400,7 @@ let cmd_policy_status calls assertions =
                       (fun (op, n) -> Printf.sprintf "%s x%d" op n)
                       f.Smod_keynote.Fuse.superops))
         | None -> ())
-      (Smod.policy_compile_status smod);
-    let a = Smod_keynote.Fuse.arena_stats () in
-    (* An empty arena (fusion off, or nothing planned yet) has no hit
-       rate — print "-" rather than a 0% that reads as all-misses. *)
-    let hit_rate =
-      match Smod_keynote.Fuse.arena_hit_rate_pct () with
-      | Some pct -> Printf.sprintf "%.0f%% hit rate" pct
-      | None -> "- hit rate"
-    in
-    Printf.printf
-      "shared arena: %d distinct segments, %d hits / %d misses (%s), %.1f KB \
-       deduplicated\n"
-      a.Smod_keynote.Fuse.a_segments a.Smod_keynote.Fuse.a_hits
-      a.Smod_keynote.Fuse.a_misses hit_rate
-      (float_of_int a.Smod_keynote.Fuse.a_bytes_saved /. 1024.0)
+      (Smod.policy_compile_status smod)
   in
   Printf.printf "after %d calls:\n" calls;
   render ();

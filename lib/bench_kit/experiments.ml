@@ -304,7 +304,7 @@ let sections =
       s_title =
         "E24: fused batch policy evaluation — one compiled pass per batch vs per-slot \
          (lib/keynote/fuse)";
-      s_unit = "us/call (speedup rows: x; compile mem rows: KB or x)";
+      s_unit = "us/call (speedup rows: x)";
       s_tasks = (fun ~full -> Fused_bench.task_count (e24_config ~full));
       s_dispatches = (fun ~full -> Fused_bench.dispatch_count (e24_config ~full));
       s_run =
@@ -314,7 +314,7 @@ let sections =
                ~title:
                  "E24: fused batch policy evaluation — one compiled pass per batch vs \
                   per-slot (lib/keynote/fuse)"
-               ~unit_:"us/call (speedup rows: x; compile mem rows: KB or x)");
+               ~unit_:"us/call (speedup rows: x)");
     };
     {
       s_id = "e25";

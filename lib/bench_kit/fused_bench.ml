@@ -14,14 +14,11 @@
    slot.  The volatile guard keeps smodd's decision cache out of the
    picture on every row, like E19.
 
-   Three extra row families ride along:
+   Two extra row families ride along:
 
    - speedup ratios (perslot mean / fused mean) per cell, so the >= 3x
      headline at ring b64 kn-16 is a first-class gated row rather than
      arithmetic a reader does by hand;
-   - the compile-memory curve: distinct-segment storage with and without
-     the structural-sharing arena across 1k / 10k-assertion registries
-     (shared-suffix policies, the registry steady state);
    - the origin-predicate ladder: 0..3 origin conjuncts ahead of the
      volatile term.  They share the matching assertion's segment with
      calls_so_far, so they stay in the residue — but each costs one
@@ -38,8 +35,6 @@ module Machine = Smod_kern.Machine
 module Clock = Smod_sim.Clock
 module Stats = Smod_util.Stats
 module Parse = Smod_keynote.Parse
-module Compile = Smod_keynote.Compile
-module Fuse = Smod_keynote.Fuse
 open Secmodule
 
 type transport = Msgq | Ring | Poller
@@ -50,7 +45,6 @@ type config = {
   cells : (int * int) list;  (* (batch, assertions) *)
   rounds : int;  (* measured batches per trial *)
   trials : int;
-  mem_sizes : int list;  (* registry sizes for the compile-memory curve *)
   origin_terms : int list;  (* origin-predicate ladder rungs *)
 }
 
@@ -59,7 +53,6 @@ let default_config =
     cells = [ (1, 16); (4, 16); (16, 16); (64, 16); (64, 1); (64, 4); (64, 64) ];
     rounds = 60;
     trials = 3;
-    mem_sizes = [ 1_000; 10_000 ];
     origin_terms = [ 0; 1; 2; 3 ];
   }
 
@@ -220,63 +213,6 @@ let deny_trial ~fuse ~batch ~rounds ~seed =
   !mean
 
 (* ------------------------------------------------------------------ *)
-(* Compile-memory curve                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The registry steady state: many policies sharing a common assertion
-   suffix (vendor boilerplate) behind one unique clause each.  Naive
-   storage replicates every plan's segments; the arena interns them.
-   Pure computation — no world, no cost-model charges — and reset-first,
-   so the numbers are independent of whatever else ran on this domain. *)
-let memory_rows sizes =
-  let lv = [| "deny"; "allow" |] in
-  let shared =
-    List.init 5 (fun i ->
-        Parse.assertion_of_string
-          (Printf.sprintf
-             "keynote-version: 2\n\
-              authorizer: \"POLICY\"\n\
-              licensees: \"client\"\n\
-              conditions: module == \"seclibc\" && tier == \"t%d\" -> \"allow\";\n"
-             i))
-  in
-  List.concat_map
-    (fun size ->
-      Fuse.arena_reset ();
-      let naive_bytes = ref 0 in
-      for i = 0 to size - 1 do
-        let unique =
-          Parse.assertion_of_string
-            (Printf.sprintf
-               "keynote-version: 2\n\
-                authorizer: \"POLICY\"\n\
-                licensees: \"client\"\n\
-                conditions: clause == %d -> \"allow\";\n"
-               i)
-        in
-        match
-          Compile.compile ~policy:(unique :: shared) ~credentials:[]
-            ~requesters:[ "client" ] ~levels:lv ()
-        with
-        | Error _ -> ()
-        | Ok prog ->
-            let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
-            naive_bytes := !naive_bytes + (32 * (Fuse.stats plan).Fuse.total_fops)
-      done;
-      let a = Fuse.arena_stats () in
-      let arena_bytes = !naive_bytes - a.Fuse.a_bytes_saved in
-      let kb b = float_of_int b /. 1024.0 in
-      let row label v = Ablations.{ label; mean_us = v; stdev_us = 0.0 } in
-      [
-        row (Printf.sprintf "compile mem naive %dk (KB)" (size / 1000)) (kb !naive_bytes);
-        row (Printf.sprintf "compile mem arena %dk (KB)" (size / 1000)) (kb arena_bytes);
-        row
-          (Printf.sprintf "compile mem sharing %dk (ratio)" (size / 1000))
-          (float_of_int !naive_bytes /. float_of_int (max 1 arena_bytes));
-      ])
-    sizes
-
-(* ------------------------------------------------------------------ *)
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -363,7 +299,7 @@ let run ?(runner = Runner.sequential) ?(config = default_config) () =
           [ Msgq; Ring; Poller ])
       config.cells
   in
-  measured @ ratios @ memory_rows config.mem_sizes
+  measured @ ratios
 
 let task_count config =
   let mains = 6 * List.length config.cells in

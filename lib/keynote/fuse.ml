@@ -37,74 +37,6 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Structural-sharing arena                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Registry-wide hash-consing of lowered segment arrays.  Two compiled
-   programs that end in the same assertion suffix (the common case in a
-   large registry grown from templates) lower to structurally equal
-   segment arrays — same opcodes, same node indices, same local jump
-   targets — so the arena stores one copy.  The arena is domain-local
-   (bench workers plan concurrently; a shared table would need locking
-   and would make per-task stats racy) and purely an interning cache:
-   plans from different arenas are still semantically identical. *)
-
-type arena = {
-  tbl : (Compile.instr array, Compile.instr array) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable bytes_saved : int;
-}
-
-type arena_stats = {
-  a_segments : int;  (* distinct segment arrays held *)
-  a_hits : int;
-  a_misses : int;
-  a_bytes_saved : int;
-}
-
-let arena_key : arena Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { tbl = Hashtbl.create 256; hits = 0; misses = 0; bytes_saved = 0 })
-
-(* Boxed-size estimate of one lowered opcode: constructor block + operand
-   blocks, ~4 words.  Only used for the bytes-saved statistic. *)
-let seg_bytes ops = 32 * Array.length ops
-
-let intern ops =
-  let a = Domain.DLS.get arena_key in
-  match Hashtbl.find_opt a.tbl ops with
-  | Some shared ->
-      a.hits <- a.hits + 1;
-      a.bytes_saved <- a.bytes_saved + seg_bytes ops;
-      shared
-  | None ->
-      a.misses <- a.misses + 1;
-      Hashtbl.replace a.tbl ops ops;
-      ops
-
-let arena_stats () =
-  let a = Domain.DLS.get arena_key in
-  {
-    a_segments = Hashtbl.length a.tbl;
-    a_hits = a.hits;
-    a_misses = a.misses;
-    a_bytes_saved = a.bytes_saved;
-  }
-
-let arena_reset () =
-  let a = Domain.DLS.get arena_key in
-  Hashtbl.reset a.tbl;
-  a.hits <- 0;
-  a.misses <- 0;
-  a.bytes_saved <- 0
-
-let arena_hit_rate_pct () =
-  let a = Domain.DLS.get arena_key in
-  let total = a.hits + a.misses in
-  if total = 0 then None else Some (100.0 *. float_of_int a.hits /. float_of_int total)
-
-(* ------------------------------------------------------------------ *)
 (* Planning: segment, rewrite, fuse, classify                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,7 +199,8 @@ let plan program ~varying =
   let nnodes = Compile.node_count program in
   let levels = Compile.levels program in
   let lowered_of start stop =
-    intern (fuse_segment (Array.init (stop - start + 1) (fun k -> lower_instr ~start instrs.(start + k))))
+    fuse_segment
+      (Array.init (stop - start + 1) (fun k -> lower_instr ~start instrs.(start + k)))
   in
   let segs, prefix, residue =
     match segment_bounds instrs with

@@ -7,12 +7,11 @@
     compiled program into contiguous segments and rewrites each within
     [Compile.instr]: origin tests against literals become origin opcodes,
     a peephole pass fuses common opcode pairs into superoperators, and
-    jumps become relative to the segment.  It interns segment arrays in a
-    domain-local structural-sharing arena, and partitions the segments
-    into a batch-invariant prefix and a per-slot residue.  [begin_batch]
-    runs the prefix once into a {!snapshot}; [run_slot] replays only the
-    residue per slot.  Both run segments on [Compile.exec_seg], the one
-    executor every engine shares.
+    jumps become relative to the segment.  It then partitions the
+    segments into a batch-invariant prefix and a per-slot residue.
+    [begin_batch] runs the prefix once into a {!snapshot}; [run_slot]
+    replays only the residue per slot.  Both run segments on
+    [Compile.exec_seg], the one executor every engine shares.
 
     Cost accounting is the caller's job, mirroring [Compile.run]: charge
     [Cost_model.Policy_fused_setup] plus [s_setup_ops] compiled-op units
@@ -39,7 +38,8 @@ type seg = { ops : Compile.instr array; invariant : bool }
 type t
 (** A fused plan for one compiled program.  Immutable and, like the
     program it lowers, safe to cache per (credential, policy revision,
-    keystore generation). *)
+    keystore generation).  It owns the segment arrays it lowers, so they
+    are freed with it. *)
 
 type snapshot = {
   s_nodes : int array;
@@ -49,7 +49,7 @@ type snapshot = {
 }
 
 val plan : Compile.t -> varying:string list -> t
-(** Lower, fuse, intern, and partition.  [varying] names the action
+(** Lower, fuse and partition.  [varying] names the action
     attributes that change slot to slot (the dispatcher passes
     ["function"] and the volatile attributes); every opcode whose value
     could depend on one — directly or through a value node — lands in the
@@ -101,24 +101,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-type arena_stats = {
-  a_segments : int;  (** distinct segment arrays interned on this domain *)
-  a_hits : int;
-  a_misses : int;
-  a_bytes_saved : int;  (** estimated bytes deduplicated (32 B/opcode) *)
-}
-
-val arena_stats : unit -> arena_stats
-(** The calling domain's structural-sharing arena.  Registry-wide in the
-    sense that every plan built on this domain shares it, whichever
-    module or session triggered compilation. *)
-
-val arena_reset : unit -> unit
-(** Drop the calling domain's arena (tests and the E24 memory curve, which
-    need a clean baseline before measuring). *)
-
-val arena_hit_rate_pct : unit -> float option
-(** Hit rate of the calling domain's arena as a percentage, or [None]
-    when the arena has never been probed — so renderers ([smodctl policy
-    status]) print a placeholder instead of a meaningless rate. *)

@@ -52,7 +52,7 @@ type result = {
 }
 
 val default_width : int
-(** 8 — the lane width W the cost model discounts by unless overridden. *)
+(** 8 — the lane width W every dispatcher vector pass is priced at. *)
 
 val run_residue : Fuse.t -> Fuse.snapshot -> width:int -> lanes:lane array -> result
 (** Evaluate the plan's residue over [lanes] against the batch-invariant

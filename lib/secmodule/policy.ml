@@ -331,8 +331,9 @@ let vector_eligible { tree; snapshots } =
   in
   Array.length snapshots > 0 && eligible tree
 
-let check_vector ~clock ~now_us ~credential ~width ~(lanes : Vexec.lane array)
-    { tree; snapshots } state =
+let check_vector ~clock ~now_us ~credential ~(lanes : Vexec.lane array) { tree; snapshots }
+    state =
+  let width = Vexec.default_width in
   let n = Array.length lanes in
   let alive = Array.make n true in
   let results : (unit, denial) result array = Array.make n (Ok ()) in

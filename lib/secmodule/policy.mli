@@ -135,7 +135,6 @@ val check_vector :
   clock:Smod_sim.Clock.t ->
   now_us:float ->
   credential:Credential.t ->
-  width:int ->
   lanes:Smod_keynote.Vexec.lane array ->
   prepared ->
   state ->
@@ -143,15 +142,15 @@ val check_vector :
 (** Evaluate one whole batch arm-major (E25): each arm of the prepared
     tree runs over all still-alive lanes before the next arm, KeyNote
     arms batch-major through {!Smod_keynote.Vexec} (charging
-    {!Smod_sim.Cost_model.Policy_vector_op} per [ceil(live/width)]-unit
-    pass, compacted as lanes are denied), stateful quota arms per lane
-    in lane order.  A lane carries its full per-slot attribute list,
-    function and origin pairs included.  Returns one verdict per lane,
-    positionally: the same verdict, against the same [state], that
-    [check_compiled] would return slot-major — asserted by the four-way
-    differential in test/test_compile.ml.  The caller is responsible for
-    only invoking this on {!vector_eligible} programs (it stays total
-    regardless). *)
+    {!Smod_sim.Cost_model.Policy_vector_op} per [ceil(live/W)]-unit pass
+    at W = {!Smod_keynote.Vexec.default_width}, compacted as lanes are
+    denied), stateful quota arms per lane in lane order.  A lane carries
+    its full per-slot attribute list, function and origin pairs included.
+    Returns one verdict per lane, positionally: the same verdict, against
+    the same [state], that [check_compiled] would return slot-major —
+    asserted by the four-way differential in test/test_compile.ml.  The
+    caller is responsible for only invoking this on {!vector_eligible}
+    programs (it stays total regardless). *)
 
 type compiled_stats = {
   programs : int;  (** KeyNote arms compiled to decision programs *)

@@ -1654,33 +1654,13 @@ let trap_ring t (p : Proc.t) session ~trap =
   | Error `Unregistered -> Errno.raise_errno Errno.EINVAL (trap ^ ": no ring registered")
   | Error `Corrupt -> Errno.raise_errno Errno.EINVAL (trap ^ ": ring header corrupt")
 
-(* The slot decider for one ring batch or poller sweep.  Cacheable
-   admissions are decided once per distinct function in the batch — the
-   per-batch amortization of the policy cost; the rest (quota, rate,
-   time-window, a policy or credential reading [calls_so_far]) are
-   decided per slot so their ordering matches the per-call path.  The memo is fresh per call, so each
-   sweep/batch amortizes within itself only. *)
-let batch_decider t a =
-  let memo : (int, cached_decision) Hashtbl.t = Hashtbl.create 4 in
-  fun func_id ->
-    match Registry.symbol_of_func_id a.a_session.entry func_id with
-    | None -> Cache_deny "no such function"
-    | Some sym when not a.a_cacheable -> decide t a ~func_name:sym.Smof.sym_name
-    | Some sym -> (
-        match Hashtbl.find_opt memo func_id with
-        | Some d -> d
-        | None ->
-            let d = decide t a ~func_name:sym.Smof.sym_name in
-            Hashtbl.replace memo func_id d;
-            d)
-
-(* E25 batch-major pre-pass: when vectorization is on and the session's
-   prepared program is vector-eligible, the whole batch's verdicts are
-   computed lane-major — one lane per slot, from the kernel's own read
-   of each submitted slot, one vector pass per residue opcode — before
-   the stamp loop consumes them positionally.  Returns a seq-indexed
-   lookup; [fun _ -> None] (the slot-major decider runs as usual) when
-   the batch cannot benefit or cannot be proven equivalent:
+(* E25 batch-major pass: when vectorization is on and the session's
+   prepared program is vector-eligible, the batch's verdicts are computed
+   lane-major before the stamp loop runs — one lane per slot, from the
+   kernel's own read of each submitted slot, one vector pass per residue
+   opcode.  Returns [(seq, func_id, verdict)] per lane, or [] (the
+   slot-major decider runs as usual) when the batch cannot benefit or
+   cannot be proven equivalent:
 
    - fewer than two evaluable lanes (honest scalar fallback at N=1);
    - the stateless fast path or the smodd decision cache already reduces
@@ -1688,22 +1668,19 @@ let batch_decider t a =
    - the program is not {!Policy.vector_eligible} (no planned arm,
      volatile residue reads, clock-dependent arms, unplanned arms);
    - a cacheable admission's batch has fewer than two distinct functions —
-     the decider's per-batch memo already evaluates once per function,
-     so vectorizing a single-function batch would be a regression.
+     the decider's memo already evaluates once per function, so
+     vectorizing a single-function batch would be a regression.
 
-   For cacheable admissions lanes are deduplicated by function and the
-   verdicts broadcast, matching the decider's memo exactly (same
-   evaluation count, same state: cacheable policies have none). *)
-let vector_prestamp t a ring ~stamped0 ~limit =
-  let no_pre (_ : int) = None in
+   A cacheable admission takes one lane per distinct function, at the
+   function's first slot: the memo's evaluation count and state
+   (cacheable policies have none). *)
+let vector_verdicts t a ring ~stamped0 ~limit =
   let session = a.a_session in
   if (not t.vectorize_policies) || limit - stamped0 < 2 || a.a_fast_path || a.a_cache <> None
-  then no_pre
+  then []
   else
     match a.a_program with
-    | None -> no_pre
-    | Some program when not (Policy.vector_eligible program) -> no_pre
-    | Some program ->
+    | Some program when Policy.vector_eligible program ->
         (* Gather the function column.  Slots that fail the structural
            checks (torn write, wrong m_id, unknown function) are left to the
            stamp loop, which denies them before any policy evaluation —
@@ -1718,67 +1695,71 @@ let vector_prestamp t a ring ~stamped0 ~limit =
               | None -> ())
           | Some _ | None -> ()
         done;
-        let slots = !slots in
-        let run_lanes keys =
-          (* One lane per key, in order; returns decisions positionally. *)
+        let keys =
+          if not a.a_cacheable then !slots
+          else
+            List.fold_left
+              (fun acc ((_, f, _) as slot) ->
+                if List.exists (fun (_, g, _) -> g = f) acc then acc else slot :: acc)
+              [] !slots
+            |> List.rev
+        in
+        if List.length keys < 2 then []
+        else begin
           let lanes =
             Array.of_list
               (List.map
-                 (fun (_, func_name) ->
+                 (fun (_, _, func_name) ->
                    { Vexec.l_origin = a.a_origin; l_attrs = call_attrs a ~func_name })
                  keys)
           in
           let clock = Machine.clock t.machine in
-          Policy.check_vector ~clock ~now_us:(Clock.now_us clock) ~credential:session.credential
-            ~width:Vexec.default_width ~lanes program session.policy_state
-          |> Array.map (function
-               | Ok () -> Cache_allow
-               | Error denial -> Cache_deny (denial_message denial))
-        in
-        if a.a_cacheable then begin
-          let distinct = ref [] in
-          List.iter
-            (fun (_, func_id, name) ->
-              if not (List.mem_assoc func_id !distinct) then
-                distinct := (func_id, name) :: !distinct)
-            slots;
-          let distinct = List.rev !distinct in
-          if List.length distinct < 2 then no_pre
-          else begin
-            let verdicts = run_lanes distinct in
-            let by_func = Hashtbl.create 8 in
-            List.iteri
-              (fun i (func_id, _) -> Hashtbl.replace by_func func_id verdicts.(i))
-              distinct;
-            let by_seq = Hashtbl.create 16 in
-            List.iter
-              (fun (seq, func_id, _) ->
-                match Hashtbl.find_opt by_func func_id with
-                | Some d -> Hashtbl.replace by_seq seq (func_id, d)
-                | None -> ())
-              slots;
-            Hashtbl.find_opt by_seq
-          end
+          let verdicts =
+            Policy.check_vector ~clock ~now_us:(Clock.now_us clock)
+              ~credential:session.credential ~lanes program session.policy_state
+          in
+          List.mapi
+            (fun i (seq, func_id, _) ->
+              match verdicts.(i) with
+              | Ok () -> (seq, func_id, Cache_allow)
+              | Error denial -> (seq, func_id, Cache_deny (denial_message denial)))
+            keys
         end
-        else if List.length slots < 2 then no_pre
-        else begin
-          let verdicts = run_lanes (List.map (fun (_, f, n) -> (f, n)) slots) in
-          let by_seq = Hashtbl.create 16 in
-          List.iteri
-            (fun i (seq, func_id, _) -> Hashtbl.replace by_seq seq (func_id, verdicts.(i)))
-            slots;
-          Hashtbl.find_opt by_seq
-        end
+    | Some _ | None -> []
+
+(* The slot decider for one ring batch or poller sweep over the slots
+   [stamped0, limit), with its one verdict table.  Cacheable admissions
+   are decided once per distinct function in the batch — the per-batch
+   amortization of the policy cost — so their table is a memo keyed by
+   funcID.  The rest (quota, rate, time-window, a policy or credential
+   reading [calls_so_far]) are decided per slot so their ordering matches
+   the per-call path; their table is keyed by seq and holds only the
+   vector pass's verdicts.  Each entry keeps the funcID it decided, and a
+   slot naming another function falls back to [decide].  The table is
+   fresh per call, so each sweep/batch amortizes within itself only. *)
+let batch_decider t a ring ~stamped0 ~limit =
+  let key ~seq func_id = if a.a_cacheable then func_id else seq in
+  let table : (int, int * cached_decision) Hashtbl.t = Hashtbl.create 4 in
+  List.iter
+    (fun (seq, func_id, d) -> Hashtbl.replace table (key ~seq func_id) (func_id, d))
+    (vector_verdicts t a ring ~stamped0 ~limit);
+  fun ~seq func_id ->
+    match Registry.symbol_of_func_id a.a_session.entry func_id with
+    | None -> Cache_deny "no such function"
+    | Some sym -> (
+        match Hashtbl.find_opt table (key ~seq func_id) with
+        | Some (f, d) when f = func_id -> d
+        | Some _ | None ->
+            let d = decide t a ~func_name:sym.Smof.sym_name in
+            if a.a_cacheable then Hashtbl.replace table func_id (func_id, d);
+            d)
 
 (* Stamp every submitted-but-unstamped slot in [stamped0, limit):
    identical charge order on the trap path ([per_slot] is a no-op there)
    and the poller path (which charges {!Cost.Poll_slot_scan} per slot).
-   [pre] is the vector pre-pass's verdict table — consulted positionally,
-   with a function-match guard so a slot whose words changed between
-   gather and stamp (impossible within one trap, but belt-and-braces)
-   falls back to the slot-major decider.  Returns (slots examined,
+   [decide] is the batch's {!batch_decider}.  Returns (slots examined,
    slots admitted). *)
-let stamp_submitted t session ring ~decide ~pre ~per_slot ~stamped0 ~limit =
+let stamp_submitted t session ring ~decide ~per_slot ~stamped0 ~limit =
   let pid = session.client_pid in
   let n = ref 0 and allowed = ref 0 in
   for seq = stamped0 to limit - 1 do
@@ -1810,12 +1791,7 @@ let stamp_submitted t session ring ~decide ~pre ~per_slot ~stamped0 ~limit =
                   ~func_name:sym.Smof.sym_name
             | None -> ()
           in
-          let verdict =
-            match pre seq with
-            | Some (pf, d) when pf = func_id -> d
-            | Some _ | None -> decide func_id
-          in
-          match verdict with
+          match decide ~seq func_id with
           | Cache_allow ->
               session.calls <- session.calls + 1;
               Smod_metrics.Counter.incr m_calls;
@@ -1873,7 +1849,6 @@ let sys_call_batch t (p : Proc.t) ~m_id ~max_slots =
   let rs = trap_ring t p session ~trap:"smod_call_batch" in
   let ring = rs.r_ring in
   let a = admission t session ~transport:"ring" in
-  let decide = batch_decider t a in
   let stamped0 = Machine.ring_stamped t.machine ~pid:p.Proc.pid in
   (* [head] is a client-writable header word and [max_slots] an
      arbitrary trap argument: clamp the per-trap work by the registered
@@ -1881,10 +1856,8 @@ let sys_call_batch t (p : Proc.t) ~m_id ~max_slots =
      trap through an unbounded kernel loop. *)
   let budget = max 0 (min max_slots (Ring.nslots ring)) in
   let limit = min (Ring.head ring) (stamped0 + budget) in
-  let pre = vector_prestamp t a ring ~stamped0 ~limit in
-  let n, allowed =
-    stamp_submitted t session ring ~decide ~pre ~per_slot:ignore ~stamped0 ~limit
-  in
+  let decide = batch_decider t a ring ~stamped0 ~limit in
+  let n, allowed = stamp_submitted t session ring ~decide ~per_slot:ignore ~stamped0 ~limit in
   if n > 0 then begin
     Smod_metrics.Counter.incr m_ring_batches;
     Smod_metrics.Counter.add m_ring_submits n;
@@ -1946,10 +1919,9 @@ let poller_sweep t po (pp : Proc.t) =
               let limit = min (Ring.head ring) (stamped0 + Ring.nslots ring) in
               if limit > stamped0 then begin
                 let a = admission t session ~transport:"poller" in
-                let decide = batch_decider t a in
-                let pre = vector_prestamp t a ring ~stamped0 ~limit in
+                let decide = batch_decider t a ring ~stamped0 ~limit in
                 let n, allowed =
-                  stamp_submitted t session ring ~decide ~pre
+                  stamp_submitted t session ring ~decide
                     ~per_slot:(fun () -> Clock.charge clock Cost.Poll_slot_scan)
                     ~stamped0 ~limit
                 in

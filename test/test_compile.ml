@@ -794,9 +794,7 @@ let test_policy_vector_parity () =
   in
   let s_vec = Policy.initial_state policy in
   let s_seq = Policy.initial_state policy in
-  let vec =
-    Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes prepared s_vec
-  in
+  let vec = Policy.check_vector ~clock ~now_us:0.0 ~credential ~lanes prepared s_vec in
   Alcotest.(check int) "one verdict per lane" (Array.length funcs)
     (Array.length vec);
   Array.iteri
@@ -951,57 +949,6 @@ let test_origin_unknown_denies_at_policy_layer () =
   with
   | Ok () -> Alcotest.fail "deny-all stub must deny"
   | Error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Structural sharing: compile memory sublinear (satellite c)          *)
-(* ------------------------------------------------------------------ *)
-
-(* 10k single-assertion-unique policies over a shared 10-assertion
-   suffix: the arena must intern the suffix (and root) segments once, so
-   distinct segment storage grows with the unique clauses only — not with
-   the naive sum of every plan's segments. *)
-let test_arena_sharing_sublinear () =
-  Fuse.arena_reset ();
-  let lv = [| "deny"; "allow" |] in
-  let shared =
-    List.init 10 (fun i ->
-        Parse.assertion_of_string
-          (Printf.sprintf
-             "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
-              conditions: module == \"seclibc\" && tier == \"t%d\" -> \"allow\";\n"
-             i))
-  in
-  let n = 10_000 in
-  let naive_segments = ref 0 in
-  for i = 0 to n - 1 do
-    let unique =
-      Parse.assertion_of_string
-        (Printf.sprintf
-           "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
-            conditions: clause == %d -> \"allow\";\n"
-           i)
-    in
-    match
-      Compile.compile ~policy:(unique :: shared) ~credentials:[]
-        ~requesters:[ "client" ] ~levels:lv ()
-    with
-    | Error e -> Alcotest.failf "policy %d failed to compile: %s" i e
-    | Ok prog ->
-        let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
-        let st = Fuse.stats plan in
-        naive_segments := !naive_segments + st.Fuse.segments
-  done;
-  let a = Fuse.arena_stats () in
-  Alcotest.(check bool)
-    (Printf.sprintf "distinct segments %d stay near the %d unique clauses" a.Fuse.a_segments n)
-    true
-    (a.Fuse.a_segments < n + 64);
-  Alcotest.(check bool)
-    (Printf.sprintf "arena %d segments ≪ naive %d" a.Fuse.a_segments !naive_segments)
-    true
-    (!naive_segments > 8 * a.Fuse.a_segments);
-  Alcotest.(check bool) "sharing measured in bytes" true (a.Fuse.a_bytes_saved > 0);
-  Alcotest.(check bool) "hits dominate misses" true (a.Fuse.a_hits > a.Fuse.a_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Policy.check ≡ Policy.check_compiled                                *)
@@ -1497,6 +1444,60 @@ let test_registration_drops_programs () =
         expected (before, after))
     [ (false, ("returned 2", "returned 2")); (true, ("EACCES", "returned 2")) ]
 
+(* A fused plan owns the segments it lowers, so the programs an in-place
+   policy revision drops take their segments with them.  One session with
+   fusion on sees 1,000 revisions of a four-assertion policy, each with
+   its own clause literals and each followed by a call; after a full
+   major collection the live heap may grow by less than 16 words per
+   revision.  The first revisions warm up the world's bounded tables
+   (trace ring, metrics) before measuring. *)
+let test_revisions_free_plans () =
+  let policy rev =
+    Policy.Keynote
+      {
+        policy =
+          List.init 4 (fun tier ->
+              Parse.assertion_of_string
+                (Printf.sprintf
+                   "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+                    conditions: module == \"seclibc\" && tier != \"t%d-%d\" -> \"allow\";\n"
+                   tier rev));
+        levels = [| "deny"; "allow" |];
+        min_level = "allow";
+        attrs = [];
+      }
+  in
+  let world = World.create ~with_rpc:false ~policy:(policy 0) () in
+  Smod.set_policy_compile world.World.smod true;
+  Smod.set_policy_fuse world.World.smod true;
+  let warmup = 200 and revisions = 1_000 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let growth = ref None in
+  World.spawn_seclibc_client world ~name:"reviser" (fun _p conn ->
+      let revise rev =
+        Registry.set_policy world.World.libc_entry (policy rev);
+        ignore (Smod_libc.Seclibc.Client.test_incr conn rev)
+      in
+      for rev = 1 to warmup do
+        revise rev
+      done;
+      let before = live_words () in
+      for rev = warmup + 1 to warmup + revisions do
+        revise rev
+      done;
+      growth := Some (live_words () - before));
+  World.run world;
+  match !growth with
+  | None -> Alcotest.fail "client did not finish"
+  | Some words ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d live words after %d revisions" words revisions)
+        true
+        (words < 16 * revisions)
+
 let test_unknown_origin_module_fails_closed_at_dispatch () =
   let world =
     origin_world
@@ -1805,35 +1806,6 @@ let test_attach_clause_across_rotation () =
   Alcotest.(check bool) "second establishment denied under new generation" true
     (!second = `Denied)
 
-(* Satellite: the arena hit-rate introspection smodctl renders must
-   distinguish "no interning yet" (None — the CLI prints "-") from a
-   real 0%. *)
-let test_arena_hit_rate_introspection () =
-  Fuse.arena_reset ();
-  Alcotest.(check bool) "empty arena has no rate" true
-    (Fuse.arena_hit_rate_pct () = None);
-  (match
-     Compile.compile
-       ~policy:
-         [
-           Parse.assertion_of_string
-             "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
-              conditions: a == \"1\" -> \"allow\";\n";
-         ]
-       ~credentials:[] ~requesters:[ "client" ] ~levels:[| "deny"; "allow" |] ()
-   with
-  | Error e -> Alcotest.failf "compile: %s" e
-  | Ok prog ->
-      ignore (Fuse.plan prog ~varying:Policy.batch_varying_attrs);
-      ignore (Fuse.plan prog ~varying:Policy.batch_varying_attrs));
-  match Fuse.arena_hit_rate_pct () with
-  | Some pct ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rate in range after interning (%.0f%%)" pct)
-        true
-        (pct >= 0.0 && pct <= 100.0)
-  | None -> Alcotest.fail "arena populated but rate still None"
-
 (* set_policy on a live entry must drop its programs too. *)
 let test_set_policy_evicts () =
   let world =
@@ -1986,7 +1958,7 @@ let test_unknown_min_level_fails_closed () =
        (Policy.initial_state policy));
   let lane = { Vexec.l_origin = origin; l_attrs = attrs } in
   Array.iter (denied "check_vector")
-    (Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes:[| lane; lane |]
+    (Policy.check_vector ~clock ~now_us:0.0 ~credential ~lanes:[| lane; lane |]
        prepared (Policy.initial_state policy));
   (* One msgq dispatch per engine: establishment admits under the old
      policy, then the module's policy changes under the live session. *)
@@ -2213,8 +2185,6 @@ let () =
       ( "fused",
         [
           tc "policy fused parity over stateful sequence" test_policy_fused_parity;
-          tc "arena sharing sublinear" test_arena_sharing_sublinear;
-          tc "arena hit-rate introspection" test_arena_hit_rate_introspection;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_fused_matches_compiled_and_interpreted; prop_snapshot_reusable ] );
@@ -2283,6 +2253,7 @@ let () =
           tc "attach clause across rotation" test_attach_clause_across_rotation;
           tc "set_policy evicts" test_set_policy_evicts;
           tc "registration drops programs" test_registration_drops_programs;
+          tc "revisions free fused plans" test_revisions_free_plans;
           tc "late fusion takes effect" test_late_fusion_takes_effect;
         ] );
     ]
