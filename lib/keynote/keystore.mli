@@ -31,8 +31,9 @@ val generation : t -> int
     they were computed under. *)
 
 val on_change : t -> (unit -> unit) -> unit
-(** Register a hook fired after every key-material change.  smodd
-    (lib/pool) uses this to flush its policy-decision cache. *)
+(** Register a hook fired after every key-material change.  Admission
+    ([Secmodule.Smod]) uses this to drop its compiled programs and cached
+    policy decisions. *)
 
 val sign : t -> Ast.assertion -> Ast.assertion
 (** Fills in the signature field.  Raises [Not_found] if the authorizer

@@ -1,12 +1,12 @@
 module Smod = Secmodule.Smod
 module Registry = Secmodule.Registry
+module Policy_cache = Secmodule.Policy_cache
 module Machine = Smod_kern.Machine
 module Proc = Smod_kern.Proc
 module Errno = Smod_kern.Errno
 module Sched = Smod_kern.Sched
 module Clock = Smod_sim.Clock
 module Smof = Smod_modfmt.Smof
-module Keystore = Smod_keynote.Keystore
 
 (* pool.hit / pool.miss are the pair the tests pin exactly: hit = the
    session landed on an already-forked handle, miss = a fresh fork was
@@ -35,21 +35,12 @@ type config = {
   max_total_handles : int;
   max_queue_depth : int;
   overflow : overflow;
-  cache_enabled : bool;
-  cache_ttl_us : float;
-  cache_capacity : int;
 }
 
 let default_config =
-  {
-    max_handles_per_module = 4;
-    max_total_handles = 16;
-    max_queue_depth = 64;
-    overflow = Wait;
-    cache_enabled = true;
-    cache_ttl_us = 1_000_000.0;
-    cache_capacity = 1024;
-  }
+  { max_handles_per_module = 4; max_total_handles = 16; max_queue_depth = 64; overflow = Wait }
+
+let cache_capacity = 1024
 
 type waiter = {
   w_pid : int;
@@ -78,7 +69,7 @@ type t = {
          lazily, and whichever runs second finds the pid gone. *)
   mutable total_handles : int;
   mutable total_waiters : int;  (* live (non-cancelled) queued clients *)
-  cache : Policy_cache.t option;
+  cache : Policy_cache.t;  (* installed in admission until uninstall *)
   mutable remove_hook : (m_id:int -> unit) option;
       (* the hook registered on the Smod.t, deregistered by uninstall *)
 }
@@ -337,11 +328,9 @@ let broker t p entry credential =
   Some sid
 
 (* sys_smod_remove: every handle of the module dies (parked ones now,
-   busy ones as soon as their — already detached — session unwinds),
-   queued clients fail with ENOENT, and the module's cached decisions
-   are dropped. *)
+   busy ones as soon as their — already detached — session unwinds) and
+   queued clients fail with ENOENT. *)
 let on_module_remove t ~m_id =
-  (match t.cache with Some c -> ignore (Policy_cache.invalidate_module c ~m_id) | None -> ());
   match Hashtbl.find_opt t.pools m_id with
   | None -> ()
   | Some mp ->
@@ -366,43 +355,9 @@ let on_module_remove t ~m_id =
       Queue.clear mp.mp_waiters;
       pump t
 
-(* Map the kernel-side cache hooks onto the cache proper.  The digest is
-   the session's own memo, shared with the registry's compiled-program
-   cache, so the probe itself is the only per-call cost. *)
-let cache_hooks t cache =
-  let keystore_gen () = Keystore.generation (Smod.keystore t.smod) in
-  {
-    Smod.cache_lookup =
-      (fun session ~func_name ->
-        match
-          Policy_cache.lookup cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
-            ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-            ~keystore_gen:(keystore_gen ())
-        with
-        | Some Policy_cache.Allow -> Some Smod.Cache_allow
-        | Some (Policy_cache.Deny reason) -> Some (Smod.Cache_deny reason)
-        | None -> None);
-    Smod.cache_store =
-      (fun session ~func_name decision ->
-        let decision =
-          match decision with
-          | Smod.Cache_allow -> Policy_cache.Allow
-          | Smod.Cache_deny reason -> Policy_cache.Deny reason
-        in
-        Policy_cache.store cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
-          ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-          ~keystore_gen:(keystore_gen ()) decision);
-  }
-
 let install smod ?(config = default_config) () =
   let machine = Smod.machine smod in
-  let cache =
-    if config.cache_enabled then
-      Some
-        (Policy_cache.create ~clock:(Machine.clock machine) ~ttl_us:config.cache_ttl_us
-           ~capacity:config.cache_capacity)
-    else None
-  in
+  let cache = Policy_cache.create ~clock:(Machine.clock machine) ~capacity:cache_capacity in
   let t =
     {
       smod;
@@ -417,13 +372,7 @@ let install smod ?(config = default_config) () =
     }
   in
   Smod.set_session_broker smod (Some (fun p entry credential -> broker t p entry credential));
-  (match cache with
-   | Some c ->
-       Smod.set_policy_cache smod (Some (cache_hooks t c));
-       (* Entries record their generation, so a keystore change already
-          misses; the flush additionally reclaims the dead entries' space. *)
-       Keystore.on_change (Smod.keystore smod) (fun () -> ignore (Policy_cache.flush c))
-   | None -> ());
+  Smod.set_policy_cache smod (Some cache);
   let remove_hook ~m_id = on_module_remove t ~m_id in
   Smod.add_module_remove_hook smod remove_hook;
   t.remove_hook <- Some remove_hook;
@@ -431,6 +380,7 @@ let install smod ?(config = default_config) () =
 
 let uninstall t =
   Smod.set_session_broker t.smod None;
+  ignore (Policy_cache.flush t.cache);
   Smod.set_policy_cache t.smod None;
   (match t.remove_hook with
   | Some hook ->
@@ -460,8 +410,7 @@ let uninstall t =
     (fun ph ->
       ignore (unaccount t ph);
       Smod.retire_pooled_handle t.smod ph)
-    victims;
-  match t.cache with Some c -> ignore (Policy_cache.flush c) | None -> ()
+    victims
 
 type module_status = {
   ms_m_id : int;
@@ -479,8 +428,8 @@ type status = {
   st_modules : module_status list;
   st_total_handles : int;
   st_total_waiters : int;
-  st_cache_size : int option;
-  st_cache_capacity : int option;
+  st_cache_size : int;
+  st_cache_capacity : int;
   st_ring_batches : int;
   st_ring_submits : int;
   st_ring_stale_drops : int;
@@ -521,8 +470,8 @@ let status t =
     st_modules = modules;
     st_total_handles = t.total_handles;
     st_total_waiters = t.total_waiters;
-    st_cache_size = Option.map Policy_cache.size t.cache;
-    st_cache_capacity = Option.map Policy_cache.capacity t.cache;
+    st_cache_size = Policy_cache.size t.cache;
+    st_cache_capacity = Policy_cache.capacity t.cache;
     st_ring_batches = ring_counter "ring.batches";
     st_ring_submits = ring_counter "ring.submits";
     st_ring_stale_drops = ring_counter "ring.stale_drops";
@@ -541,11 +490,8 @@ let render_status t =
            ms.ms_tenants))
     st.st_modules;
   Buffer.add_string buf
-    (Printf.sprintf "  total: %d handle(s), %d waiter(s)" st.st_total_handles st.st_total_waiters);
-  (match (st.st_cache_size, st.st_cache_capacity) with
-  | Some size, Some cap ->
-      Buffer.add_string buf (Printf.sprintf "; policy cache %d/%d entries" size cap)
-  | _ -> Buffer.add_string buf "; policy cache disabled");
+    (Printf.sprintf "  total: %d handle(s), %d waiter(s); policy cache %d/%d entries"
+       st.st_total_handles st.st_total_waiters st.st_cache_size st.st_cache_capacity);
   Buffer.add_string buf
     (Printf.sprintf "; ring: %d call(s) in %d batch(es), %d stale drop(s); spin budget %d"
        st.st_ring_submits st.st_ring_batches st.st_ring_stale_drops st.st_spin_budget);

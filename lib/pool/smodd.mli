@@ -20,13 +20,18 @@
     A client killed while queued is uncounted (and any handle it was
     granted but never attached to returns to the pool).
 
-    A policy-decision cache (see {!Policy_cache}) memoises cacheable
-    per-call verdicts, replacing the per-call credential check and policy
-    walk with one probe.
+    smodd also installs a policy-decision cache
+    ({!Secmodule.Policy_cache}, 1024 entries) in admission, which
+    memoises cacheable per-call verdicts and so replaces the per-call
+    credential check and policy walk with one probe.  Admission owns it:
+    it keys each decision by the call's origin and drops it wherever it
+    drops compiled programs.
 
     Installing smodd changes no client-visible semantics: the stub API,
     handshake, per-call dispatch, and every policy outcome are identical
-    — only the latency profile moves. *)
+    — only the latency profile moves.  [test_pool.ml] ("installing smodd
+    changes no verdict") runs the same call scripts with and without
+    smodd and pins equal outcomes. *)
 
 type overflow =
   | Reject  (** saturated pool fails [start_session] with EAGAIN *)
@@ -37,25 +42,24 @@ type config = {
   max_total_handles : int;
   max_queue_depth : int;  (** queued clients across all modules *)
   overflow : overflow;
-  cache_enabled : bool;
-  cache_ttl_us : float;  (** simulated; non-positive = no expiry *)
-  cache_capacity : int;
 }
 
 val default_config : config
-(** 4 handles/module, 16 total, queue depth 64, [Wait], cache on
-    (1 s TTL, 1024 entries). *)
+(** 4 handles/module, 16 total, queue depth 64, [Wait]. *)
 
 type t
 
 val install : Secmodule.Smod.t -> ?config:config -> unit -> t
-(** Register smodd on the subsystem: session broker, policy cache and
-    module-removal hook.  At most one smodd per subsystem. *)
+(** Register smodd on the subsystem: session broker, module-removal hook
+    and a fresh policy cache handed to admission
+    ({!Secmodule.Smod.set_policy_cache}).  At most one smodd per
+    subsystem. *)
 
 val uninstall : t -> unit
-(** Deregister the hooks (the module-remove hook included), wake every
-    queued client (they fail with ENOENT, as on module removal) and
-    retire every pooled handle. *)
+(** Deregister the broker and the module-remove hook, flush the policy
+    cache and take it back from admission, wake every queued client
+    (they fail with ENOENT, as on module removal) and retire every pooled
+    handle. *)
 
 val config : t -> config
 
@@ -77,8 +81,8 @@ type status = {
   st_modules : module_status list;  (** sorted by m_id *)
   st_total_handles : int;
   st_total_waiters : int;
-  st_cache_size : int option;  (** [None] when the cache is disabled *)
-  st_cache_capacity : int option;
+  st_cache_size : int;  (** decisions held by the policy cache *)
+  st_cache_capacity : int;
   st_ring_batches : int;  (** process-wide [ring.*] counters: batched traps *)
   st_ring_submits : int;  (** calls submitted through dispatch rings *)
   st_ring_stale_drops : int;  (** submitted-but-unclaimed slots scrubbed at recycle *)

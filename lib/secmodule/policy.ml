@@ -45,11 +45,11 @@ let rec describe = function
 
 let deny policy reason = Error { reason; policy }
 
-(* Cacheability for the smodd policy-decision cache (lib/pool).  A decision
+(* Cacheability for the policy-decision cache (Policy_cache).  A decision
    may be reused across calls only when it is a pure function of
-   (credential, module, function, policy revision): no per-session mutable
-   state, no clock dependence, and no condition guard that reads an action
-   attribute that varies call to call. *)
+   (credential, origin, module, function, policy revision): no per-session
+   mutable state, no clock dependence, and no condition guard that reads
+   an action attribute that varies call to call. *)
 let volatile_attrs = [ "calls_so_far" ]
 
 (* Attributes that change from slot to slot within one batch: the called

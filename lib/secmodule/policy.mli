@@ -181,11 +181,11 @@ val batch_varying_attrs : string list
 
 val cacheable : t -> bool
 (** True when a decision under this policy is a pure function of
-    (credential, module, function, policy revision) — safe for the smodd
-    policy-decision cache (lib/pool).  Stateful policies (quotas, rate
-    limits), clock-dependent ones (time windows) and KeyNote policies whose
-    condition guards read per-call action attributes ([calls_so_far]) are
-    not cacheable. *)
+    (credential, origin, module, function, policy revision) — safe for
+    the policy-decision cache ({!Policy_cache}).  Stateful policies
+    (quotas, rate limits), clock-dependent ones (time windows) and
+    KeyNote policies whose condition guards read per-call action
+    attributes ([calls_so_far]) are not cacheable. *)
 
 val credential_cacheable : Credential.t -> bool
 (** Same volatility scan over the credential's own assertions: delegated

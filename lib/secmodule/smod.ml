@@ -103,13 +103,6 @@ and pooled_handle = {
   ph_on_death : pooled_handle -> unit;
 }
 
-type cached_decision = Cache_allow | Cache_deny of string
-
-type policy_cache_hooks = {
-  cache_lookup : session -> func_name:string -> cached_decision option;
-  cache_store : session -> func_name:string -> cached_decision -> unit;
-}
-
 (* SQPOLL-style kernel poller (E22): one kernel daemon sweeps every live
    session's registered ring for Submitted slots, so the steady-state
    data path needs no client trap at all.  The spin/park policy shares
@@ -154,7 +147,7 @@ type t = {
   mutable toctou : toctou_mitigation;
   mutable fast_path : bool;
   mutable broker : (Smod_kern.Proc.t -> Registry.entry -> Credential.t -> int option) option;
-  mutable policy_cache : policy_cache_hooks option;
+  mutable policy_cache : Policy_cache.t option;
   mutable remove_hooks : (m_id:int -> unit) list;
   mutable compile_policies : bool;
   mutable fuse_policies : bool;
@@ -229,21 +222,30 @@ let set_toctou_mitigation t m = t.toctou <- m
 let set_call_fast_path t b = t.fast_path <- b
 let call_fast_path t = t.fast_path
 let set_dispatch_gate t gate = t.dispatch_gate <- gate
-let set_policy_compile t b = t.compile_policies <- b
-let policy_compile_enabled t = t.compile_policies
 
-(* Drop every registry entry's compiled programs and every live session's
-   program slot, so the next call compiles afresh under the current
-   keystore, switches and module set. *)
-let drop_programs t =
+(* Drop every registry entry's compiled programs, every live session's
+   program slot and every cached decision, so the next call decides
+   afresh under the current keystore, switches and module set. *)
+let drop_programs_and_decisions t =
   List.iter Registry.flush_compiled (Registry.entries t.registry);
-  Hashtbl.iter (fun _ s -> s.program <- None) t.sessions_by_client
+  Hashtbl.iter (fun _ s -> s.program <- None) t.sessions_by_client;
+  Option.iter (fun cache -> ignore (Policy_cache.flush cache)) t.policy_cache
+
+(* The engines may disagree (an [origin_module] literal naming no module
+   denies only when compiled), so a cached decision outlives no switch. *)
+let set_policy_compile t b =
+  if b <> t.compile_policies then begin
+    t.compile_policies <- b;
+    drop_programs_and_decisions t
+  end
+
+let policy_compile_enabled t = t.compile_policies
 
 (* A program carries a fused plan only if fusion was on when it compiled. *)
 let set_policy_fuse t b =
   if b <> t.fuse_policies then begin
     t.fuse_policies <- b;
-    drop_programs t
+    drop_programs_and_decisions t
   end
 
 let policy_fuse_enabled t = t.fuse_policies
@@ -285,14 +287,15 @@ let handle_alive t session =
 (* ------------------------------------------------------------------ *)
 
 (* A program compiled before this registration may have failed closed on
-   an [origin_module] literal naming the new module, so every program goes. *)
+   an [origin_module] literal naming the new module, so every program and
+   every decision it made goes. *)
 let register t ~image ?(protection = Registry.Unmap_only) ?(policy = Policy.Session_lifetime)
     ?(admin_principal = "root") ?kernel_key ?kernel_nonce () =
   let entry =
     Registry.add t.registry ~image ~protection ~policy ~admin_principal ?kernel_key
       ?kernel_nonce ()
   in
-  drop_programs t;
+  drop_programs_and_decisions t;
   entry
 
 let bind_native t ~m_id ~name fn =
@@ -719,6 +722,9 @@ let read_descriptor clock (p : Proc.t) desc_addr =
   | Ok d -> d
   | Error m -> Errno.raise_errno Errno.EINVAL ("smod_start_session: " ^ m)
 
+(* SHA-256 over the credential's canonical byte form, memoised in the
+   session: the caches' identity for "same principal presenting the same
+   assertions". *)
 let session_cred_digest session =
   match session.cred_digest with
   | Some d -> d
@@ -828,7 +834,7 @@ type admission = {
   a_program : Policy.prepared option;
   a_fast_path : bool;
   a_cacheable : bool;
-  a_cache : policy_cache_hooks option;
+  a_cache : Policy_cache.t option;
 }
 
 (* The program has two fetch points.  With fusion on, admission prepares
@@ -850,8 +856,8 @@ let admission t session ~transport =
   let program = if t.fuse_policies then program_of t session ~origin ~attrs else None in
   (* A decision is reusable — by smodd's cache, the batch memo and the
      vector pre-pass's function dedupe — only when it is a pure function
-     of (credential, module, function, policy revision): neither the
-     policy nor the credential may read a per-call attribute. *)
+     of (credential, origin, module, function, policy revision): neither
+     the policy nor the credential may read a per-call attribute. *)
   let cacheable = Policy.cacheable policy && Policy.credential_cacheable session.credential in
   {
     a_session = session;
@@ -881,14 +887,22 @@ let denial_message (d : Policy.denial) =
 
 (* One call's verdict: the stateless fast path, then smodd's decision
    cache, then the session's program or the interpreted policy, whose
-   verdict goes back into the cache. *)
+   verdict goes back into the cache.  Every input of a cacheable decision
+   is in the cache's key (credential, origin, module, function), recorded
+   in its entry (policy revision, keystore generation) or dropped with the
+   programs ([drop_programs_and_decisions]: engine switches, the module
+   set). *)
 let decide t a ~func_name =
   let session = a.a_session in
   let shortcut =
-    if a.a_fast_path then Some Cache_allow
+    if a.a_fast_path then Some Policy_cache.Allow
     else
       match a.a_cache with
-      | Some hooks -> hooks.cache_lookup session ~func_name
+      | Some cache ->
+          Policy_cache.lookup cache ~cred_digest:(session_cred_digest session)
+            ~origin:a.a_origin ~func_name ~m_id:session.m_id
+            ~policy_rev:session.entry.Registry.policy_rev
+            ~keystore_gen:(Keystore.generation t.keystore)
       | None -> None
   in
   match shortcut with
@@ -920,10 +934,16 @@ let decide t a ~func_name =
       in
       let d =
         match verdict with
-        | Ok () -> Cache_allow
-        | Error denial -> Cache_deny (denial_message denial)
+        | Ok () -> Policy_cache.Allow
+        | Error denial -> Policy_cache.Deny (denial_message denial)
       in
-      (match a.a_cache with Some hooks -> hooks.cache_store session ~func_name d | None -> ());
+      (match a.a_cache with
+      | Some cache ->
+          Policy_cache.store cache ~cred_digest:(session_cred_digest session)
+            ~origin:a.a_origin ~func_name ~m_id:session.m_id
+            ~policy_rev:session.entry.Registry.policy_rev
+            ~keystore_gen:(Keystore.generation t.keystore) d
+      | None -> ());
       d
 
 (* ------------------------------------------------------------------ *)
@@ -1122,7 +1142,7 @@ let attach_pooled t (p : Proc.t) ph ~credential =
       session)
 
 let set_session_broker t broker = t.broker <- broker
-let set_policy_cache t hooks = t.policy_cache <- hooks
+let set_policy_cache t cache = t.policy_cache <- cache
 let add_module_remove_hook t hook = t.remove_hooks <- hook :: t.remove_hooks
 
 let remove_module_remove_hook t hook =
@@ -1561,8 +1581,8 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
   in
   let mod_name = session.entry.Registry.image.Smof.mod_name in
   (match decide t (admission t session ~transport:"msgq") ~func_name with
-  | Cache_allow -> ()
-  | Cache_deny msg ->
+  | Policy_cache.Allow -> ()
+  | Policy_cache.Deny msg ->
       session.denied_calls <- session.denied_calls + 1;
       Smod_metrics.Counter.incr m_calls_denied;
       count_func ~denied:true ~mod_name ~func_name;
@@ -1721,8 +1741,8 @@ let vector_verdicts t a ring ~stamped0 ~limit =
           List.mapi
             (fun i (seq, func_id, _) ->
               match verdicts.(i) with
-              | Ok () -> (seq, func_id, Cache_allow)
-              | Error denial -> (seq, func_id, Cache_deny (denial_message denial)))
+              | Ok () -> (seq, func_id, Policy_cache.Allow)
+              | Error denial -> (seq, func_id, Policy_cache.Deny (denial_message denial)))
             keys
         end
     | Some _ | None -> []
@@ -1739,13 +1759,13 @@ let vector_verdicts t a ring ~stamped0 ~limit =
    fresh per call, so each sweep/batch amortizes within itself only. *)
 let batch_decider t a ring ~stamped0 ~limit =
   let key ~seq func_id = if a.a_cacheable then func_id else seq in
-  let table : (int, int * cached_decision) Hashtbl.t = Hashtbl.create 4 in
+  let table : (int, int * Policy_cache.decision) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun (seq, func_id, d) -> Hashtbl.replace table (key ~seq func_id) (func_id, d))
     (vector_verdicts t a ring ~stamped0 ~limit);
   fun ~seq func_id ->
     match Registry.symbol_of_func_id a.a_session.entry func_id with
-    | None -> Cache_deny "no such function"
+    | None -> Policy_cache.Deny "no such function"
     | Some sym -> (
         match Hashtbl.find_opt table (key ~seq func_id) with
         | Some (f, d) when f = func_id -> d
@@ -1792,7 +1812,7 @@ let stamp_submitted t session ring ~decide ~per_slot ~stamped0 ~limit =
             | None -> ()
           in
           match decide ~seq func_id with
-          | Cache_allow ->
+          | Policy_cache.Allow ->
               session.calls <- session.calls + 1;
               Smod_metrics.Counter.incr m_calls;
               count_slot ~denied:false;
@@ -1800,7 +1820,7 @@ let stamp_submitted t session ring ~decide ~per_slot ~stamped0 ~limit =
               Machine.ring_record_stamp t.machine ~pid ~seq ~m_id:slot_m_id ~func_id
                 ~allow:true;
               Ring.stamp ring ~seq ~allow:true
-          | Cache_deny _ ->
+          | Policy_cache.Deny _ ->
               session.denied_calls <- session.denied_calls + 1;
               Smod_metrics.Counter.incr m_calls_denied;
               Smod_metrics.Counter.incr m_ring_denied;
@@ -2147,15 +2167,15 @@ let sys_remove t (p : Proc.t) ~m_id ~cred_addr ~cred_size =
   if credential.Credential.principal <> entry.Registry.admin_principal then
     Errno.raise_errno Errno.EACCES "smod_remove: not the module administrator";
   (* Tear down any sessions using the module, notify the pool layer
-     (smodd kills the module's parked handles and evicts its cached
-     policy decisions), then drop it. *)
+     (smodd kills the module's parked handles), then drop it. *)
   List.iter
     (fun s -> if s.m_id = m_id then detach_session t s)
     (active_sessions t);
   List.iter (fun hook -> hook ~m_id) t.remove_hooks;
   (* A program naming the module in an [origin_module] literal no longer
-     matches the module set it was checked against. *)
-  drop_programs t;
+     matches the module set it was checked against, and the module's
+     decisions go with every other. *)
+  drop_programs_and_decisions t;
   Registry.remove t.registry ~m_id
 
 (* ------------------------------------------------------------------ *)
@@ -2233,12 +2253,11 @@ let install machine ?keystore () =
       mux_enabled = false;
     }
   in
-  (* Keystore rotation invalidates every compiled program in the same
-     step as the rotation itself: hooks fire synchronously from
-     [Keystore.add_principal], before any further call can observe the
-     new generation with a stale program (the smodd decision cache flushes
-     from its own hook in the same iteration). *)
-  Keystore.on_change t.keystore (fun () -> drop_programs t);
+  (* Keystore rotation invalidates every compiled program and cached
+     decision in the same step as the rotation itself: hooks fire
+     synchronously from [Keystore.add_principal], before any further call
+     can observe the new generation with a stale program or decision. *)
+  Keystore.on_change t.keystore (fun () -> drop_programs_and_decisions t);
   Machine.register_syscall machine Sysno.smod_find ~name:"smod_find" (fun _m p args ->
       sys_find t p ~name_addr:args.(0) ~version:args.(1));
   Machine.register_syscall machine Sysno.smod_start_session ~name:"smod_start_session"

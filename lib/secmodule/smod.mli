@@ -269,38 +269,30 @@ val set_session_broker :
 val add_module_remove_hook : t -> (m_id:int -> unit) -> unit
 (** Fired by [sys_smod_remove] after active sessions are detached and
     before the registry entry disappears — smodd kills the module's
-    parked handles and evicts its policy-cache entries here. *)
+    parked handles here.  The removal then drops every compiled program
+    and cached decision itself. *)
 
 val remove_module_remove_hook : t -> (m_id:int -> unit) -> unit
 (** Deregister a hook previously passed to {!add_module_remove_hook}
     (matched by physical equality) — smodd's [uninstall] path, so a
     reinstalled pool does not leave the stale hook firing. *)
 
-type cached_decision = Cache_allow | Cache_deny of string
-
-type policy_cache_hooks = {
-  cache_lookup : session -> func_name:string -> cached_decision option;
-  cache_store : session -> func_name:string -> cached_decision -> unit;
-}
-(** smodd's decision cache as the kernel sees it.  Compiled programs are
-    not cached here: the registry entry's cache, behind each session's
-    program slot, is the only program cache shared across sessions. *)
-
-val session_cred_digest : session -> string
-(** SHA-256 over the session credential's canonical byte form, computed
-    once and memoised in the session — the caches' identity for "same
-    principal presenting the same assertions". *)
-
-val set_policy_cache : t -> policy_cache_hooks option -> unit
+val set_policy_cache : t -> Policy_cache.t option -> unit
 (** Install smodd's policy-decision cache in the one admission decision
-    that [sys_smod_call], the batch trap and the kernel poller share.
-    Only consulted when {!Policy.cacheable} holds for the session's policy
-    and {!Policy.credential_cacheable} for its credential; a hit replaces
-    the per-call credential re-verification and policy evaluation, a miss
-    evaluates as usual and stores the outcome (denials included — they
-    still count and raise exactly as uncached ones do).  The same rule
-    decides whether a ring batch or poller sweep decides once per
-    distinct function or once per slot. *)
+    that [sys_smod_call], the batch trap and the kernel poller share
+    ([None] takes it back).  Only consulted when {!Policy.cacheable}
+    holds for the session's policy and {!Policy.credential_cacheable} for
+    its credential; a hit replaces the per-call credential
+    re-verification and policy evaluation, a miss evaluates as usual and
+    stores the outcome (denials included — they still count and raise
+    exactly as uncached ones do).  Decisions are keyed by the call's
+    origin as well as credential digest, module and function, so a
+    verdict on one path into the kernel never answers another.  The cache
+    is flushed wherever compiled programs are dropped: keystore changes,
+    {!register}, [sys_smod_remove], {!set_policy_compile} and
+    {!set_policy_fuse}.  The same cacheability rule decides whether a
+    ring batch or poller sweep decides once per distinct function or
+    once per slot. *)
 
 val set_policy_compile : t -> bool -> unit
 (** Switch admission onto compiled decision programs ({!Policy.compile}):
@@ -311,9 +303,10 @@ val set_policy_compile : t -> bool -> unit
     program at {!Smod_sim.Cost_model.Policy_compiled_op} per opcode with
     no per-call [Cred_check].  Programs are cached per registry entry
     and in each session's program slot, and are invalidated by
-    [Registry.set_policy], keystore changes, {!set_policy_fuse},
-    {!register} and [sys_smod_remove] (an [origin_module] literal is
-    checked against the registered module set).
+    [Registry.set_policy], keystore changes, a switch of this setting or
+    of {!set_policy_fuse}, {!register} and [sys_smod_remove] (an
+    [origin_module] literal is checked against the registered module
+    set).
     Default: off — the interpreted path is byte-for-byte what the
     baselines measured. *)
 

@@ -1543,7 +1543,7 @@ let test_rotation_evicts_same_step () =
   let pool = Option.get world.World.pool in
   Alcotest.(check int) "program cached" 1 (Hashtbl.length entry.Registry.compiled_cache);
   let st = Smodd.status pool in
-  Alcotest.(check bool) "decision cached" true (st.Smodd.st_cache_size > Some 0);
+  Alcotest.(check bool) "decision cached" true (st.Smodd.st_cache_size > 0);
   (* The rotation itself: hooks fire synchronously inside add_principal,
      so by the next statement every layer is already empty. *)
   Keystore.add_principal (Smod.keystore smod) ~name:"rotated-in" ~secret:"s";
@@ -1551,8 +1551,7 @@ let test_rotation_evicts_same_step () =
     (Hashtbl.length entry.Registry.compiled_cache);
   Alcotest.(check bool) "invalidation counted" true (entry.Registry.compile_invalidations >= 1);
   let st = Smodd.status pool in
-  Alcotest.(check (option int)) "pool decisions evicted in the same step" (Some 0)
-    st.Smodd.st_cache_size;
+  Alcotest.(check int) "pool decisions evicted in the same step" 0 st.Smodd.st_cache_size;
   (* The world keeps working: the next session recompiles. *)
   let misses0 = world.World.libc_entry.Registry.compile_misses in
   World.spawn_seclibc_client world ~name:"after-rotation" (fun _p conn ->
@@ -1612,7 +1611,7 @@ let test_rotation_between_session_and_first_batch () =
       Keystore.add_principal ks ~name:"vendor" ~secret:"vk2";
       let st = Smodd.status pool in
       same_step_ok :=
-        Hashtbl.length entry.Registry.compiled_cache = 0 && st.Smodd.st_cache_size = Some 0;
+        Hashtbl.length entry.Registry.compiled_cache = 0 && st.Smodd.st_cache_size = 0;
       let rs = Stub.call_batch conn ~func:"test_incr" (List.init 4 (fun i -> [| i |])) in
       statuses := List.map (function Ok _ -> `Ok | Error (e, _) -> `Err e) rs);
   World.run world;

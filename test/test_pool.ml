@@ -1,6 +1,7 @@
 (* lib/pool: the smodd session-multiplexing service layer — handle reuse,
    secret scrubbing between tenants, admission-queue overflow, the
-   policy-decision cache, and invalidation on module removal. *)
+   policy-decision cache smodd installs in admission, and teardown on
+   module removal. *)
 
 module M = Smod_kern.Machine
 module Proc = Smod_kern.Proc
@@ -15,8 +16,8 @@ module Keystore = Smod_keynote.Keystore
 module Parse = Smod_keynote.Parse
 module Smof = Smod_modfmt.Smof
 module World = Smod_bench_kit.World
+module Fuse = Smod_keynote.Fuse
 module Smodd = Smod_pool.Smodd
-module Policy_cache = Smod_pool.Policy_cache
 open Secmodule
 
 let counter name =
@@ -436,6 +437,18 @@ let test_uninstall_wakes_waiters () =
     (Smodd.status pool2).Smodd.st_total_handles;
   Smodd.uninstall pool2
 
+(* smodd's cache lives and dies with the install: key changes after
+   uninstall flush nothing. *)
+let test_uninstall_leaves_keystore () =
+  let world = World.create ~with_rpc:false () in
+  let smod = world.World.smod in
+  Smodd.uninstall (Smodd.install smod ());
+  let flushes0 = counter "policy_cache.flushes" in
+  for i = 1 to 3 do
+    Keystore.add_principal (Smod.keystore smod) ~name:(Printf.sprintf "key-%d" i) ~secret:"s"
+  done;
+  Alcotest.(check int) "no flush after uninstall" 0 (counter "policy_cache.flushes" - flushes0)
+
 (* ---------------------- one pooled dispatch, counted ----------------- *)
 
 let test_one_pooled_dispatch_deltas () =
@@ -497,25 +510,28 @@ let test_quota_policy_never_cached () =
 
 (* --------------------------- cache unit ------------------------------ *)
 
+let user_msgq = { Fuse.o_module = "user"; o_ring = 3; o_transport = "msgq" }
+
+(* Entries never expire (a cacheable policy reads no clock), are evicted
+   FIFO at capacity and are all dropped by a flush. *)
 let test_cache_ttl_and_eviction () =
   let clock = Clock.create ~jitter:0.0 () in
-  let cache = Policy_cache.create ~clock ~ttl_us:100.0 ~capacity:2 in
-  let exp0 = counter "policy_cache.expirations" and ev0 = counter "policy_cache.evictions" in
+  let cache = Policy_cache.create ~clock ~capacity:2 in
+  let ev0 = counter "policy_cache.evictions" in
   let probe d =
-    Policy_cache.lookup cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:1
-      ~keystore_gen:0
+    Policy_cache.lookup cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:1
+      ~policy_rev:1 ~keystore_gen:0
   in
   let put d =
-    Policy_cache.store cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:1 ~keystore_gen:0
-      Policy_cache.Allow
+    Policy_cache.store cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:1
+      ~policy_rev:1 ~keystore_gen:0 Policy_cache.Allow
   in
   put "a";
   Alcotest.(check bool) "fresh entry hits" true (probe "a" = Some Policy_cache.Allow);
-  Clock.charge_cycles clock (200.0 *. Cost.cycles_per_us);
-  Alcotest.(check bool) "expired after the TTL" true (probe "a" = None);
-  Alcotest.(check int) "expiration counted" 1 (counter "policy_cache.expirations" - exp0);
+  Clock.charge_cycles clock (10_000_000.0 *. Cost.cycles_per_us);
+  Alcotest.(check bool) "no TTL: a 10 s old entry hits" true
+    (probe "a" = Some Policy_cache.Allow);
   (* FIFO eviction at capacity 2. *)
-  put "a";
   put "b";
   put "c";
   Alcotest.(check int) "capacity bound holds" 2 (Policy_cache.size cache);
@@ -523,44 +539,59 @@ let test_cache_ttl_and_eviction () =
   Alcotest.(check bool) "newest kept" true (probe "c" = Some Policy_cache.Allow);
   Alcotest.(check int) "eviction counted" 1 (counter "policy_cache.evictions" - ev0);
   (* A denial round-trips with its reason. *)
-  Policy_cache.store cache ~cred_digest:"d" ~func_name:"g" ~m_id:2 ~policy_rev:1 ~keystore_gen:0
-    (Policy_cache.Deny "quota");
+  Policy_cache.store cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"g" ~m_id:2
+    ~policy_rev:1 ~keystore_gen:0 (Policy_cache.Deny "quota");
   Alcotest.(check bool) "denial cached" true
-    (Policy_cache.lookup cache ~cred_digest:"d" ~func_name:"g" ~m_id:2 ~policy_rev:1
-       ~keystore_gen:0
+    (Policy_cache.lookup cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"g" ~m_id:2
+       ~policy_rev:1 ~keystore_gen:0
     = Some (Policy_cache.Deny "quota"));
-  Alcotest.(check int) "invalidate_module drops only module 2" 1
-    (Policy_cache.invalidate_module cache ~m_id:2);
   Alcotest.(check bool) "flush empties" true (Policy_cache.flush cache >= 0);
   Alcotest.(check int) "empty after flush" 0 (Policy_cache.size cache)
 
-(* A key that left the table (expiry, invalidation) and was re-stored
-   must occupy its *new* FIFO position: eviction skips the stale order
-   record instead of dropping the freshly refreshed entry. *)
+(* A key stored again while present is refreshed in place: it keeps its
+   FIFO position, so it is still the first to go. *)
 let test_cache_refresh_keeps_fifo_order () =
   let clock = Clock.create ~jitter:0.0 () in
-  let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:2 in
+  let cache = Policy_cache.create ~clock ~capacity:2 in
   let probe d m =
-    Policy_cache.lookup cache ~cred_digest:d ~func_name:"f" ~m_id:m ~policy_rev:1
-      ~keystore_gen:0
+    Policy_cache.lookup cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:m
+      ~policy_rev:1 ~keystore_gen:0
   in
   let put d m =
-    Policy_cache.store cache ~cred_digest:d ~func_name:"f" ~m_id:m ~policy_rev:1 ~keystore_gen:0
-      Policy_cache.Allow
+    Policy_cache.store cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:m
+      ~policy_rev:1 ~keystore_gen:0 Policy_cache.Allow
   in
   put "a" 1;
   put "b" 2;
-  (* "a" leaves the table (module 1 invalidated) and is re-stored: it is
-     now the *newest* entry even though a stale order record for it still
-     sits at the head of the queue. *)
-  Alcotest.(check int) "invalidation drops a" 1 (Policy_cache.invalidate_module cache ~m_id:1);
   put "a" 1;
   put "c" 3;
   Alcotest.(check int) "capacity bound holds" 2 (Policy_cache.size cache);
-  Alcotest.(check bool) "refreshed a survives (not evicted via its stale record)" true
-    (probe "a" 1 = Some Policy_cache.Allow);
-  Alcotest.(check bool) "b, the oldest live entry, was evicted" true (probe "b" 2 = None);
+  Alcotest.(check bool) "refreshed a kept the oldest slot and went first" true
+    (probe "a" 1 = None);
+  Alcotest.(check bool) "b kept" true (probe "b" 2 = Some Policy_cache.Allow);
   Alcotest.(check bool) "c kept" true (probe "c" 3 = Some Policy_cache.Allow)
+
+(* The origin is part of the key: one digest, function and module under
+   two origins are two decisions, and neither answers for the other. *)
+let test_cache_keys_origin () =
+  let clock = Clock.create ~jitter:0.0 () in
+  let cache = Policy_cache.create ~clock ~capacity:16 in
+  let user_ring = { user_msgq with Fuse.o_transport = "ring" } in
+  let put origin d =
+    Policy_cache.store cache ~cred_digest:"d" ~origin ~func_name:"f" ~m_id:1 ~policy_rev:1
+      ~keystore_gen:0 d
+  in
+  let probe origin =
+    Policy_cache.lookup cache ~cred_digest:"d" ~origin ~func_name:"f" ~m_id:1 ~policy_rev:1
+      ~keystore_gen:0
+  in
+  put user_msgq Policy_cache.Allow;
+  Alcotest.(check bool) "another origin misses" true (probe user_ring = None);
+  put user_ring (Policy_cache.Deny "transport");
+  Alcotest.(check int) "two entries" 2 (Policy_cache.size cache);
+  Alcotest.(check bool) "msgq keeps its allow" true (probe user_msgq = Some Policy_cache.Allow);
+  Alcotest.(check bool) "ring keeps its deny" true
+    (probe user_ring = Some (Policy_cache.Deny "transport"))
 
 let test_keystore_change_flushes () =
   let world = World.create ~pool:Smodd.default_config ~with_rpc:false () in
@@ -574,25 +605,23 @@ let test_keystore_change_flushes () =
   Alcotest.(check int) "keystore change flushed the cache" 1
     (counter "policy_cache.flushes" - flushes0);
   let st = Smodd.status (Option.get world.World.pool) in
-  Alcotest.(check (option int)) "repopulated under the new generation" (Some 1)
-    st.Smodd.st_cache_size
+  Alcotest.(check int) "repopulated under the new generation" 1 st.Smodd.st_cache_size
 
 (* Revision and generation live in the entries, not the keys: 1,000
    policy revisions for one (credential, function, module) leave one
    decision, and only the current pair is served. *)
 let test_cache_revisions_supersede_in_place () =
   let clock = Clock.create ~jitter:0.0 () in
-  let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:16 in
+  let cache = Policy_cache.create ~clock ~capacity:16 in
   for rev = 1 to 1_000 do
-    Policy_cache.store cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
-      ~keystore_gen:0 Policy_cache.Allow
+    Policy_cache.store cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"f" ~m_id:1
+      ~policy_rev:rev ~keystore_gen:0 Policy_cache.Allow
   done;
   Alcotest.(check int) "one decision" 1 (Policy_cache.size cache);
-  let exp0 = counter "policy_cache.expirations" in
   let hit ~rev ~gen =
     match
-      Policy_cache.lookup cache ~cred_digest:"d" ~func_name:"f" ~m_id:1 ~policy_rev:rev
-        ~keystore_gen:gen
+      Policy_cache.lookup cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"f" ~m_id:1
+        ~policy_rev:rev ~keystore_gen:gen
     with
     | Some Policy_cache.Allow -> true
     | None -> false
@@ -604,8 +633,6 @@ let test_cache_revisions_supersede_in_place () =
       Alcotest.(check bool) (Printf.sprintf "rev %d gen %d misses" rev gen) false
         (hit ~rev ~gen))
     [ (1, 0); (999, 0); (1_001, 0); (1_000, 1); (1_000, -1); (999, 1) ];
-  Alcotest.(check int) "a stale revision is no expiration" 0
-    (counter "policy_cache.expirations" - exp0);
   Alcotest.(check int) "the stale entry waits for its next store" 1 (Policy_cache.size cache)
 
 (* A store under a new revision overwrites its key in place: one insert
@@ -613,22 +640,22 @@ let test_cache_revisions_supersede_in_place () =
    FIFO slot, so it is still the first to go. *)
 let test_cache_supersede_charges_one_insert () =
   let clock = Clock.create ~jitter:0.0 () in
-  let cache = Policy_cache.create ~clock ~ttl_us:0.0 ~capacity:2 in
+  let cache = Policy_cache.create ~clock ~capacity:2 in
   let put d rev =
-    Policy_cache.store cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
-      ~keystore_gen:0 Policy_cache.Allow
+    Policy_cache.store cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:1
+      ~policy_rev:rev ~keystore_gen:0 Policy_cache.Allow
   in
   let held d rev =
-    Policy_cache.lookup cache ~cred_digest:d ~func_name:"f" ~m_id:1 ~policy_rev:rev
-      ~keystore_gen:0
+    Policy_cache.lookup cache ~cred_digest:d ~origin:user_msgq ~func_name:"f" ~m_id:1
+      ~policy_rev:rev ~keystore_gen:0
     = Some Policy_cache.Allow
   in
   put "a" 1;
   put "b" 1;
   let ev0 = counter "policy_cache.evictions" and ins0 = counter "policy_cache.inserts" in
   let c0 = Clock.now_cycles clock in
-  Policy_cache.store cache ~cred_digest:"a" ~func_name:"f" ~m_id:1 ~policy_rev:2
-    ~keystore_gen:0 Policy_cache.Allow;
+  Policy_cache.store cache ~cred_digest:"a" ~origin:user_msgq ~func_name:"f" ~m_id:1
+    ~policy_rev:2 ~keystore_gen:0 Policy_cache.Allow;
   Alcotest.(check (float 1e-9)) "one insert charge" (Cost.cycles Cost.Policy_cache_insert)
     (Clock.now_cycles clock -. c0);
   Alcotest.(check int) "one insert" 1 (counter "policy_cache.inserts" - ins0);
@@ -675,12 +702,122 @@ let test_set_policy_churn_keeps_cache_flat () =
       [ "alice"; "bob" ];
     World.run world;
     let st = Smodd.status pool in
-    Alcotest.(check (option int)) (Printf.sprintf "round %d decisions" round) (Some 4)
-      st.Smodd.st_cache_size;
+    Alcotest.(check int) (Printf.sprintf "round %d decisions" round) 4 st.Smodd.st_cache_size;
     Alcotest.(check int) (Printf.sprintf "round %d programs" round) 2
       (Hashtbl.length world.World.libc_entry.Registry.compiled_cache)
   done;
   Alcotest.(check int) "every call served" 160 !calls
+
+(* ------------------- smodd changes no verdict ------------------------ *)
+
+(* A seclibc world whose policy is one KeyNote assertion licensing
+   "client" under [conds], with or without smodd. *)
+let verdict_world ~smodd ~compile conds =
+  let policy =
+    Policy.Keynote
+      {
+        policy =
+          [
+            Parse.assertion_of_string
+              (Printf.sprintf
+                 "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+                  conditions: %s\n"
+                 conds);
+          ];
+        levels = [| "deny"; "allow" |];
+        min_level = "allow";
+        attrs = [];
+      }
+  in
+  let pool = if smodd then Some Smodd.default_config else None in
+  let world = World.create ?pool ~policy ~with_rpc:false () in
+  Smod.set_policy_compile world.World.smod compile;
+  world
+
+let outcome = function Ok v -> Printf.sprintf "ok %d" v | Error e -> Errno.to_string e
+
+(* The steps of a script: each runs in the client's one session and
+   returns what it saw. *)
+let msgq_step _world conn =
+  match Stub.call conn ~func:"test_incr" [| 1 |] with
+  | v -> outcome (Ok v)
+  | exception Errno.Error (e, _) -> outcome (Error e)
+
+let ring_step _world conn =
+  Stub.call_batch conn ~func:"test_incr" [ [| 1 |]; [| 2 |] ]
+  |> List.map (fun r -> outcome (Result.map_error fst r))
+  |> String.concat "; "
+  |> Printf.sprintf "[%s]"
+
+let register_later_step world _conn =
+  let b = Smof.Builder.create ~name:"later" ~version:1 in
+  ignore (Smof.Builder.add_native_function b ~name:"f" ~native:"f" ~size_hint:16 ());
+  ignore (Smod.register world.World.smod ~image:(Smof.Builder.finish b) ());
+  "register later"
+
+let compile_on_step world _conn =
+  Smod.set_policy_compile world.World.smod true;
+  "compile on"
+
+let run_script world steps =
+  let seen = ref [] in
+  World.spawn_seclibc_client world ~name:"script" (fun _p conn ->
+      List.iter (fun step -> seen := step world conn :: !seen) steps);
+  World.run world;
+  List.rev !seen
+
+(* smodd's decision cache stands in for the per-call check, so a world
+   with smodd must see every verdict a world without it sees: the
+   transport scripts need the call's origin in the key, the module
+   scripts a cache dropped with the programs (a registration may admit
+   an origin_module literal; the engine switch changes the verdict of
+   one that names no module). *)
+let test_smodd_changes_no_verdict () =
+  let by_transport =
+    "phase == \"session\" -> \"allow\"; origin_transport == \"msgq\" -> \"allow\";"
+  in
+  let by_module = "origin_module == \"user\" || origin_module == \"later\" -> \"allow\";" in
+  let scripts =
+    List.concat_map
+      (fun compile ->
+        [
+          ( Printf.sprintf "msgq then ring, compile %b" compile,
+            compile,
+            by_transport,
+            [ msgq_step; ring_step ],
+            [ "ok 2"; "[EACCES; EACCES]" ] );
+          ( Printf.sprintf "ring then msgq, compile %b" compile,
+            compile,
+            by_transport,
+            [ ring_step; msgq_step ],
+            [ "[EACCES; EACCES]"; "ok 2" ] );
+        ])
+      [ false; true ]
+    @ [
+        ( "call, register later, call twice",
+          true,
+          by_module,
+          [ msgq_step; register_later_step; msgq_step; msgq_step ],
+          [ "EACCES"; "register later"; "ok 2"; "ok 2" ] );
+        ( "call, compile on, call",
+          false,
+          by_module,
+          [ msgq_step; compile_on_step; msgq_step ],
+          [ "ok 2"; "compile on"; "EACCES" ] );
+      ]
+  in
+  let cells smodd =
+    List.map
+      (fun (name, compile, conds, steps, _) ->
+        (name, run_script (verdict_world ~smodd ~compile conds) steps))
+      scripts
+  in
+  let reference = cells false in
+  let table = Alcotest.(list (pair string (list string))) in
+  Alcotest.check table "without smodd"
+    (List.map (fun (name, _, _, _, expected) -> (name, expected)) scripts)
+    reference;
+  Alcotest.check table "with smodd" reference (cells true)
 
 (* ----------------------- module removal ------------------------------ *)
 
@@ -700,7 +837,8 @@ let test_remove_module_retires_pool () =
          ignore (Smod_libc.Seclibc.Client.test_incr conn 1);
          Stub.close conn));
   World.run world;
-  let inval0 = counter "policy_cache.invalidations" in
+  Alcotest.(check int) "the warm call's decision cached" 1
+    (Smodd.status pool).Smodd.st_cache_size;
   let m_id = world.World.libc_entry.Registry.m_id in
   ignore
     (M.spawn machine ~name:"admin" (fun p ->
@@ -711,8 +849,7 @@ let test_remove_module_retires_pool () =
   World.run world;
   Alcotest.(check int) "no pooled handles survive removal" 0
     (Smodd.status pool).Smodd.st_total_handles;
-  Alcotest.(check bool) "cached decisions evicted" true
-    (counter "policy_cache.invalidations" - inval0 >= 1);
+  Alcotest.(check int) "cached decisions evicted" 0 (Smodd.status pool).Smodd.st_cache_size;
   Alcotest.(check bool) "parked handle process is gone" true
     (match M.proc machine !parked_pid with None -> true | Some h -> Proc.is_zombie h);
   (* A client arriving after removal must see ENOENT, never a stale
@@ -829,15 +966,18 @@ let () =
           tc "stateful policies bypass the cache" test_quota_policy_never_cached;
           tc "TTL, FIFO eviction, invalidation" test_cache_ttl_and_eviction;
           tc "re-stored key keeps FIFO order" test_cache_refresh_keeps_fifo_order;
+          tc "origins key separate decisions" test_cache_keys_origin;
           tc "keystore change flushes" test_keystore_change_flushes;
           tc "revisions supersede in place" test_cache_revisions_supersede_in_place;
           tc "superseding store charges one insert" test_cache_supersede_charges_one_insert;
           tc "set_policy churn keeps the cache flat" test_set_policy_churn_keeps_cache_flat;
+          tc "installing smodd changes no verdict" test_smodd_changes_no_verdict;
         ] );
       ( "lifecycle",
         [
           tc "sys_smod_remove retires pooled handles" test_remove_module_retires_pool;
           tc "uninstall wakes queued waiters" test_uninstall_wakes_waiters;
+          tc "uninstall leaves nothing on the keystore" test_uninstall_leaves_keystore;
           tc "no frame leaks across pooled churn" test_pooled_churn_no_frame_leak;
           tc "handle death fails closed (batch trap)" test_handle_death_pooled;
           tc "handle death fails closed (poller)" test_handle_death_pooled_poller;
