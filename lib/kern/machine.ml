@@ -65,9 +65,48 @@ type ring_reg = {
   rr_shadow : stamp_rec option array;  (* length rr_nslots, index seq mod nslots *)
 }
 
+(* Trace events as data: each payload holds ints and strings the caller
+   already holds, and [render_event] formats one only when the trace is
+   read. *)
+type event =
+  | Exit of Sched.exit_status
+  | Core_dumped of int
+  | Abort of { errno : Errno.t; context : string }
+  | Fork of { child : int; name : string }
+  | Forced_fork of { parent : string; child : int; name : string }
+  | Execve of string
+  | Start_session of { sid : int; module_name : string; client : int; handle : int }
+  | Session_info of { client : int; handle : int }
+  | Detach_session of { sid : int; module_name : string }
+  | Pooled_spawn of { pid : int; module_name : string }
+  | Pooled_retire of { pid : int; module_name : string }
+  | Fiber_done of { sid : int; live : int }
+
+let render_event = function
+  | Exit status -> Format.asprintf "exit %a" Sched.pp_exit_status status
+  | Core_dumped signal -> Printf.sprintf "core dumped (%s)" (Signal.name signal)
+  | Abort { errno; context } -> Printf.sprintf "abort: %s in %s" (Errno.to_string errno) context
+  | Fork { child; name } -> Printf.sprintf "fork -> pid %d (%s)" child name
+  | Forced_fork { parent; child; name } ->
+      Printf.sprintf "forced fork of %s -> pid %d (%s)" parent child name
+  | Execve image -> Printf.sprintf "execve %s" image
+  | Start_session { sid; module_name; client; handle } ->
+      Printf.sprintf "start_session sid=%d module=%s client=%d handle=%d" sid module_name client
+        handle
+  | Session_info { client; handle } ->
+      Printf.sprintf "session_info: pair %d/%d sharing [0x%08x,0x%08x)" client handle
+        Layout.share_lo Layout.share_hi
+  | Detach_session { sid; module_name } ->
+      Printf.sprintf "detach session %d (module %s)" sid module_name
+  | Pooled_spawn { pid; module_name } ->
+      Printf.sprintf "spawned pooled handle pid=%d for module %s" pid module_name
+  | Pooled_retire { pid; module_name } ->
+      Printf.sprintf "retire pooled handle pid=%d (module %s)" pid module_name
+  | Fiber_done { sid; live } -> Printf.sprintf "fiber done sid=%d (%d live)" sid live
+
 type t = {
   clock : Clock.t;
-  trace : Trace.t;
+  trace : event Trace.t;
   phys : Phys.t;
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
@@ -145,8 +184,7 @@ let finish t (p : Proc.t) status =
   p.resume <- Proc.Finished;
   List.iter (fun hook -> hook p) p.exit_hooks;
   p.exit_hooks <- [];
-  Trace.emitf t.trace ~clock:t.clock ~actor:p.name "exit %s"
-    (Format.asprintf "%a" Sched.pp_exit_status status);
+  Trace.emit t.trace ~clock:t.clock ~actor:p.name (Exit status);
   (* Release the address space unless a live sibling (thread) shares it;
      the zombie only needs its exit status for the reaper. *)
   let shared_with_live =
@@ -172,7 +210,7 @@ let crash t (p : Proc.t) signal =
   if not p.no_core_dump then begin
     p.core_dumped <- true;
     t.cores <- (p.pid, p.name) :: t.cores;
-    Trace.emitf t.trace ~clock:t.clock ~actor:p.name "core dumped (%s)" (Signal.name signal)
+    Trace.emit t.trace ~clock:t.clock ~actor:p.name (Core_dumped signal)
   end;
   finish t p (Sched.Signaled signal)
 
@@ -182,7 +220,7 @@ let handle_body_exn t (p : Proc.t) = function
   | Aspace.Segv _ | Aspace.Prot_violation _ -> crash t p Signal.sigsegv
   | Errno.Error (e, ctx) ->
       (* An unhandled syscall failure aborts the simulated program. *)
-      Trace.emitf t.trace ~clock:t.clock ~actor:p.name "abort: %s in %s" (Errno.to_string e) ctx;
+      Trace.emit t.trace ~clock:t.clock ~actor:p.name (Abort { errno = e; context = ctx });
       crash t p Signal.sigterm
   | exn -> raise exn
 
@@ -424,15 +462,15 @@ let sys_fork t (p : Proc.t) ~name ~child_body =
   child.sp <- p.sp;
   child.fp <- p.fp;
   p.children <- child.pid :: p.children;
-  Trace.emitf t.trace ~clock:t.clock ~actor:p.name "fork -> pid %d (%s)" child.pid name;
+  Trace.emit t.trace ~clock:t.clock ~actor:p.name (Fork { child = child.pid; name });
   child
 
 let forced_fork t (p : Proc.t) ~name ~daemon ~role ~aspace ~body =
   Clock.charge t.clock Cost.Fork_base;
   let child = make_proc t ~daemon ~aspace ~uid:p.uid ~ppid:p.pid ~role ~name body in
   p.children <- child.pid :: p.children;
-  Trace.emitf t.trace ~clock:t.clock ~actor:"kernel" "forced fork of %s -> pid %d (%s)" p.name
-    child.pid name;
+  Trace.emit t.trace ~clock:t.clock ~actor:"kernel"
+    (Forced_fork { parent = p.name; child = child.pid; name });
   child
 
 let add_exec_hook t hook = t.exec_hooks <- t.exec_hooks @ [ hook ]
@@ -445,7 +483,7 @@ let sys_execve t (p : Proc.t) ~image =
   p.aspace <- standard_aspace t ~name:(p.name ^ ":" ^ image);
   p.sp <- Layout.stack_top - 64;
   p.fp <- p.sp;
-  Trace.emitf t.trace ~clock:t.clock ~actor:p.name "execve %s" image
+  Trace.emit t.trace ~clock:t.clock ~actor:p.name (Execve image)
 
 (* ------------------------------------------------------------------ *)
 (* Syscall table                                                       *)
@@ -751,7 +789,7 @@ let create ?seed ?jitter ?limit_frames () =
   let t =
     {
       clock;
-      trace = Trace.create ();
+      trace = Trace.create ~render:render_event ();
       phys = Phys.create ?limit_frames ();
       procs = Hashtbl.create 64;
       next_pid = 1;

@@ -14,9 +14,43 @@ type t
 
 type syscall_handler = t -> Proc.t -> int array -> int
 
+(** {1 Trace events}
+
+    What the machine and the SecModule layer record in {!trace}, one
+    constructor per kind.  A payload holds only ints and strings the
+    emitter already holds (names, pids, session ids), never a session,
+    process or address space, so a recorded event keeps nothing else
+    alive; at about 7 words an event, a full 4,096-event trace holds
+    about 27,000 words. *)
+
+type event =
+  | Exit of Sched.exit_status
+  | Core_dumped of int  (** the fatal signal *)
+  | Abort of { errno : Errno.t; context : string }
+      (** an unhandled syscall failure aborted the program *)
+  | Fork of { child : int; name : string }
+  | Forced_fork of { parent : string; child : int; name : string }
+      (** the kernel forked [parent] into a handle (Figure 1) *)
+  | Execve of string  (** the new image *)
+  | Start_session of { sid : int; module_name : string; client : int; handle : int }
+  | Session_info of { client : int; handle : int }
+      (** the pair now shares the forced-share window *)
+  | Detach_session of { sid : int; module_name : string }
+  | Pooled_spawn of { pid : int; module_name : string }
+  | Pooled_retire of { pid : int; module_name : string }
+  | Fiber_done of { sid : int; live : int }
+      (** a mux fiber finished, leaving [live] fibers *)
+
+val render_event : event -> string
+(** The event's trace label, e.g. ["detach session 1 (module seclibc)"].
+    Called only when the trace is read. *)
+
 val create : ?seed:int64 -> ?jitter:float -> ?limit_frames:int -> unit -> t
 val clock : t -> Smod_sim.Clock.t
-val trace : t -> Smod_sim.Trace.t
+
+val trace : t -> event Smod_sim.Trace.t
+(** The machine's event trace, rendered with {!render_event}. *)
+
 val phys : t -> Smod_vmem.Phys.t
 
 (** {1 Processes} *)

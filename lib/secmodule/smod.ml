@@ -339,9 +339,9 @@ let detach_session t session =
     | _ -> ());
     session.client_exit_hook <- None;
     Smod_metrics.Counter.incr m_sessions_detached;
-    let clock = Machine.clock t.machine in
-    Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel" "detach session %d (module %s)"
-      session.sid session.entry.Registry.image.Smof.mod_name;
+    Trace.emit (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"kernel"
+      (Machine.Detach_session
+         { sid = session.sid; module_name = session.entry.Registry.image.Smof.mod_name });
     Hashtbl.remove t.sessions_by_client session.client_pid;
     Hashtbl.remove t.sessions_by_handle session.handle_pid;
     (* Tear the dispatch ring down first: count what a client that died
@@ -1043,9 +1043,14 @@ let register_session t (p : Proc.t) ~acquire =
          it runs it. *)
       ());
   detach_on_client_exit t p session;
-  Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"kernel"
-    "start_session sid=%d module=%s client=%d handle=%d" sid
-    session.entry.Registry.image.Smof.mod_name p.Proc.pid session.handle_pid;
+  Trace.emit (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"kernel"
+    (Machine.Start_session
+       {
+         sid;
+         module_name = session.entry.Registry.image.Smof.mod_name;
+         client = p.Proc.pid;
+         handle = session.handle_pid;
+       });
   Smod_metrics.Counter.incr m_sessions_started;
   sid
 
@@ -1096,8 +1101,8 @@ let spawn_pooled_handle t ~entry ~on_park ~on_death =
       (try Machine.msgctl_remove t.machine h ~qid:req_qid with Errno.Error _ -> ());
       (try Machine.msgctl_remove t.machine h ~qid:rep_qid with Errno.Error _ -> ());
       ph.ph_on_death ph);
-  Trace.emitf (Machine.trace t.machine) ~clock ~actor:"smodd"
-    "spawned pooled handle pid=%d for module %s" handle.Proc.pid mod_name;
+  Trace.emit (Machine.trace t.machine) ~clock ~actor:"smodd"
+    (Machine.Pooled_spawn { pid = handle.Proc.pid; module_name = mod_name });
   ph
 
 let pooled_handle_pid ph = ph.ph_pid
@@ -1112,9 +1117,9 @@ let unreserve_pooled_handle ph = ph.ph_reserved <- false
 let retire_pooled_handle t ph =
   if not ph.ph_dead then begin
     ph.ph_dead <- true;
-    Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"smodd"
-      "retire pooled handle pid=%d (module %s)" ph.ph_pid
-      ph.ph_entry.Registry.image.Smof.mod_name;
+    Trace.emit (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"smodd"
+      (Machine.Pooled_retire
+         { pid = ph.ph_pid; module_name = ph.ph_entry.Registry.image.Smof.mod_name });
     match Machine.proc t.machine ph.ph_pid with
     | Some h when not (Proc.is_zombie h) -> (
         try Machine.kill t.machine ~pid:ph.ph_pid ~signal:Signal.sigkill
@@ -1187,8 +1192,8 @@ let mux_finish_fiber t mx session ms =
       Hashtbl.remove mx.mx_sessions session.sid;
       mx.mx_live <- mx.mx_live - 1;
       Aspace.destroy ms.ms_aspace;
-      Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"smod-mux"
-        "fiber done sid=%d (%d live)" session.sid mx.mx_live
+      Trace.emit (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:"smod-mux"
+        (Machine.Fiber_done { sid = session.sid; live = mx.mx_live })
 
 (* One session's serve loop as a fiber: drain the ring, suspend when it
    runs dry, finish when the session detaches.  Mirrors the ring half of
@@ -1464,9 +1469,8 @@ let sys_session_info t (p : Proc.t) =
   Aspace.force_share ~client:client.Proc.aspace ~handle:p.Proc.aspace ~lo:Layout.share_lo
     ~hi:Layout.share_hi;
   session.established <- true;
-  Trace.emitf (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:p.Proc.name
-    "session_info: pair %d/%d sharing [0x%08x,0x%08x)" session.client_pid session.handle_pid
-    Layout.share_lo Layout.share_hi;
+  Trace.emit (Machine.trace t.machine) ~clock:(Machine.clock t.machine) ~actor:p.Proc.name
+    (Machine.Session_info { client = session.client_pid; handle = session.handle_pid });
   if session.client_waiting_handshake then begin
     session.client_waiting_handshake <- false;
     Machine.wakeup t.machine session.client_pid

@@ -2,22 +2,32 @@
 
     Used to reproduce the paper's sequence diagrams (Figure 1's
     initialization handshake, Figure 3's stack choreography) as observable,
-    testable event streams. *)
+    testable event streams.
+
+    An emit records a typed event value, its actor and the clock's time,
+    and formats nothing: the renderer given at {!create} turns an event
+    into its label only when the trace is read.  Tracing charges no
+    simulated cycles. *)
 
 type event = { timestamp_us : float; actor : string; label : string }
+(** One event as read back, with its label rendered. *)
 
-type t
+type 'e t
 
-val create : ?capacity:int -> ?enabled:bool -> unit -> t
-(** Ring buffer of at most [capacity] events (default 4096). *)
+val create : ?capacity:int -> ?enabled:bool -> render:('e -> string) -> unit -> 'e t
+(** Ring buffer of at most [capacity] events (default 4096); once full,
+    each emit overwrites the oldest event. *)
 
-val enable : t -> unit
-val disable : t -> unit
-val emit : t -> clock:Clock.t -> actor:string -> string -> unit
-val emitf : t -> clock:Clock.t -> actor:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-val events : t -> event list
-(** Oldest first. *)
+val enable : 'e t -> unit
+val disable : 'e t -> unit
+val emit : 'e t -> clock:Clock.t -> actor:string -> 'e -> unit
 
-val labels : t -> string list
-val clear : t -> unit
-val pp : Format.formatter -> t -> unit
+val values : 'e t -> 'e list
+(** The typed events, oldest first. *)
+
+val events : 'e t -> event list
+(** Oldest first, each label rendered. *)
+
+val labels : 'e t -> string list
+val clear : 'e t -> unit
+val pp : Format.formatter -> 'e t -> unit

@@ -158,21 +158,39 @@ let test_toctou_costs_ordered () =
 (* --------------------------- whole-system --------------------------- *)
 
 let test_trace_example_sequence () =
-  (* The Figure-1 sequence as an assertable event stream. *)
+  (* The Figure-1 sequence as an assertable event stream: the whole
+     typed trace, in order.  The client's find, the handle's handle_info
+     and the first call are not traced. *)
   let world = World.create ~with_rpc:false () in
-  World.spawn_seclibc_client world ~name:"it-client" (fun _p conn ->
+  let ids = ref None in
+  World.spawn_seclibc_client world ~name:"it-client" (fun p conn ->
+      let client = p.Smod_kern.Proc.pid in
+      let session =
+        Option.get (Secmodule.Smod.session_of_client world.World.smod ~client_pid:client)
+      in
+      ids := Some (client, session.Secmodule.Smod.handle_pid, Secmodule.Stub.session_id conn);
       ignore (Smod_libc.Seclibc.Client.malloc conn 16));
   World.run world;
-  let labels = Smod_sim.Trace.labels (M.trace world.World.machine) in
-  let has prefix =
-    List.exists
-      (fun l -> String.length l >= String.length prefix && String.sub l 0 (String.length prefix) = prefix)
-      labels
-  in
-  Alcotest.(check bool) "forced fork traced" true (has "forced fork");
-  Alcotest.(check bool) "start_session traced" true (has "start_session");
-  Alcotest.(check bool) "session_info traced" true (has "session_info");
-  Alcotest.(check bool) "detach traced" true (has "detach session")
+  let client, handle, sid = Option.get !ids in
+  let handle_name = Printf.sprintf "smod-handle-%d" sid in
+  let module_name = Smod_libc.Seclibc.module_name in
+  let event = Alcotest.testable (Fmt.of_to_string M.render_event) ( = ) in
+  let trace = M.trace world.World.machine in
+  Alcotest.(check (list event))
+    "forced fork, start_session, session_info, detach, client exit, handle exit"
+    [
+      M.Forced_fork { parent = "it-client"; child = handle; name = handle_name };
+      M.Start_session { sid; module_name; client; handle };
+      M.Session_info { client; handle };
+      M.Detach_session { sid; module_name };
+      M.Exit (Smod_kern.Sched.Exited 0);
+      M.Exit (Smod_kern.Sched.Signaled Smod_kern.Signal.sigkill);
+    ]
+    (Smod_sim.Trace.values trace);
+  Alcotest.(check (list string))
+    "actors"
+    [ "kernel"; "kernel"; handle_name; "kernel"; "it-client"; handle_name ]
+    (List.map (fun e -> e.Smod_sim.Trace.actor) (Smod_sim.Trace.events trace))
 
 let test_one_dispatch_metric_deltas () =
   (* One steady-state SMOD dispatch, counted by the lib/metrics

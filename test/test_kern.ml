@@ -9,6 +9,8 @@ module Errno = Smod_kern.Errno
 module Signal = Smod_kern.Signal
 module Sysno = Smod_kern.Sysno
 module Clock = Smod_sim.Clock
+module Cost = Smod_sim.Cost_model
+module Trace = Smod_sim.Trace
 
 let mk () = M.create ~jitter:0.0 ()
 
@@ -517,6 +519,103 @@ let test_context_switch_accounting () =
   M.run m;
   Alcotest.(check bool) "switches counted" true (M.context_switches m >= 3)
 
+(* ------------------------------ trace ------------------------------ *)
+
+let event = Alcotest.testable (Fmt.of_to_string M.render_event) ( = )
+
+(* Every kind's label, byte for byte: test/trace.expected shows only
+   forced fork, start_session, session_info, detach and exit. *)
+let test_render_event_labels () =
+  let module_name = "seclibc" in
+  List.iter
+    (fun (e, label) -> Alcotest.(check string) label label (M.render_event e))
+    [
+      (M.Exit (Sched.Exited 0), "exit exited(0)");
+      (M.Exit (Sched.Exited 3), "exit exited(3)");
+      (M.Exit (Sched.Signaled Signal.sigkill), "exit signaled(SIGKILL)");
+      (M.Core_dumped Signal.sigsegv, "core dumped (SIGSEGV)");
+      (M.Abort { errno = Errno.EPERM; context = "smod_call" }, "abort: EPERM in smod_call");
+      (M.Fork { child = 7; name = "child" }, "fork -> pid 7 (child)");
+      ( M.Forced_fork { parent = "demo-client"; child = 2; name = "smod-handle-1" },
+        "forced fork of demo-client -> pid 2 (smod-handle-1)" );
+      (M.Execve "/bin/sh", "execve /bin/sh");
+      ( M.Start_session { sid = 1; module_name; client = 1; handle = 2 },
+        "start_session sid=1 module=seclibc client=1 handle=2" );
+      ( M.Session_info { client = 1; handle = 2 },
+        "session_info: pair 1/2 sharing [0x04000000,0xbfc00000)" );
+      (M.Detach_session { sid = 1; module_name }, "detach session 1 (module seclibc)");
+      ( M.Pooled_spawn { pid = 5; module_name },
+        "spawned pooled handle pid=5 for module seclibc" );
+      (M.Pooled_retire { pid = 5; module_name }, "retire pooled handle pid=5 (module seclibc)");
+      (M.Fiber_done { sid = 4; live = 3 }, "fiber done sid=4 (3 live)");
+    ]
+
+(* The kernel's six kinds come from its own paths, in scheduling order:
+   the parent forks and waits, the crasher faults, the aborter's syscall
+   failure goes unhandled, then the child execs and exits. *)
+let test_kernel_trace_events () =
+  let m = mk () in
+  let child_pid = ref 0 in
+  ignore
+    (M.spawn m ~name:"parent" (fun p ->
+         let child =
+           M.sys_fork m p ~name:"child" ~child_body:(fun c ->
+               M.sys_execve m c ~image:"img";
+               M.sys_exit m c 7)
+         in
+         child_pid := child.Proc.pid;
+         ignore (M.sys_wait m p)));
+  ignore
+    (M.spawn m ~name:"crasher" (fun p ->
+         ignore (Smod_vmem.Aspace.read_word p.Proc.aspace ~addr:0x70000000)));
+  ignore (M.spawn m ~name:"aborter" (fun _ -> Errno.raise_errno Errno.EPERM "probe"));
+  M.run m;
+  let trace = M.trace m in
+  Alcotest.(check (list (pair string event)))
+    "actors and events in order"
+    [
+      ("parent", M.Fork { child = !child_pid; name = "child" });
+      ("crasher", M.Core_dumped Signal.sigsegv);
+      ("crasher", M.Exit (Sched.Signaled Signal.sigsegv));
+      ("aborter", M.Abort { errno = Errno.EPERM; context = "probe" });
+      ("aborter", M.Core_dumped Signal.sigterm);
+      ("aborter", M.Exit (Sched.Signaled Signal.sigterm));
+      ("child", M.Execve "img");
+      ("child", M.Exit (Sched.Exited 7));
+      ("parent", M.Exit (Sched.Exited 0));
+    ]
+    (List.combine (List.map (fun e -> e.Trace.actor) (Trace.events trace)) (Trace.values trace))
+
+(* A full trace of session churn (start_session, session_info, detach,
+   over and over) retains at most 8 words per event: per slot an unboxed
+   timestamp, an actor pointer and an event pointer, plus the event's
+   own block of ints and shared strings.  Labels formatted on emit would
+   retain 14.7 for this mix. *)
+let test_trace_words_per_event () =
+  let m = mk () in
+  let trace = M.trace m and clock = M.clock m in
+  let capacity = 4096 in
+  (* Held by the registry entry and the handle processes in a real world. *)
+  let module_name = String.concat "-" [ "kn"; "4" ] in
+  let handle_names = Array.init 4 (Printf.sprintf "pool-handle-kn-4-%d") in
+  for k = 0 to (2 * capacity) - 1 do
+    let sid = 1 + (k / 3) in
+    let client = 100 + sid and handle = sid mod 4 in
+    let actor, e =
+      match k mod 3 with
+      | 0 -> ("kernel", M.Start_session { sid; module_name; client; handle })
+      | 1 -> (handle_names.(handle), M.Session_info { client; handle })
+      | _ -> ("kernel", M.Detach_session { sid; module_name })
+    in
+    Clock.charge clock Cost.Trap_enter;
+    Trace.emit trace ~clock ~actor e
+  done;
+  Alcotest.(check int) "the ring holds 4,096 events" capacity
+    (List.length (Trace.values trace));
+  let per_event = float (Obj.reachable_words (Obj.repr trace)) /. float capacity in
+  let label = Printf.sprintf "%.2f words per event, at most 8" per_event in
+  Alcotest.(check bool) label true (per_event <= 8.0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "kern"
@@ -570,5 +669,11 @@ let () =
           tc "ptrace denied (no_ptrace)" test_ptrace_denied_no_ptrace_flag;
           tc "execve resets + hooks" test_execve_resets_address_space;
           tc "context switch accounting" test_context_switch_accounting;
+        ] );
+      ( "trace",
+        [
+          tc "render_event labels" test_render_event_labels;
+          tc "kernel events typed" test_kernel_trace_events;
+          tc "words per event" test_trace_words_per_event;
         ] );
     ]

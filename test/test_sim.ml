@@ -92,10 +92,10 @@ let test_clock_deterministic_across_runs () =
 
 let test_trace_order_and_labels () =
   let c = Clock.create ~jitter:0.0 () in
-  let t = Trace.create () in
+  let t = Trace.create ~render:Fun.id () in
   Trace.emit t ~clock:c ~actor:"a" "first";
   Clock.charge c Cost.Trap_enter;
-  Trace.emitf t ~clock:c ~actor:"b" "second %d" 2;
+  Trace.emit t ~clock:c ~actor:"b" (Printf.sprintf "second %d" 2);
   Alcotest.(check (list string)) "labels in order" [ "first"; "second 2" ] (Trace.labels t);
   let events = Trace.events t in
   Alcotest.(check bool) "timestamps increase" true
@@ -105,12 +105,12 @@ let test_trace_capacity_drops_oldest () =
   let c = Clock.create () in
   let emit t n = Trace.emit t ~clock:c ~actor:"x" (string_of_int n) in
   let labels_from lo hi = List.init (hi - lo + 1) (fun i -> string_of_int (lo + i)) in
-  let t = Trace.create ~capacity:3 () in
+  let t = Trace.create ~capacity:3 ~render:Fun.id () in
   List.iter (emit t) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ] (Trace.labels t);
   (* The ring grows in steps and then wraps many times over; after every
      emit it holds exactly the newest [capacity] events, oldest first. *)
-  let t = Trace.create ~capacity:100 () in
+  let t = Trace.create ~capacity:100 ~render:Fun.id () in
   for n = 1 to 1000 do
     emit t n;
     Alcotest.(check (list string))
@@ -122,13 +122,13 @@ let test_trace_capacity_drops_oldest () =
   Alcotest.(check (list string)) "clear after wrap-around" [] (Trace.labels t);
   List.iter (emit t) [ 1; 2 ];
   Alcotest.(check (list string)) "refills from empty" [ "1"; "2" ] (Trace.labels t);
-  let t = Trace.create ~capacity:1 () in
+  let t = Trace.create ~capacity:1 ~render:Fun.id () in
   List.iter (emit t) [ 1; 2; 3 ];
   Alcotest.(check (list string)) "capacity 1 keeps the newest" [ "3" ] (Trace.labels t)
 
 let test_trace_disable () =
   let c = Clock.create () in
-  let t = Trace.create ~enabled:false () in
+  let t = Trace.create ~enabled:false ~render:Fun.id () in
   Trace.emit t ~clock:c ~actor:"x" "ignored";
   Alcotest.(check (list string)) "nothing recorded" [] (Trace.labels t);
   Trace.enable t;
@@ -137,7 +137,7 @@ let test_trace_disable () =
 
 let test_trace_clear () =
   let c = Clock.create () in
-  let t = Trace.create () in
+  let t = Trace.create ~render:Fun.id () in
   Trace.emit t ~clock:c ~actor:"x" "gone";
   Trace.clear t;
   Alcotest.(check (list string)) "cleared" [] (Trace.labels t)
