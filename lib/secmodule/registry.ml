@@ -15,6 +15,7 @@ type entry = {
   kernel_nonce : bytes option;
   natives : (string, native_fn) Hashtbl.t;
   functions : Smof.symbol array;
+  mutable native_images : bytes option array;
   func_ids : (string, int) Hashtbl.t;
   mutable linked : Smof.t option;
   (* Compiled-policy cache: Policy.compiled keyed by
@@ -69,6 +70,7 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
       kernel_nonce;
       natives = Hashtbl.create 8;
       functions;
+      native_images = [||];
       func_ids;
       linked = None;
       compiled_cache = Hashtbl.create 8;
@@ -114,6 +116,25 @@ let func_id e name = Hashtbl.find_opt e.func_ids name
 
 let symbol_of_func_id e id =
   if id >= 0 && id < Array.length e.functions then Some e.functions.(id) else None
+
+(* One stand-in per symbol, built on its first call: registering seclibc
+   hashes none of its stand-ins, and an entry whose natives never run
+   holds no table for them. *)
+let native_image e ~func_id =
+  if Array.length e.native_images = 0 then
+    e.native_images <- Array.make (Array.length e.functions) None;
+  match e.native_images.(func_id) with
+  | Some image -> image
+  | None ->
+      let sym = e.functions.(func_id) in
+      let name =
+        match sym.Smof.sym_kind with
+        | Smof.Native name -> name
+        | Smof.Bytecode -> invalid_arg "Registry.native_image: a bytecode symbol"
+      in
+      let image = Smof.native_stub_image ~name ~size:sym.Smof.sym_size in
+      e.native_images.(func_id) <- Some image;
+      image
 
 (* The program cache's traffic, counted once here for every caller.  A
    policy swap flushes through [reset_compiled], which counts on the entry

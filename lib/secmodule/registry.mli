@@ -28,6 +28,9 @@ type entry = {
   kernel_nonce : bytes option;
   natives : (string, native_fn) Hashtbl.t;
   functions : Smod_modfmt.Smof.symbol array;  (** index = funcID, in text order *)
+  mutable native_images : bytes option array;
+      (** empty until {!native_image} first runs, then index = funcID: a
+          native symbol's stand-in bytes, set on its first call *)
   func_ids : (string, int) Hashtbl.t;
       (** name → funcID, read by {!func_id}; a duplicate name maps to the
           last such symbol in text order *)
@@ -102,5 +105,13 @@ val func_id : entry -> string -> int option
 (** One lookup in [func_ids]: the client stubs use the same table. *)
 
 val symbol_of_func_id : entry -> int -> Smod_modfmt.Smof.symbol option
+
+val native_image : entry -> func_id:int -> bytes
+(** The bytes native symbol [func_id] must still have where it is
+    mapped: {!Smod_modfmt.Smof.native_stub_image} of its native name and
+    size.  Built on the symbol's first call and kept on the entry, so
+    later calls compare without hashing; never written to.  Raises
+    [Invalid_argument] for a bytecode symbol. *)
+
 val bind_native : entry -> name:string -> native_fn -> unit
 val native : entry -> string -> native_fn option

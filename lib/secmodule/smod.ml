@@ -142,6 +142,9 @@ type t = {
   keystore : Keystore.t;
   sessions_by_client : (int, session) Hashtbl.t;
   sessions_by_handle : (int, session) Hashtbl.t;
+  mutable sessions_by_sid : session list option;
+      (* [sessions_by_client] sorted by sid for the poller; [None] from a
+         registration or detach until the next sweep sorts it again *)
   mutable next_sid : int;
   mutable next_pool_serial : int;
   mutable toctou : toctou_mitigation;
@@ -344,6 +347,7 @@ let detach_session t session =
          { sid = session.sid; module_name = session.entry.Registry.image.Smof.mod_name });
     Hashtbl.remove t.sessions_by_client session.client_pid;
     Hashtbl.remove t.sessions_by_handle session.handle_pid;
+    t.sessions_by_sid <- None;
     (* Tear the dispatch ring down first: count what a client that died
        mid-batch left behind (Submitted/Claimed slots nobody will ever
        complete), unblock both sides of the spin-then-block protocol, and
@@ -489,15 +493,12 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
                 (* Integrity: the mapped image bytes must still be the
                    registered native stand-in — a client cannot have
                    substituted other code. *)
-                let mapped =
-                  Aspace.read_bytes handle.Proc.aspace
+                let intact =
+                  Aspace.equal_bytes handle.Proc.aspace
                     ~addr:(Layout.module_text_base + sym.Smof.sym_offset)
-                    ~len:sym.Smof.sym_size
+                    (Registry.native_image entry ~func_id:req.Wire.func_id)
                 in
-                let expected =
-                  Smof.native_stub_image ~name:native_name ~size:sym.Smof.sym_size
-                in
-                if not (Bytes.equal mapped expected) then Error 4
+                if not intact then Error 4
                 else begin
                   try Ok (fn t.machine handle ~args_base:req.Wire.args_base) with
                   | Aspace.Segv _ | Aspace.Prot_violation _ -> Error 1
@@ -1032,6 +1033,7 @@ let register_session t (p : Proc.t) ~acquire =
   let session = acquire sid in
   p.Proc.role <- Proc.Smod_client { handle_pid = session.handle_pid };
   Hashtbl.replace t.sessions_by_client p.Proc.pid session;
+  t.sessions_by_sid <- None;
   (match session.kind with
   | Forked _ | Pooled _ ->
       (Machine.proc_exn t.machine session.handle_pid).Proc.role <-
@@ -1907,12 +1909,21 @@ let session_ring session =
 
 (* Stable sweep order: live established sessions sorted by sid, so a
    sweep's charge sequence is a deterministic function of the session
-   population, never of hash-table iteration order. *)
+   population, never of hash-table iteration order.  The sort runs only
+   after the population changed. *)
 let poller_sessions t =
-  Hashtbl.fold
-    (fun _ s acc -> if (not s.detached) && s.established then s :: acc else acc)
-    t.sessions_by_client []
-  |> List.sort (fun a b -> compare a.sid b.sid)
+  let by_sid =
+    match t.sessions_by_sid with
+    | Some sessions -> sessions
+    | None ->
+        let sessions =
+          Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions_by_client []
+          |> List.sort (fun a b -> compare a.sid b.sid)
+        in
+        t.sessions_by_sid <- Some sessions;
+        sessions
+  in
+  List.filter (fun s -> (not s.detached) && s.established) by_sid
 
 (* One sweep over every live session's ring: charge the fixed sweep
    overhead, then per examined slot the scan cost (stamping charges
@@ -2240,6 +2251,7 @@ let install machine ?keystore () =
       keystore = (match keystore with Some k -> k | None -> Keystore.create ());
       sessions_by_client = Hashtbl.create 16;
       sessions_by_handle = Hashtbl.create 16;
+      sessions_by_sid = Some [];
       next_sid = 1;
       next_pool_serial = 1;
       toctou = No_mitigation;

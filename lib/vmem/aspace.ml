@@ -35,7 +35,7 @@ type t = {
   clock : Clock.t;
   name : string;
   mutable entries : entry list;  (* sorted by start_addr *)
-  pages : (int, mapping) Hashtbl.t;  (* vpn -> mapping *)
+  pages : (int, mapping) Hashtbl.t;  (* vpn -> mapping; grows with what is mapped *)
   mutable heap_base_addr : int;
   mutable brk_addr : int;
   mutable peer : t option;
@@ -56,7 +56,7 @@ let create ~phys ~clock ~name =
     clock;
     name;
     entries = [];
-    pages = Hashtbl.create 256;
+    pages = Hashtbl.create 16;
     heap_base_addr = Layout.data_base;
     brk_addr = Layout.data_base;
     peer = None;
@@ -385,6 +385,22 @@ let read_bytes t ~addr ~len =
     pos := !pos + chunk
   done;
   out
+
+let equal_bytes t ~addr expected =
+  let len = Bytes.length expected in
+  let pos = ref 0 and same = ref true in
+  while !pos < len do
+    let a = addr + !pos in
+    let m = ensure_mapped t a Prot.Read in
+    let page_off = a land (Layout.page_size - 1) in
+    let chunk = min (Layout.page_size - page_off) (len - !pos) in
+    for i = 0 to chunk - 1 do
+      if Bytes.get m.frame.Phys.data (page_off + i) <> Bytes.get expected (!pos + i) then
+        same := false
+    done;
+    pos := !pos + chunk
+  done;
+  !same
 
 let write_bytes t ~addr data =
   let len = Bytes.length data in

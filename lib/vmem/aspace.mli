@@ -23,7 +23,19 @@
     {!force_share}, {!force_share} itself, {!obreak}, {!set_peer} and
     {!destroy}.  The TLB is host state only: a hit raises what the walk
     would raise, charges nothing (nor did the walk on a present page),
-    and reads the frame's bytes live. *)
+    and reads the frame's bytes live.
+
+    A space's page table starts at the stdlib [Hashtbl]'s 16 buckets and
+    doubles as pages are mapped, so it costs words in proportion to what
+    the space maps; most spaces map one to three pages.  {!destroy},
+    {!clone}, {!force_share}, {!zero_materialized}, and {!remove_range}
+    over a range of more pages than the space maps, walk the table in
+    bucket order, which depends on the vpns and on the table's size.  No
+    simulated number reads that order.  Each walk charges at most one
+    kind of op per page, so its charges are the same sequence in any
+    order, and its counts and byte totals are sums.  The order decides
+    only which freed frame {!Phys.alloc} hands out next, and every frame
+    it hands out is zeroed, so at most a {!frame_id} differs. *)
 
 type kind = Text | Data | Heap | Stack | Secret | Mmap
 
@@ -101,6 +113,11 @@ val obreak : t -> int -> unit
 
 val read_bytes : t -> addr:int -> len:int -> bytes
 (** Demand-pages via {!fault} as needed. *)
+
+val equal_bytes : t -> addr:int -> bytes -> bool
+(** Whether the bytes at [addr] equal the given ones, compared in the
+    frames without a copy.  Checks and demand-pages every page of the
+    range as {!read_bytes} does, even after a mismatch. *)
 
 val read_page : t -> addr:int -> Bytes.t
 (** The bytes of the frame backing [addr]'s page, after the same read

@@ -364,6 +364,40 @@ let test_destroy_releases_frames () =
   Aspace.destroy a;
   Alcotest.(check int) "frames released" (live - 2) (Phys.live_frames phys)
 
+(* The page table grows with what is mapped.  A space with one entry
+   retains 51 words with no page mapped, 64 with one and 773 with 64,
+   counting what only the space reaches: the allocator, the clock and the
+   frames' bytes are excluded, and each page's frame record is counted.
+   A table preallocated at 256 buckets holds 262 words before the first
+   page, so every case would fail. *)
+let test_page_table_words () =
+  let fixed = 64 and per_page = 14 in
+  let retained ?(destroyed = false) pages =
+    let phys = Phys.create () and clock = mk_clock () in
+    let a = Aspace.create ~phys ~clock ~name:"t" in
+    Aspace.add_entry a ~start_addr:Layout.data_base ~size:(64 * Layout.page_size) ~prot:Prot.rw
+      ~kind:Aspace.Data ~name:"data";
+    let frames =
+      List.init pages (fun i ->
+          let addr = Layout.data_base + (i * Layout.page_size) in
+          Aspace.write_u8 a ~addr 1;
+          Aspace.read_page a ~addr)
+    in
+    if destroyed then Aspace.destroy a;
+    let others = Obj.repr (phys, clock, frames) in
+    (* less the three words of the pair itself *)
+    Obj.reachable_words (Obj.repr (a, others)) - Obj.reachable_words others - 3
+  in
+  let check label ~pages words =
+    let bound = fixed + (per_page * pages) in
+    let label = Printf.sprintf "%s: %d words, at most %d" label words bound in
+    Alcotest.(check bool) label true (words <= bound)
+  in
+  check "no page" ~pages:0 (retained 0);
+  check "1 page" ~pages:1 (retained 1);
+  check "64 pages" ~pages:64 (retained 64);
+  check "64 pages, destroyed" ~pages:0 (retained ~destroyed:true 64)
+
 (* --------------------------- properties ---------------------------- *)
 
 (* Random write/read roundtrip across the data region. *)
@@ -618,6 +652,7 @@ let () =
           tc "clone deep-copies private pages" test_clone_copies_private;
           tc "clone preserves brk" test_clone_preserves_brk;
           tc "destroy releases frames" test_destroy_releases_frames;
+          tc "page table sized to what it maps" test_page_table_words;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
