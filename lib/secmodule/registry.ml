@@ -17,7 +17,7 @@ type entry = {
   functions : Smof.symbol array;
   mutable native_images : bytes option array;
   func_ids : (string, int) Hashtbl.t;
-  mutable linked : Smof.t option;
+  mutable linked : (Smof.t * Smod_vmem.Phys.image) option;
   (* Compiled-policy cache: Policy.compiled keyed by
      "<credential digest>\x00<policy_rev>\x00<keystore generation>", so a
      stale program can never be returned — but stale entries are also
@@ -93,7 +93,7 @@ let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_id []
 
 (* Image, key and nonce never change after [add], so the first success is
    the answer for good; a failure stores nothing and fails again. *)
-let linked_image e =
+let link e =
   match e.linked with
   | Some linked -> linked
   | None ->
@@ -108,9 +108,13 @@ let linked_image e =
         | Some sym -> Smod_vmem.Layout.module_text_base + sym.Smof.sym_offset
         | None -> 0
       in
-      let linked = Smof.apply_relocations plaintext ~resolve in
+      let image = Smof.apply_relocations plaintext ~resolve in
+      let linked = (image, Smod_vmem.Phys.image_of_bytes image.Smof.text) in
       e.linked <- Some linked;
       linked
+
+let linked_image e = fst (link e)
+let linked_text e = snd (link e)
 
 let func_id e name = Hashtbl.find_opt e.func_ids name
 

@@ -34,8 +34,10 @@ type entry = {
   func_ids : (string, int) Hashtbl.t;
       (** name → funcID, read by {!func_id}; a duplicate name maps to the
           last such symbol in text order *)
-  mutable linked : Smod_modfmt.Smof.t option;
-      (** set once by {!linked_image}; its bytes are only ever copied *)
+  mutable linked : (Smod_modfmt.Smof.t * Smod_vmem.Phys.image) option;
+      (** set once by {!linked_image} or {!linked_text}: the linked module
+          and its text as the read-only chunks every handle maps; neither
+          is ever written *)
   compiled_cache : (string, Policy.compiled) Hashtbl.t;
       (** compiled decision programs, keyed with {!compiled_key} *)
   mutable compile_hits : int;
@@ -73,9 +75,17 @@ val linked_image : entry -> Smod_modfmt.Smof.t
     kernel-held key (when the image is encrypted), checked against its
     masked digest and relocated against
     {!Smod_vmem.Layout.module_text_base}.  Built on first use and
-    returned physically equal afterwards; installs copy it into frames
-    and charge the decryption per install.  Raises
-    {!Smod_modfmt.Smof.Malformed} if the key is wrong, storing nothing. *)
+    returned physically equal afterwards; installs charge the decryption
+    per install, copy the data segment into frames and map the text from
+    {!linked_text}.  Raises {!Smod_modfmt.Smof.Malformed} if the key is
+    wrong, storing nothing. *)
+
+val linked_text : entry -> Smod_vmem.Phys.image
+(** {!linked_image}'s text as frame chunks, built with it and returned
+    physically equal afterwards: every handle's text pages share these
+    chunks ({!Smod_vmem.Aspace.map_image}), and a write to one handle's
+    text copies the chunk it touches, so it shows neither here nor in any
+    other handle.  Raises as {!linked_image} does. *)
 
 val set_policy : entry -> Policy.t -> unit
 (** Replace the module's access policy and bump [policy_rev] so stale

@@ -492,18 +492,19 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
             | Some fn -> (
                 (* Integrity: the mapped image bytes must still be the
                    registered native stand-in — a client cannot have
-                   substituted other code. *)
-                let intact =
-                  Aspace.equal_bytes handle.Proc.aspace
-                    ~addr:(Layout.module_text_base + sym.Smof.sym_offset)
-                    (Registry.native_image entry ~func_id:req.Wire.func_id)
-                in
-                if not intact then Error 4
-                else begin
-                  try Ok (fn t.machine handle ~args_base:req.Wire.args_base) with
-                  | Aspace.Segv _ | Aspace.Prot_violation _ -> Error 1
-                  | Errno.Error _ -> Error 1
-                end))
+                   substituted other code.  Reading them can fault like
+                   the call itself, with the same status. *)
+                try
+                  let intact =
+                    Aspace.equal_bytes handle.Proc.aspace
+                      ~addr:(Layout.module_text_base + sym.Smof.sym_offset)
+                      (Registry.native_image entry ~func_id:req.Wire.func_id)
+                  in
+                  if not intact then Error 4
+                  else Ok (fn t.machine handle ~args_base:req.Wire.args_base)
+                with
+                | Aspace.Segv _ | Aspace.Prot_violation _ -> Error 1
+                | Errno.Error _ -> Error 1))
       in
       finish_frame ();
       match result with
@@ -955,9 +956,12 @@ let decide t a ~func_name =
    holding the module image and the secret stack/heap segment (never
    shared, never client-visible), with the client's pid cached at the
    segment's base once a client is known (§4.3).  Every install pays the
-   kernel's decryption with the kernel-held key (§4.1), but the host
-   decrypts, verifies and links once per registry entry: each handle gets
-   a copy of that one linked image. *)
+   kernel's decryption with the kernel-held key (§4.1) and a copy of the
+   text, but the host decrypts, verifies and links once per registry
+   entry: each handle's text pages map that one linked text's chunks, as
+   UVM maps one copy of an image's text into every process running it,
+   and a kernel write to one handle's text copies only the chunk it
+   touches.  The data segment is copied, since handles write it. *)
 let handle_context t ~name ?client_pid entry =
   let clock = Machine.clock t.machine in
   let handle_aspace = Aspace.create ~phys:(Machine.phys t.machine) ~clock ~name in
@@ -971,7 +975,7 @@ let handle_context t ~name ?client_pid entry =
   let text_size = Layout.page_align_up (max 1 (Bytes.length linked.Smof.text)) in
   Aspace.add_entry handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rw
     ~kind:Aspace.Text ~name:("module:" ^ image.Smof.mod_name);
-  Aspace.write_bytes handle_aspace ~addr:text_base linked.Smof.text;
+  Aspace.map_image handle_aspace ~addr:text_base (Registry.linked_text entry);
   Clock.charge clock (Cost.Copy_bytes (Bytes.length linked.Smof.text));
   Aspace.protect_range handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rx;
   if Bytes.length linked.Smof.data > 0 then begin

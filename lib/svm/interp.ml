@@ -47,8 +47,8 @@ let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
   in
   let byte i =
     let addr = code_base + i in
-    Char.code
-      (Bytes.get pages.(Layout.vpn_of_addr addr - first_vpn) (addr land (Layout.page_size - 1)))
+    let page = pages.(Layout.vpn_of_addr addr - first_vpn) in
+    Aspace.page_u8 page (addr land (Layout.page_size - 1))
   in
   let stack = ref [] in
   let return_stack = ref [] in

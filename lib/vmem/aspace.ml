@@ -252,7 +252,7 @@ let is_shared_with_peer t addr =
   | _ -> false
 
 let frame_id t addr =
-  Option.map (fun m -> m.frame.Phys.id) (Hashtbl.find_opt t.pages (Layout.vpn_of_addr addr))
+  Option.map (fun m -> Phys.id m.frame) (Hashtbl.find_opt t.pages (Layout.vpn_of_addr addr))
 
 let set_peer t p =
   t.peer <- p;
@@ -370,7 +370,10 @@ let ensure_mapped t addr access =
       t.tlb_epoch <- Phys.epoch t.phys;
       m
 
-let read_page t ~addr = (ensure_mapped t addr Prot.Read).frame.Phys.data
+type page = Phys.frame
+
+let read_page t ~addr = (ensure_mapped t addr Prot.Read).frame
+let page_u8 = Phys.get_u8
 
 let read_bytes t ~addr ~len =
   if len < 0 then raise (Bad_range "negative length");
@@ -381,7 +384,7 @@ let read_bytes t ~addr ~len =
     let m = ensure_mapped t a Prot.Read in
     let page_off = a land (Layout.page_size - 1) in
     let chunk = min (Layout.page_size - page_off) (len - !pos) in
-    Bytes.blit m.frame.Phys.data page_off out !pos chunk;
+    Phys.blit_to_bytes m.frame page_off out !pos chunk;
     pos := !pos + chunk
   done;
   out
@@ -395,7 +398,7 @@ let equal_bytes t ~addr expected =
     let page_off = a land (Layout.page_size - 1) in
     let chunk = min (Layout.page_size - page_off) (len - !pos) in
     for i = 0 to chunk - 1 do
-      if Bytes.get m.frame.Phys.data (page_off + i) <> Bytes.get expected (!pos + i) then
+      if Phys.get_u8 m.frame (page_off + i) <> Char.code (Bytes.get expected (!pos + i)) then
         same := false
     done;
     pos := !pos + chunk
@@ -410,27 +413,30 @@ let write_bytes t ~addr data =
     let m = ensure_mapped t a Prot.Write in
     let page_off = a land (Layout.page_size - 1) in
     let chunk = min (Layout.page_size - page_off) (len - !pos) in
-    Bytes.blit data !pos m.frame.Phys.data page_off chunk;
+    Phys.blit_from_bytes data !pos m.frame page_off chunk;
     pos := !pos + chunk
+  done
+
+let map_image t ~addr image =
+  if not (Layout.is_page_aligned addr) then raise (Bad_range "map_image unaligned");
+  for page = 0 to Phys.image_pages image - 1 do
+    let m = ensure_mapped t (addr + (page * Layout.page_size)) Prot.Write in
+    Phys.map_image m.frame image ~page
   done
 
 let read_u8 t ~addr =
   let m = ensure_mapped t addr Prot.Read in
-  Char.code (Bytes.get m.frame.Phys.data (addr land (Layout.page_size - 1)))
+  Phys.get_u8 m.frame (addr land (Layout.page_size - 1))
 
 let write_u8 t ~addr v =
   let m = ensure_mapped t addr Prot.Write in
-  Bytes.set m.frame.Phys.data (addr land (Layout.page_size - 1)) (Char.chr (v land 0xff))
+  Phys.set_u8 m.frame (addr land (Layout.page_size - 1)) v
 
 let read_word t ~addr =
   let off = addr land (Layout.page_size - 1) in
   if off <= Layout.page_size - 4 then begin
     let m = ensure_mapped t addr Prot.Read in
-    let d = m.frame.Phys.data in
-    Char.code (Bytes.get d off)
-    lor (Char.code (Bytes.get d (off + 1)) lsl 8)
-    lor (Char.code (Bytes.get d (off + 2)) lsl 16)
-    lor (Char.code (Bytes.get d (off + 3)) lsl 24)
+    Phys.get_u32 m.frame off
   end
   else begin
     let b = read_bytes t ~addr ~len:4 in
@@ -445,11 +451,7 @@ let write_word t ~addr v =
   let off = addr land (Layout.page_size - 1) in
   if off <= Layout.page_size - 4 then begin
     let m = ensure_mapped t addr Prot.Write in
-    let d = m.frame.Phys.data in
-    Bytes.set d off (Char.chr (v land 0xff));
-    Bytes.set d (off + 1) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set d (off + 2) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set d (off + 3) (Char.chr ((v lsr 24) land 0xff))
+    Phys.set_u32 m.frame off v
   end
   else begin
     let b = Bytes.create 4 in
@@ -486,7 +488,7 @@ let zero_materialized t ~start_addr ~size =
   Hashtbl.iter
     (fun vpn (m : mapping) ->
       if vpn >= lo_vpn && vpn <= hi_vpn then begin
-        Bytes.fill m.frame.Phys.data 0 Layout.page_size '\000';
+        Phys.zero m.frame;
         zeroed := !zeroed + Layout.page_size
       end)
     t.pages;
@@ -529,7 +531,7 @@ let clone t ~name =
       end
       else begin
         let f = Phys.alloc t.phys in
-        Bytes.blit m.frame.Phys.data 0 f.Phys.data 0 Layout.page_size;
+        Phys.copy ~src:m.frame ~dst:f;
         Hashtbl.replace child.pages vpn { frame = f; shared = false };
         Clock.charge t.clock (Cost.Copy_bytes Layout.page_size)
       end)

@@ -35,7 +35,9 @@
     kind of op per page, so its charges are the same sequence in any
     order, and its counts and byte totals are sums.  The order decides
     only which freed frame {!Phys.alloc} hands out next, and every frame
-    it hands out is zeroed, so at most a {!frame_id} differs. *)
+    it hands out is zeroed, so at most a {!frame_id} differs.  This still
+    holds with frames made of copy-on-write chunks ({!Phys}): which chunks
+    a frame owns is host state, and no walk's charges read it. *)
 
 type kind = Text | Data | Heap | Stack | Secret | Mmap
 
@@ -119,14 +121,32 @@ val equal_bytes : t -> addr:int -> bytes -> bool
     frames without a copy.  Checks and demand-pages every page of the
     range as {!read_bytes} does, even after a mismatch. *)
 
-val read_page : t -> addr:int -> Bytes.t
-(** The bytes of the frame backing [addr]'s page, after the same read
-    check and demand paging as {!read_bytes}: the whole page, indexed by
-    [addr land (Layout.page_size - 1)].  This is the live frame, shared
-    with every space that maps it, so callers never write to it; a later
-    write to the page through any space shows in it at once. *)
+type page
+(** A read-only view of one page's frame. *)
+
+val read_page : t -> addr:int -> page
+(** The frame backing [addr]'s page, after the same read check and
+    demand paging as {!read_bytes}, as a view that reads the whole page
+    through {!page_u8}.  The view copies nothing: it reads the live
+    frame, shared with every space that maps it, so a later write to the
+    page through any space shows in it at once. *)
+
+val page_u8 : page -> int -> int
+(** [page_u8 p off] is the page's byte at [off], in
+    [\[0, Layout.page_size)]; no copy, no allocation. *)
 
 val write_bytes : t -> addr:int -> bytes -> unit
+
+val map_image : t -> addr:int -> Phys.image -> unit
+(** Map an image into the {!Phys.image_pages} pages from the page-aligned
+    [addr], each faulted in and checked for write as {!write_bytes} of
+    the image's bytes would: the same faults and charges, page by page
+    in address order.  Each page's frame then shares the image's chunks
+    ({!Phys.map_image}) instead of copying them, so a later write through
+    this space copies only the chunk it touches and never reaches the
+    image or another space mapping it.  Charges no copy; the caller
+    charges what a copy would cost. *)
+
 val read_u8 : t -> addr:int -> int
 val write_u8 : t -> addr:int -> int -> unit
 
@@ -147,7 +167,8 @@ val zero_materialized : t -> start_addr:int -> size:int -> int
     return the number of bytes cleared.  Pages never touched are skipped —
     they demand-zero on their next fault anyway.  This is the secret-segment
     scrub a pooled handle performs between tenants (the caller charges the
-    copy cost); no entries or frames are released. *)
+    copy cost); no entries or frames are released.  The host drops each
+    page's chunks ({!Phys.zero}) rather than writing zeros. *)
 
 val mapped_page_count : t -> int
 val shared_page_count : t -> int
@@ -156,9 +177,12 @@ val destroy : t -> unit
 (** Release every frame.  The space must not be used afterwards. *)
 
 val clone : t -> name:string -> t
-(** Fork-style duplicate: entries copied; private pages deep-copied into
-    fresh frames; pages marked shared stay shared (they keep referencing
-    the same frame). Peer links are not cloned. *)
+(** Fork-style duplicate: entries copied; private pages copied into fresh
+    frames, each charged a page copy; pages marked shared stay shared
+    (they keep referencing the same frame). Peer links are not cloned.
+    The host copies no bytes: each fresh frame shares its source's
+    chunks ({!Phys.copy}), and either side's first write to a chunk
+    copies it. *)
 
 val pp_layout : Format.formatter -> t -> unit
 (** Figure-2-style layout listing. *)

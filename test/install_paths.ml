@@ -75,7 +75,7 @@ let check_fails_closed world ~call =
 
 (* Five sessions held open together, so each is a fresh install: every
    call returns the one stored linked image, and every handle's text
-   pages hold a byte-equal copy of its text. *)
+   pages read byte-equal to its text. *)
 let check_installs_share_linked_image world ~call =
   let smod = world.World.smod and entry = world.World.libc_entry in
   let tenants = 5 in

@@ -623,6 +623,88 @@ let test_rewritten_bytecode_runs () =
   Alcotest.(check int) "rewritten immediate runs" 141 !second;
   Alcotest.(check bool) "non-executable text -> EFAULT" true (!third = Error Errno.EFAULT)
 
+(* Make the whole module-text entry of [handle_as] [prot], as the kernel
+   would. *)
+let protect_module_text handle_as prot =
+  let text = Option.get (Aspace.find_entry handle_as Layout.module_text_base) in
+  let start_addr = text.Aspace.start_addr in
+  Aspace.protect_range handle_as ~start_addr ~size:(text.Aspace.end_addr - start_addr) ~prot
+
+(* A native call on module text the handle cannot read fails as a
+   bytecode call does, with EFAULT, and the handle and its session live
+   on: the native stand-in check reads the mapped bytes under the same
+   handler as the call. *)
+let check_unreadable_text_efault world =
+  let m = world.World.machine and smod = world.World.smod in
+  let outcomes = ref [] and alive = ref false in
+  World.spawn_seclibc_client world ~name:"client" (fun p conn ->
+      let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
+      protect_module_text (Smod.handle_aspace smod session) Prot.x;
+      let outcome call =
+        match call conn with
+        | n -> string_of_int n
+        | exception Errno.Error (e, _) -> Errno.to_string e
+      in
+      let test_incr conn = Smod_libc.Seclibc.Client.test_incr conn 41 in
+      outcomes := List.map outcome [ test_incr; Smod_libc.Seclibc.Client.getpid; test_incr ];
+      let handle_alive =
+        match M.proc m session.Smod.handle_pid with
+        | Some h -> not (Proc.is_zombie h)
+        | None -> false
+      in
+      alive := handle_alive && Smod.session_of_client smod ~client_pid:p.Proc.pid <> None);
+  World.run world;
+  let efault = [ "EFAULT"; "EFAULT"; "EFAULT" ] in
+  Alcotest.(check (list string)) "test_incr, getpid, test_incr" efault !outcomes;
+  Alcotest.(check bool) "handle and session alive" true !alive
+
+let test_unreadable_text_efault_forked () =
+  check_unreadable_text_efault (World.create ~jitter:0.0 ~with_rpc:false ())
+
+let test_unreadable_text_efault_pooled () =
+  check_unreadable_text_efault
+    (World.create ~jitter:0.0 ~pool:Smod_pool.Smodd.default_config ~with_rpc:false ())
+
+(* Every handle's text shares its entry's one linked text
+   (Registry.linked_text): the kernel rewriting one handle's text, as in
+   "rewritten bytecode runs", copies what it writes, so another open
+   session, the registry's linked image and a later install still run
+   the original. *)
+let test_text_rewrite_stays_in_one_handle () =
+  let world = World.create ~jitter:0.0 ~with_rpc:false () in
+  let smod = world.World.smod and entry = world.World.libc_entry in
+  let linked_text = Bytes.copy (Registry.linked_image entry).Smof.text in
+  let test_incr conn = Smod_libc.Seclibc.Client.test_incr conn 41 in
+  let connected = ref 0 and rewritten = ref false in
+  let rewritten_result = ref 0 and other = ref 0 and later = ref 0 in
+  World.spawn_seclibc_client world ~name:"rewriter" (fun p conn ->
+      incr connected;
+      while !connected < 2 do
+        Sched.yield ()
+      done;
+      let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
+      let handle_as = Smod.handle_aspace smod session in
+      let sym = Option.get (Smof.find_symbol entry.Registry.image "test_incr") in
+      protect_module_text handle_as Prot.rw;
+      Aspace.write_word handle_as ~addr:(Layout.module_text_base + sym.Smof.sym_offset + 3) 100;
+      protect_module_text handle_as Prot.rx;
+      rewritten := true;
+      rewritten_result := test_incr conn);
+  World.spawn_seclibc_client world ~name:"other" (fun _ conn ->
+      incr connected;
+      while not !rewritten do
+        Sched.yield ()
+      done;
+      other := test_incr conn);
+  World.run world;
+  World.spawn_seclibc_client world ~name:"later" (fun _ conn -> later := test_incr conn);
+  World.run world;
+  Alcotest.(check int) "rewritten handle runs the rewrite" 141 !rewritten_result;
+  Alcotest.(check int) "other session runs the original" 42 !other;
+  Alcotest.(check int) "a later install runs the original" 42 !later;
+  Alcotest.(check bool) "linked image unchanged" true
+    (Bytes.equal linked_text (Registry.linked_image entry).Smof.text)
+
 let test_native_integrity_check () =
   (* Swap the native binding's expected bytes by registering a module
      whose native symbol name does not match the stub image content. *)
@@ -1525,6 +1607,9 @@ let () =
           tc "tamper setup" test_tampered_handle_text_detected;
           tc "rewritten bytecode runs" test_rewritten_bytecode_runs;
           tc "native integrity check" test_native_integrity_check;
+          tc "unreadable text -> EFAULT: forked" test_unreadable_text_efault_forked;
+          tc "unreadable text -> EFAULT: pooled" test_unreadable_text_efault_pooled;
+          tc "text rewrite stays in one handle" test_text_rewrite_stays_in_one_handle;
           tc "unbound native" test_unbound_native_enosys;
           tc "unmap-only removes plain copy" test_unmap_only_removes_plain_library;
         ] );

@@ -6,6 +6,8 @@ module Phys = Smod_vmem.Phys
 module Prot = Smod_vmem.Prot
 module Aspace = Smod_vmem.Aspace
 module Clock = Smod_sim.Clock
+module Proc = Smod_kern.Proc
+module World = Smod_bench_kit.World
 
 let mk_clock () = Clock.create ~jitter:0.0 ()
 
@@ -44,25 +46,30 @@ let test_layout_share_range () =
 
 (* ------------------------------- phys ------------------------------ *)
 
+let page_bytes f =
+  let b = Bytes.create Layout.page_size in
+  Phys.blit_to_bytes f 0 b 0 Layout.page_size;
+  b
+
+let is_zero_page f = Bytes.for_all (fun c -> c = '\000') (page_bytes f)
+
 let test_phys_alloc_zeroed () =
   let phys = Phys.create () in
   let f = Phys.alloc phys in
-  Alcotest.(check int) "refcount 1" 1 f.Phys.refcount;
-  Alcotest.(check bool) "zeroed" true
-    (Bytes.for_all (fun c -> c = '\000') f.Phys.data)
+  Alcotest.(check int) "refcount 1" 1 (Phys.refcount f);
+  Alcotest.(check bool) "zeroed" true (is_zero_page f)
 
 let test_phys_recycle () =
   let phys = Phys.create () in
   let f = Phys.alloc phys in
-  Bytes.set f.Phys.data 0 'x';
+  Phys.set_u8 f 0 (Char.code 'x');
   Phys.decref phys f;
   Alcotest.(check int) "live back to 0" 0 (Phys.live_frames phys);
   let g = Phys.alloc phys in
-  Alcotest.(check bool) "recycled frame is zeroed" true
-    (Bytes.get g.Phys.data 0 = '\000')
+  Alcotest.(check bool) "recycled frame is zeroed" true (Phys.get_u8 g 0 = 0)
 
 (* The host reuses a freed block for a new one of the same size, bytes
-   and all, so a fresh frame must be cleared even though no frame of its
+   and all, so a fresh frame must read zero even though no frame of its
    own allocator was ever freed. *)
 let test_phys_fresh_frames_zeroed () =
   let frames = 64 in
@@ -70,7 +77,7 @@ let test_phys_fresh_frames_zeroed () =
     let phys = Phys.create () in
     for _ = 1 to frames do
       let f = Phys.alloc phys in
-      Bytes.fill f.Phys.data 0 (Bytes.length f.Phys.data) 'S'
+      Phys.blit_from_bytes (Bytes.make Layout.page_size 'S') 0 f 0 Layout.page_size
     done
   in
   for round = 1 to 10 do
@@ -79,8 +86,8 @@ let test_phys_fresh_frames_zeroed () =
     let phys = Phys.create () in
     for _ = 1 to frames do
       let f = Phys.alloc phys in
-      if not (Bytes.for_all (fun c -> c = '\000') f.Phys.data) then
-        Alcotest.failf "round %d: fresh frame %d is not zero" round f.Phys.id
+      if not (is_zero_page f) then
+        Alcotest.failf "round %d: fresh frame %d is not zero" round (Phys.id f)
     done
   done
 
@@ -97,6 +104,46 @@ let test_phys_out_of_frames () =
   let phys = Phys.create ~limit_frames:2 () in
   let _a = Phys.alloc phys and _b = Phys.alloc phys in
   Alcotest.check_raises "limit" Phys.Out_of_frames (fun () -> ignore (Phys.alloc phys))
+
+(* The host words only [v] reaches, counting neither the zero chunk (a
+   fresh frame of another allocator reaches it and nothing of [v]'s) nor
+   what [shared] reaches. *)
+let words_beyond ?(shared = Obj.repr ()) v =
+  let others = Obj.repr (Phys.alloc (Phys.create ()), shared) in
+  (* less the three words of the pair itself *)
+  Obj.reachable_words (Obj.repr (v, others)) - Obj.reachable_words others - 3
+
+let check_words label words bound =
+  let label = Printf.sprintf "%s: %d words, at most %d" label words bound in
+  Alcotest.(check bool) label true (words <= bound)
+
+(* A frame costs host words for the chunks written to it: 22 of its own
+   and 34 per 256-byte chunk it has copied.  A frame holding its page as
+   one 4 KiB buffer is 518 words in every case. *)
+let test_phys_frame_words () =
+  let phys = Phys.create () in
+  let one = Phys.alloc phys in
+  Phys.set_u8 one 300 1;
+  check_words "one byte written" (words_beyond one) 64;
+  let full = Phys.alloc phys in
+  Phys.blit_from_bytes (Bytes.make Layout.page_size 'F') 0 full 0 Layout.page_size;
+  check_words "every byte written" (words_beyond full) ((16 * 34) + 32);
+  Phys.decref phys full;
+  check_words "freed, on the free list" (words_beyond full) 24
+
+(* A handle's text page shares its registry entry's linked text. *)
+let test_handle_text_page_words () =
+  let world = World.create ~jitter:0.0 ~with_rpc:false () in
+  let smod = world.World.smod in
+  let words = ref max_int in
+  World.spawn_seclibc_client world ~name:"client" (fun p _conn ->
+      let session = Option.get (Secmodule.Smod.session_of_client smod ~client_pid:p.Proc.pid) in
+      let handle_as = Secmodule.Smod.handle_aspace smod session in
+      let text = Secmodule.Registry.linked_text world.World.libc_entry in
+      let page = Aspace.read_page handle_as ~addr:Layout.module_text_base in
+      words := words_beyond ~shared:(Obj.repr text) page);
+  World.run world;
+  check_words "handle text page beyond the registry's chunks" !words 24
 
 (* ------------------------------ aspace ----------------------------- *)
 
@@ -365,11 +412,11 @@ let test_destroy_releases_frames () =
   Alcotest.(check int) "frames released" (live - 2) (Phys.live_frames phys)
 
 (* The page table grows with what is mapped.  A space with one entry
-   retains 51 words with no page mapped, 64 with one and 773 with 64,
+   retains 51 words with no page mapped, 60 with one and 517 with 64,
    counting what only the space reaches: the allocator, the clock and the
-   frames' bytes are excluded, and each page's frame record is counted.
-   A table preallocated at 256 buckets holds 262 words before the first
-   page, so every case would fail. *)
+   frames are excluded (the phys tests count a frame's words).  A table
+   preallocated at 256 buckets holds 262 words before the first page, so
+   every case would fail. *)
 let test_page_table_words () =
   let fixed = 64 and per_page = 14 in
   let retained ?(destroyed = false) pages =
@@ -601,6 +648,197 @@ let prop_tlb_matches_walk =
       in
       List.for_all (fun op -> step op && probe false && probe true) ops)
 
+(* Frames read as flat pages.  Random byte, word and range accesses at
+   offsets on both sides of 256-byte chunk and page boundaries, mixed
+   with clone, force_share, zero_materialized, destroy and reallocation,
+   are checked against a model that keeps each physical frame's page as
+   one flat buffer.  A frame faulted in fresh (not the peer's) must read
+   zero, whether new or recycled; a private page cloned gets a copy of
+   its source's buffer.  After every step each mapped page of every
+   space must read as its model buffer, so a write that reaches a frame
+   it should not shows at once. *)
+type mem_op =
+  | Mem_write_u8 of int * int * int  (* space, offset in the data pages, value *)
+  | Mem_write_word of int * int * int
+  | Mem_write_bytes of int * int * string
+  | Mem_read_u8 of int * int
+  | Mem_read_word of int * int
+  | Mem_read_bytes of int * int * int
+  | Mem_read_page of int * int
+  | Mem_clone of int * int  (* source space, the space it replaces *)
+  | Mem_force_share  (* space 0 the client, space 1 the handle *)
+  | Mem_zero of int * int  (* space, page *)
+  | Mem_destroy of int  (* and reallocate *)
+
+let mem_spaces = 3
+let mem_pages = 3
+let mem_size = mem_pages * Layout.page_size
+
+(* Mostly within four bytes of a chunk boundary, page boundaries among
+   them; an access is moved back to fit the data pages. *)
+let near_chunk_boundary page chunk delta =
+  max 0 ((page * Layout.page_size) + (chunk * 256) + delta)
+
+let gen_mem_off =
+  let open QCheck.Gen in
+  let page = int_bound (mem_pages - 1) and delta = int_range (-4) 3 in
+  frequency
+    [ (3, map3 near_chunk_boundary page (int_bound 16) delta); (1, int_bound (mem_size - 1)) ]
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let space = int_bound (mem_spaces - 1) and off = gen_mem_off in
+  frequency
+    [
+      (3, map3 (fun s o v -> Mem_write_u8 (s, o, v)) space off (int_bound 255));
+      (3, map3 (fun s o v -> Mem_write_word (s, o, v)) space off (int_bound 0xFFFFFF));
+      (3, map3 (fun s o b -> Mem_write_bytes (s, o, b)) space off (string_size (1 -- 600)));
+      (2, map2 (fun s o -> Mem_read_u8 (s, o)) space off);
+      (2, map2 (fun s o -> Mem_read_word (s, o)) space off);
+      (2, map3 (fun s o n -> Mem_read_bytes (s, o, n)) space off (1 -- 600));
+      (2, map2 (fun s o -> Mem_read_page (s, o)) space off);
+      (1, map2 (fun a b -> Mem_clone (a, b)) space space);
+      (1, return Mem_force_share);
+      (1, map2 (fun s p -> Mem_zero (s, p)) space (int_bound (mem_pages - 1)));
+      (1, map (fun s -> Mem_destroy s) space);
+    ]
+
+let print_mem_op = function
+  | Mem_write_u8 (s, o, v) -> Printf.sprintf "write_u8 %d +%d %d" s o v
+  | Mem_write_word (s, o, v) -> Printf.sprintf "write_word %d +%d %d" s o v
+  | Mem_write_bytes (s, o, b) ->
+      Printf.sprintf "write_bytes %d +%d len %d" s o (String.length b)
+  | Mem_read_u8 (s, o) -> Printf.sprintf "read_u8 %d +%d" s o
+  | Mem_read_word (s, o) -> Printf.sprintf "read_word %d +%d" s o
+  | Mem_read_bytes (s, o, n) -> Printf.sprintf "read_bytes %d +%d len %d" s o n
+  | Mem_read_page (s, o) -> Printf.sprintf "read_page %d +%d" s o
+  | Mem_clone (a, b) -> Printf.sprintf "clone %d over %d" a b
+  | Mem_force_share -> "force_share"
+  | Mem_zero (s, p) -> Printf.sprintf "zero_materialized %d page %d" s p
+  | Mem_destroy s -> Printf.sprintf "destroy %d" s
+
+let arb_mem_ops =
+  QCheck.make ~shrink:QCheck.Shrink.list ~print:QCheck.Print.(list print_mem_op)
+    QCheck.Gen.(list_size (1 -- 40) gen_mem_op)
+
+let prop_frames_match_flat_pages =
+  QCheck.Test.make ~name:"frames read as flat pages" ~count:300 arb_mem_ops (fun ops ->
+      let phys = Phys.create () and clock = mk_clock () in
+      let spaces = Array.init mem_spaces (fun _ -> mk_space phys clock) in
+      let paired = ref false in
+      (* frame id -> the page it holds *)
+      let model = Hashtbl.create 16 in
+      let page_addr p = Layout.data_base + (p * Layout.page_size) in
+      let fid s addr = Option.get (Aspace.frame_id s addr) in
+      let flat s addr = Hashtbl.find model (fid s addr) in
+      let get s addr = Bytes.get (flat s addr) (addr land (Layout.page_size - 1)) in
+      let set s addr c = Bytes.set (flat s addr) (addr land (Layout.page_size - 1)) c in
+      (* Run [f] on the [len] bytes from data offset [off] in space [i];
+         each page it faults in fresh gets a zero page in the model. *)
+      let access i off len f =
+        let s = spaces.(i) in
+        let off = min off (mem_size - len) in
+        let addr = Layout.data_base + off in
+        let first = off / Layout.page_size and last = (off + len - 1) / Layout.page_size in
+        let before =
+          List.init (last - first + 1) (fun k ->
+              let a = page_addr (first + k) in
+              let peer_frame = Option.bind (Aspace.peer s) (fun p -> Aspace.frame_id p a) in
+              (a, Aspace.is_mapped s a, peer_frame))
+        in
+        let result = f s addr in
+        List.iter
+          (fun (a, was_mapped, peer_frame) ->
+            let id = fid s a in
+            if (not was_mapped) && peer_frame <> Some id then
+              Hashtbl.replace model id (Bytes.make Layout.page_size '\000'))
+          before;
+        (s, addr, result)
+      in
+      let unpair i =
+        if !paired && i < 2 then begin
+          Aspace.set_peer spaces.(1 - i) None;
+          paired := false
+        end
+      in
+      let step = function
+        | Mem_write_u8 (i, o, v) ->
+            let s, addr, () = access i o 1 (fun s addr -> Aspace.write_u8 s ~addr v) in
+            set s addr (Char.chr v);
+            true
+        | Mem_write_word (i, o, v) ->
+            let s, addr, () = access i o 4 (fun s addr -> Aspace.write_word s ~addr v) in
+            for k = 0 to 3 do
+              set s (addr + k) (Char.chr ((v lsr (8 * k)) land 0xff))
+            done;
+            true
+        | Mem_write_bytes (i, o, b) ->
+            let data = Bytes.of_string b in
+            let write s addr = Aspace.write_bytes s ~addr data in
+            let s, addr, () = access i o (Bytes.length data) write in
+            String.iteri (fun k c -> set s (addr + k) c) b;
+            true
+        | Mem_read_u8 (i, o) ->
+            let s, addr, v = access i o 1 (fun s addr -> Aspace.read_u8 s ~addr) in
+            v = Char.code (get s addr)
+        | Mem_read_word (i, o) ->
+            let s, addr, v = access i o 4 (fun s addr -> Aspace.read_word s ~addr) in
+            let byte k = Char.code (get s (addr + k)) lsl (8 * k) in
+            v = (byte 0 lor byte 1 lor byte 2 lor byte 3)
+        | Mem_read_bytes (i, o, n) ->
+            let s, addr, b = access i o n (fun s addr -> Aspace.read_bytes s ~addr ~len:n) in
+            Bytes.equal b (Bytes.init n (fun k -> get s (addr + k)))
+        | Mem_read_page (i, o) ->
+            let s, addr, page = access i o 1 (fun s addr -> Aspace.read_page s ~addr) in
+            let base = addr land lnot (Layout.page_size - 1) in
+            List.for_all
+              (fun k ->
+                let off = (addr + k) land (Layout.page_size - 1) in
+                Aspace.page_u8 page off = Char.code (get s (base + off)))
+              [ -300; -1; 0; 1; 255; 256 ]
+        | Mem_clone (src, dst) ->
+            if src <> dst then begin
+              Aspace.destroy spaces.(dst);
+              unpair dst;
+              let child = Aspace.clone spaces.(src) ~name:"clone" in
+              for p = 0 to mem_pages - 1 do
+                let addr = page_addr p in
+                match (Aspace.frame_id spaces.(src) addr, Aspace.frame_id child addr) with
+                | Some f, Some g when f <> g ->
+                    Hashtbl.replace model g (Bytes.copy (Hashtbl.find model f))
+                | _ -> ()
+              done;
+              spaces.(dst) <- child
+            end;
+            true
+        | Mem_force_share ->
+            Aspace.force_share ~client:spaces.(0) ~handle:spaces.(1) ~lo:Layout.share_lo
+              ~hi:Layout.share_hi;
+            paired := true;
+            true
+        | Mem_zero (i, p) ->
+            let s = spaces.(i) in
+            let mapped = Aspace.is_mapped s (page_addr p) in
+            let zeroed =
+              Aspace.zero_materialized s ~start_addr:(page_addr p) ~size:Layout.page_size
+            in
+            if mapped then Bytes.fill (flat s (page_addr p)) 0 Layout.page_size '\000';
+            zeroed = if mapped then Layout.page_size else 0
+        | Mem_destroy i ->
+            Aspace.destroy spaces.(i);
+            unpair i;
+            spaces.(i) <- mk_space phys clock;
+            true
+      in
+      let reads_flat s p =
+        let addr = page_addr p in
+        (not (Aspace.is_mapped s addr))
+        || Bytes.equal (flat s addr) (Aspace.read_bytes s ~addr ~len:Layout.page_size)
+      in
+      let pages = List.init mem_pages Fun.id in
+      let consistent () = Array.for_all (fun s -> List.for_all (reads_flat s) pages) spaces in
+      List.for_all (fun op -> step op && consistent ()) ops)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vmem"
@@ -615,6 +853,8 @@ let () =
           tc "fresh frames zeroed after a dropped allocator" test_phys_fresh_frames_zeroed;
           tc "refcounting" test_phys_refcounting;
           tc "out of frames" test_phys_out_of_frames;
+          tc "frame words follow the chunks written" test_phys_frame_words;
+          tc "handle text page shares the registry's chunks" test_handle_text_page_words;
         ] );
       ( "aspace",
         [
@@ -660,5 +900,7 @@ let () =
         @ [
             QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
               prop_tlb_matches_walk;
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+              prop_frames_match_flat_pages;
           ] );
     ]
