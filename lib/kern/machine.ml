@@ -42,27 +42,32 @@ type msgq = {
   mutable removed : bool;
 }
 
-(* What the kernel decided about one stamped slot, recorded at stamp
-   time in kernel-private memory.  The handle claims from these records
-   — never from the (client-writable) ring slots — so a client that
-   rewrites a slot's m_id/func_id/verdict/state words after admission
-   can neither change which function runs nor resurrect a denied or
-   already-executed slot.  [sr_seq] disambiguates a stale record whose
-   ring index has since wrapped. *)
-type stamp_rec = { sr_seq : int; sr_m_id : int; sr_func_id : int; sr_allow : bool }
-
 (* One registered dispatch ring per client pid.  [rr_stamped] is the
    kernel-private admission cursor: the handle may only claim slots with
    seq below it, and it only advances through [sys_smod_call_batch]'s
    stamping loop.  [rr_claimed] is the handle's claim cursor, also
    kernel-private — header words in the (client-writable) ring memory
-   are never trusted for admission, ordering, or replay protection. *)
+   are never trusted for admission, ordering, or replay protection.
+
+   The shadow is what the kernel decided about each stamped slot,
+   recorded at stamp time in three flat int columns indexed by seq mod
+   nslots.  The handle claims from these columns — never from the
+   (client-writable) ring slots — so a client that rewrites a slot's
+   m_id/func_id/verdict/state words after admission can neither change
+   which function runs nor resurrect a denied or already-executed slot.
+   [rr_seqs] holds the slot's seq when the kernel allowed it and
+   [lnot seq] (negative) when it denied it, and -1 until the slot is
+   first stamped, so the one claim rule — the record is an allow
+   stamped for exactly this seq — is one comparison that also refuses a
+   stale record whose ring index has since wrapped. *)
 type ring_reg = {
   rr_base : int;
   rr_nslots : int;
   mutable rr_stamped : int;
   mutable rr_claimed : int;
-  rr_shadow : stamp_rec option array;  (* length rr_nslots, index seq mod nslots *)
+  rr_seqs : int array;
+  rr_m_ids : int array;
+  rr_func_ids : int array;
 }
 
 (* Trace events as data: each payload holds ints and strings the caller
@@ -696,8 +701,10 @@ let ring_record_stamp t ~pid ~seq ~m_id ~func_id ~allow =
   match Hashtbl.find_opt t.rings pid with
   | None -> ()
   | Some r ->
-      r.rr_shadow.(seq mod r.rr_nslots) <-
-        Some { sr_seq = seq; sr_m_id = m_id; sr_func_id = func_id; sr_allow = allow };
+      let i = seq mod r.rr_nslots in
+      r.rr_seqs.(i) <- (if allow then seq else lnot seq);
+      r.rr_m_ids.(i) <- m_id;
+      r.rr_func_ids.(i) <- func_id;
       if seq + 1 > r.rr_stamped then r.rr_stamped <- seq + 1
 
 let ring_claim_next t ~pid =
@@ -713,10 +720,8 @@ let ring_claim_next t ~pid =
         else begin
           let seq = r.rr_claimed in
           r.rr_claimed <- seq + 1;
-          match r.rr_shadow.(seq mod r.rr_nslots) with
-          | Some sr when sr.sr_seq = seq && sr.sr_allow ->
-              Some (seq, sr.sr_m_id, sr.sr_func_id)
-          | Some _ | None -> go ()
+          let i = seq mod r.rr_nslots in
+          if r.rr_seqs.(i) = seq then Some (seq, r.rr_m_ids.(i), r.rr_func_ids.(i)) else go ()
         end
       in
       go ()
@@ -773,7 +778,9 @@ let sys_smod_ring_setup t (p : Proc.t) args =
           rr_nslots = nslots;
           rr_stamped = 0;
           rr_claimed = 0;
-          rr_shadow = Array.make nslots None;
+          rr_seqs = Array.make nslots (-1);
+          rr_m_ids = Array.make nslots 0;
+          rr_func_ids = Array.make nslots 0;
         };
       Smod_metrics.Counter.incr m_ring_setups;
       0

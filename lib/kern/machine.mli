@@ -20,8 +20,8 @@ type syscall_handler = t -> Proc.t -> int array -> int
     constructor per kind.  A payload holds only ints and strings the
     emitter already holds (names, pids, session ids), never a session,
     process or address space, so a recorded event keeps nothing else
-    alive; at about 7 words an event, a full 4,096-event trace holds
-    about 27,000 words. *)
+    alive; at about 7 words an event, the trace's full 256-event window
+    ({!Smod_sim.Trace.create}'s default) holds about 1,700 words. *)
 
 type event =
   | Exit of Sched.exit_status

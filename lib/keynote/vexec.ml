@@ -96,5 +96,3 @@ let run_residue plan snapshot ~width ~lanes =
     Smod_metrics.Counter.add m_vector_units !units;
     { vr_indices = indices; vr_passes = !passes; vr_units = !units }
   end
-
-let level_of plan index = (Fuse.levels plan).(index)

@@ -61,6 +61,3 @@ val run_residue : Fuse.t -> Fuse.snapshot -> width:int -> lanes:lane array -> re
     the snapshot stays reusable across batches.  Raises
     [Invalid_argument] when [width < 1].  [lanes] may be any size; an
     empty array returns an empty result at zero cost. *)
-
-val level_of : Fuse.t -> int -> string
-(** The compliance-level name for a clamped index from [vr_indices]. *)

@@ -98,9 +98,8 @@ let min_index ~levels ~min_level =
   in
   find 0
 
-let keynote_verdict policy ~min_index ~min_level ~index ~level =
-  if index >= min_index then Ok ()
-  else deny policy (Printf.sprintf "keynote compliance %S below required %S" level min_level)
+let keynote_denial policy ~min_level level =
+  { reason = Printf.sprintf "keynote compliance %S below required %S" level min_level; policy }
 
 (* [All_of] under any engine: arms in order, the first denial decides. *)
 let all_of policy check arms states =
@@ -164,8 +163,10 @@ let rec check_inner ~clock ~now_us ~credential ~attrs policy state =
           deny policy reason
       | result ->
           Clock.charge_n clock Cost.Keynote_assertion_eval result.assertions_evaluated;
-          keynote_verdict policy ~min_index:(min_index ~levels ~min_level) ~min_level
-            ~index:result.index ~level:result.level)
+          (* Formatted on every denied check: this engine is the oracle the
+             compiled engines' prebuilt denials are checked against. *)
+          if result.index >= min_index ~levels ~min_level then Ok ()
+          else Error (keynote_denial policy ~min_level result.level))
   | All_of ps, S_list states ->
       all_of policy (check_inner ~clock ~now_us ~credential ~attrs) ps states
   | _ -> deny policy "policy/state shape mismatch"
@@ -190,8 +191,10 @@ type compiled =
       plan : (Fuse.t * int) option;
           (* the fused lowering, built when the kernel opts in, and the
              index of its snapshot in a prepared program *)
-      min_index : int;
-      min_level : string;
+      denials : denial array;
+          (* the denial for reaching level index i, for every i below
+             the required level's index (the array's length), built here:
+             its reason depends only on the level reached and [min_level] *)
       static_attrs : (string * string) list;
       policy : t;
     }
@@ -236,7 +239,10 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
                 end
                 else None
               in
-              C_keynote { program; plan; min_index; min_level; static_attrs; policy = p }
+              let denials =
+                Array.init min_index (fun i -> keynote_denial p ~min_level levels.(i))
+              in
+              C_keynote { program; plan; denials; static_attrs; policy = p }
           | Error reason ->
               Smod_metrics.Counter.incr m_policy_compile_denials;
               C_deny { reason; policy = p }
@@ -270,10 +276,14 @@ let prepare ~clock ~origin ~attrs tree =
   in
   { tree; snapshots = Array.of_list (List.rev (walk [] tree)) }
 
+(* A compiled arm's verdict for the level index its program reached. *)
+let compiled_verdict denials index =
+  if index >= Array.length denials then Ok () else Error denials.(index)
+
 let rec check_arm ~clock ~now_us ~credential ~origin ~attrs snapshots compiled state =
   match (compiled, state) with
   | C_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | C_keynote { program; plan; min_index; min_level; static_attrs; policy }, S_none ->
+  | C_keynote { program; plan; denials; static_attrs; _ }, S_none ->
       let attrs = attrs @ static_attrs in
       let outcome =
         match plan with
@@ -281,8 +291,7 @@ let rec check_arm ~clock ~now_us ~credential ~origin ~attrs snapshots compiled s
         | None -> Compile.run program ~attrs
       in
       Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      keynote_verdict policy ~min_index ~min_level ~index:outcome.Compile.index
-        ~level:outcome.Compile.level
+      compiled_verdict denials outcome.Compile.index
   | C_deny { reason; policy }, _ ->
       Clock.charge clock Cost.Policy_compiled_op;
       deny policy reason
@@ -365,8 +374,7 @@ let check_vector ~clock ~now_us ~credential ~(lanes : Vexec.lane array) { tree; 
             if alive.(k) then kill k { reason; policy }
           done
         end
-    | C_keynote { plan = Some (plan, pos); min_index; min_level; static_attrs; policy; _ }, S_none
-      ->
+    | C_keynote { plan = Some (plan, pos); denials; static_attrs; _ }, S_none ->
         (* Lane compaction: only still-alive lanes enter the vector walk,
            so an early-denied lane drops out of the ceil(L/W) charge. *)
         let packed_idx =
@@ -388,11 +396,7 @@ let check_vector ~clock ~now_us ~credential ~(lanes : Vexec.lane array) { tree; 
           Clock.charge_n clock Cost.Policy_vector_op res.Vexec.vr_units;
           Array.iteri
             (fun j k ->
-              let index = res.Vexec.vr_indices.(j) in
-              match
-                keynote_verdict policy ~min_index ~min_level ~index
-                  ~level:(Vexec.level_of plan index)
-              with
+              match compiled_verdict denials res.Vexec.vr_indices.(j) with
               | Ok () -> ()
               | Error d -> kill k d)
             packed_idx

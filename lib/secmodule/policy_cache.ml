@@ -11,7 +11,11 @@ let m_inserts = Smod_metrics.Scope.counter m_scope "inserts"
 let m_evictions = Smod_metrics.Scope.counter m_scope "evictions"
 let m_flushes = Smod_metrics.Scope.counter m_scope "flushes"
 
-type decision = Allow | Deny of string
+type decision = Allow | Deny of Policy.denial
+
+(* The key's fields themselves, strings the session and registry already
+   hold: a probe builds this one record and formats nothing. *)
+type key = { cred_digest : string; func_name : string; m_id : int; origin : Fuse.origin }
 
 (* Every entry records the policy revision and keystore generation it was
    made under.  They are checked at lookup rather than keyed on, so a
@@ -22,8 +26,8 @@ type entry = { value : decision; policy_rev : int; keystore_gen : int }
 type t = {
   clock : Clock.t;
   cap : int;
-  entries : (string, entry) Hashtbl.t;
-  order : string Queue.t;
+  entries : (key, entry) Hashtbl.t;
+  order : key Queue.t;
       (* keys in insertion order, oldest first, for eviction.  Keys leave
          the table only by eviction or flush, so every key here is live. *)
 }
@@ -35,14 +39,10 @@ let create ~clock ~capacity =
 let capacity t = t.cap
 let size t = Hashtbl.length t.entries
 
-let key ~cred_digest ~(origin : Fuse.origin) ~func_name ~m_id =
-  Printf.sprintf "%s\x00%s\x00%d\x00%s\x00%d\x00%s" cred_digest func_name m_id
-    origin.Fuse.o_module origin.Fuse.o_ring origin.Fuse.o_transport
-
 (* An entry made under another revision or generation is a plain miss. *)
 let lookup t ~cred_digest ~origin ~func_name ~m_id ~policy_rev ~keystore_gen =
   Clock.charge t.clock Cost.Policy_cache_probe;
-  match Hashtbl.find_opt t.entries (key ~cred_digest ~origin ~func_name ~m_id) with
+  match Hashtbl.find_opt t.entries { cred_digest; func_name; m_id; origin } with
   | Some e when e.policy_rev = policy_rev && e.keystore_gen = keystore_gen ->
       Smod_metrics.Counter.incr m_hits;
       Some e.value
@@ -54,7 +54,7 @@ let lookup t ~cred_digest ~origin ~func_name ~m_id ~policy_rev ~keystore_gen =
    the old — is overwritten in place and keeps its FIFO position. *)
 let store t ~cred_digest ~origin ~func_name ~m_id ~policy_rev ~keystore_gen decision =
   Clock.charge t.clock Cost.Policy_cache_insert;
-  let k = key ~cred_digest ~origin ~func_name ~m_id in
+  let k = { cred_digest; func_name; m_id; origin } in
   if not (Hashtbl.mem t.entries k) then begin
     if Hashtbl.length t.entries >= t.cap then begin
       Hashtbl.remove t.entries (Queue.take t.order);

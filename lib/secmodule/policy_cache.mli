@@ -8,8 +8,9 @@
 
       (credential digest, origin, function, m_id)
 
-    where the origin is the call's origin module, ring and transport, and
-    records in the entry the policy revision and keystore generation it
+    where the origin is the call's origin module, ring and transport —
+    the fields themselves, so a probe formats nothing — and records in
+    the entry the policy revision and keystore generation it
     was decided under, so the steady-state call path pays one cache probe
     instead of a credential check plus a full policy walk.  A lookup under
     any other revision or generation is a plain miss, and the store that
@@ -26,7 +27,11 @@
 
 type t
 
-type decision = Allow | Deny of string
+type decision =
+  | Allow
+  | Deny of Policy.denial
+      (** the denial as the engine returned it; the errno text is
+          formatted only where a denied call raises it *)
 
 val create : clock:Smod_sim.Clock.t -> capacity:int -> t
 (** [capacity] must be positive. *)

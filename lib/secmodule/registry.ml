@@ -108,8 +108,12 @@ let link e =
         | Some sym -> Smod_vmem.Layout.module_text_base + sym.Smof.sym_offset
         | None -> 0
       in
-      let image = Smof.apply_relocations plaintext ~resolve in
-      let linked = (image, Smod_vmem.Phys.image_of_bytes image.Smof.text) in
+      let relocated = Smof.apply_relocations plaintext ~resolve in
+      (* The text lives on only as the chunks handles map. *)
+      let linked =
+        ( { relocated with Smof.text = Bytes.empty },
+          Smod_vmem.Phys.image_of_bytes relocated.Smof.text )
+      in
       e.linked <- Some linked;
       linked
 

@@ -36,8 +36,9 @@ type entry = {
           last such symbol in text order *)
   mutable linked : (Smod_modfmt.Smof.t * Smod_vmem.Phys.image) option;
       (** set once by {!linked_image} or {!linked_text}: the linked module
-          and its text as the read-only chunks every handle maps; neither
-          is ever written *)
+          without its text, and the text as the read-only chunks every
+          handle maps, the one copy of it the entry keeps; neither is ever
+          written *)
   compiled_cache : (string, Policy.compiled) Hashtbl.t;
       (** compiled decision programs, keyed with {!compiled_key} *)
   mutable compile_hits : int;
@@ -71,21 +72,25 @@ val find_by_id : t -> int -> entry option
 val entries : t -> entry list
 
 val linked_image : entry -> Smod_modfmt.Smof.t
-(** The module as every handle maps it: text decrypted with the
+(** The module as every handle maps it, less its text: symbols,
+    relocations and data of the image whose text was decrypted with the
     kernel-held key (when the image is encrypted), checked against its
     masked digest and relocated against
-    {!Smod_vmem.Layout.module_text_base}.  Built on first use and
-    returned physically equal afterwards; installs charge the decryption
-    per install, copy the data segment into frames and map the text from
-    {!linked_text}.  Raises {!Smod_modfmt.Smof.Malformed} if the key is
-    wrong, storing nothing. *)
+    {!Smod_vmem.Layout.module_text_base}.  Its [text] is empty: the
+    linked text is kept once, as {!linked_text}, and has the registered
+    image's length.  Built on first use and returned physically equal
+    afterwards; installs charge the decryption per install, copy the data
+    segment into frames and map the text from {!linked_text}.  Raises
+    {!Smod_modfmt.Smof.Malformed} if the key is wrong, storing
+    nothing. *)
 
 val linked_text : entry -> Smod_vmem.Phys.image
-(** {!linked_image}'s text as frame chunks, built with it and returned
-    physically equal afterwards: every handle's text pages share these
-    chunks ({!Smod_vmem.Aspace.map_image}), and a write to one handle's
-    text copies the chunk it touches, so it shows neither here nor in any
-    other handle.  Raises as {!linked_image} does. *)
+(** The linked text as frame chunks, built with {!linked_image} and
+    returned physically equal afterwards: every handle's text pages
+    share these chunks ({!Smod_vmem.Aspace.map_image}), and a write to
+    one handle's text copies the chunk it touches, so it shows neither
+    here nor in any other handle.  Read it back with
+    {!Smod_vmem.Phys.read_image}.  Raises as {!linked_image} does. *)
 
 val set_policy : entry -> Policy.t -> unit
 (** Replace the module's access policy and bump [policy_rev] so stale

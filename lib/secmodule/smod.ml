@@ -884,6 +884,9 @@ let admission t session ~transport =
 let call_attrs a ~func_name =
   ("function", func_name) :: ("calls_so_far", string_of_int a.a_session.calls) :: a.a_attrs
 
+(* The EACCES text for a denial, formatted only where a denied call or
+   session establishment raises it: the ring paths record a denied slot's
+   status and never format one. *)
 let denial_message (d : Policy.denial) =
   Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy) d.Policy.reason
 
@@ -937,7 +940,7 @@ let decide t a ~func_name =
       let d =
         match verdict with
         | Ok () -> Policy_cache.Allow
-        | Error denial -> Policy_cache.Deny (denial_message denial)
+        | Error denial -> Policy_cache.Deny denial
       in
       (match a.a_cache with
       | Some cache ->
@@ -966,17 +969,19 @@ let handle_context t ~name ?client_pid entry =
   let clock = Machine.clock t.machine in
   let handle_aspace = Aspace.create ~phys:(Machine.phys t.machine) ~clock ~name in
   let image = entry.Registry.image in
+  (* Decryption and relocation keep the text's length. *)
+  let text_len = Bytes.length image.Smof.text in
   if image.Smof.encrypted then begin
     Clock.charge clock Cost.Aes_key_schedule;
-    Clock.charge_n clock Cost.Aes_block ((Bytes.length image.Smof.text + 15) / 16)
+    Clock.charge_n clock Cost.Aes_block ((text_len + 15) / 16)
   end;
   let linked = Registry.linked_image entry in
   let text_base = Layout.module_text_base and data_base = Layout.module_data_base in
-  let text_size = Layout.page_align_up (max 1 (Bytes.length linked.Smof.text)) in
+  let text_size = Layout.page_align_up (max 1 text_len) in
   Aspace.add_entry handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rw
     ~kind:Aspace.Text ~name:("module:" ^ image.Smof.mod_name);
   Aspace.map_image handle_aspace ~addr:text_base (Registry.linked_text entry);
-  Clock.charge clock (Cost.Copy_bytes (Bytes.length linked.Smof.text));
+  Clock.charge clock (Cost.Copy_bytes text_len);
   Aspace.protect_range handle_aspace ~start_addr:text_base ~size:text_size ~prot:Prot.rx;
   if Bytes.length linked.Smof.data > 0 then begin
     let data_size = Layout.page_align_up (Bytes.length linked.Smof.data) in
@@ -1592,11 +1597,11 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
   let mod_name = session.entry.Registry.image.Smof.mod_name in
   (match decide t (admission t session ~transport:"msgq") ~func_name with
   | Policy_cache.Allow -> ()
-  | Policy_cache.Deny msg ->
+  | Policy_cache.Deny denial ->
       session.denied_calls <- session.denied_calls + 1;
       Smod_metrics.Counter.incr m_calls_denied;
       count_func ~denied:true ~mod_name ~func_name;
-      Errno.raise_errno Errno.EACCES msg);
+      Errno.raise_errno Errno.EACCES (denial_message denial));
   session.calls <- session.calls + 1;
   Smod_metrics.Counter.incr m_calls;
   count_func ~denied:false ~mod_name ~func_name;
@@ -1752,7 +1757,7 @@ let vector_verdicts t a ring ~stamped0 ~limit =
             (fun i (seq, func_id, _) ->
               match verdicts.(i) with
               | Ok () -> (seq, func_id, Policy_cache.Allow)
-              | Error denial -> (seq, func_id, Policy_cache.Deny (denial_message denial)))
+              | Error denial -> (seq, func_id, Policy_cache.Deny denial))
             keys
         end
     | Some _ | None -> []
@@ -1775,7 +1780,9 @@ let batch_decider t a ring ~stamped0 ~limit =
     (vector_verdicts t a ring ~stamped0 ~limit);
   fun ~seq func_id ->
     match Registry.symbol_of_func_id a.a_session.entry func_id with
-    | None -> Policy_cache.Deny "no such function"
+    | None ->
+        Policy_cache.Deny
+          { Policy.reason = "no such function"; policy = a.a_session.entry.Registry.policy }
     | Some sym -> (
         match Hashtbl.find_opt table (key ~seq func_id) with
         | Some (f, d) when f = func_id -> d

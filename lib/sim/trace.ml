@@ -17,7 +17,7 @@ type 'e t = {
   mutable count : int;
 }
 
-let create ?(capacity = 4096) ?(enabled = true) ~render () =
+let create ?(capacity = 256) ?(enabled = true) ~render () =
   {
     capacity;
     render;

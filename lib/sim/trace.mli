@@ -15,8 +15,16 @@ type event = { timestamp_us : float; actor : string; label : string }
 type 'e t
 
 val create : ?capacity:int -> ?enabled:bool -> render:('e -> string) -> unit -> 'e t
-(** Ring buffer of at most [capacity] events (default 4096); once full,
-    each emit overwrites the oldest event. *)
+(** Ring buffer of at most [capacity] events (default 256); once full,
+    each emit overwrites the oldest event.  Storage grows by doubling up
+    to [capacity], so a short trace pays only for what it holds.
+
+    The default is a window, not a log: Figure 1's handshake is six
+    events and no reader needs more than a few dozen, while 256 events
+    hold the last 40–85 session lifecycles (three to six events each)
+    for a failing test or [smodctl trace] to read, at about 7 words an
+    event.  A deeper ring only grows the machine's live heap with the
+    number of sessions it has served. *)
 
 val enable : 'e t -> unit
 val disable : 'e t -> unit

@@ -151,6 +151,18 @@ let image_of_bytes b =
 
 let image_pages image = (Array.length image + chunks_per_page - 1) / chunks_per_page
 
+let read_image image ~pos ~len =
+  if pos < 0 || len < 0 then invalid_arg "Phys.read_image";
+  let b = Bytes.make len '\000' in
+  let i = ref 0 in
+  while !i < len do
+    let k = (pos + !i) / chunk_size and off = (pos + !i) mod chunk_size in
+    let n = min (chunk_size - off) (len - !i) in
+    if k < Array.length image then Bytes.blit image.(k) off b !i n;
+    i := !i + n
+  done;
+  b
+
 let map_image f image ~page =
   for i = 0 to chunks_per_page - 1 do
     let k = (page * chunks_per_page) + i in

@@ -101,6 +101,11 @@ val image_of_bytes : bytes -> image
 val image_pages : image -> int
 (** Pages the image spans. *)
 
+val read_image : image -> pos:int -> len:int -> bytes
+(** A copy of the image's bytes [\[pos, pos + len)], zero past its end,
+    as a page mapping the image reads them.  Raises [Invalid_argument]
+    if [pos] or [len] is negative. *)
+
 val map_image : frame -> image -> page:int -> unit
 (** The frame's page becomes page [page] of the image, zero-filled past
     the image's end, by sharing the image's chunks: writes to the frame

@@ -586,15 +586,16 @@ let test_kernel_trace_events () =
     ]
     (List.combine (List.map (fun e -> e.Trace.actor) (Trace.events trace)) (Trace.values trace))
 
-(* A full trace of session churn (start_session, session_info, detach,
-   over and over) retains at most 8 words per event: per slot an unboxed
-   timestamp, an actor pointer and an event pointer, plus the event's
-   own block of ints and shared strings.  Labels formatted on emit would
-   retain 14.7 for this mix. *)
+(* The machine's trace is a window of the newest 256 events: session
+   churn (start_session, session_info, detach, over and over) run to
+   twice that leaves exactly 256, at most 8 words per event: per slot an
+   unboxed timestamp, an actor pointer and an event pointer, plus the
+   event's own block of ints and shared strings.  Labels formatted on
+   emit would retain 14.7 for this mix. *)
 let test_trace_words_per_event () =
   let m = mk () in
   let trace = M.trace m and clock = M.clock m in
-  let capacity = 4096 in
+  let capacity = 256 in
   (* Held by the registry entry and the handle processes in a real world. *)
   let module_name = String.concat "-" [ "kn"; "4" ] in
   let handle_names = Array.init 4 (Printf.sprintf "pool-handle-kn-4-%d") in
@@ -610,7 +611,7 @@ let test_trace_words_per_event () =
     Clock.charge clock Cost.Trap_enter;
     Trace.emit trace ~clock ~actor e
   done;
-  Alcotest.(check int) "the ring holds 4,096 events" capacity
+  Alcotest.(check int) "the ring holds 256 events" capacity
     (List.length (Trace.values trace));
   let per_event = float (Obj.reachable_words (Obj.repr trace)) /. float capacity in
   let label = Printf.sprintf "%.2f words per event, at most 8" per_event in

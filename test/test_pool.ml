@@ -511,6 +511,7 @@ let test_quota_policy_never_cached () =
 (* --------------------------- cache unit ------------------------------ *)
 
 let user_msgq = { Fuse.o_module = "user"; o_ring = 3; o_transport = "msgq" }
+let denial reason = { Policy.reason; policy = Policy.Call_quota 1 }
 
 (* Entries never expire (a cacheable policy reads no clock), are evicted
    FIFO at capacity and are all dropped by a flush. *)
@@ -540,11 +541,11 @@ let test_cache_ttl_and_eviction () =
   Alcotest.(check int) "eviction counted" 1 (counter "policy_cache.evictions" - ev0);
   (* A denial round-trips with its reason. *)
   Policy_cache.store cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"g" ~m_id:2
-    ~policy_rev:1 ~keystore_gen:0 (Policy_cache.Deny "quota");
+    ~policy_rev:1 ~keystore_gen:0 (Policy_cache.Deny (denial "quota"));
   Alcotest.(check bool) "denial cached" true
     (Policy_cache.lookup cache ~cred_digest:"d" ~origin:user_msgq ~func_name:"g" ~m_id:2
        ~policy_rev:1 ~keystore_gen:0
-    = Some (Policy_cache.Deny "quota"));
+    = Some (Policy_cache.Deny (denial "quota")));
   Alcotest.(check bool) "flush empties" true (Policy_cache.flush cache >= 0);
   Alcotest.(check int) "empty after flush" 0 (Policy_cache.size cache)
 
@@ -587,11 +588,33 @@ let test_cache_keys_origin () =
   in
   put user_msgq Policy_cache.Allow;
   Alcotest.(check bool) "another origin misses" true (probe user_ring = None);
-  put user_ring (Policy_cache.Deny "transport");
+  put user_ring (Policy_cache.Deny (denial "transport"));
   Alcotest.(check int) "two entries" 2 (Policy_cache.size cache);
   Alcotest.(check bool) "msgq keeps its allow" true (probe user_msgq = Some Policy_cache.Allow);
   Alcotest.(check bool) "ring keeps its deny" true
-    (probe user_ring = Some (Policy_cache.Deny "transport"))
+    (probe user_ring = Some (Policy_cache.Deny (denial "transport")))
+
+(* A hit builds one key record of fields the caller already holds and
+   formats nothing, so it allocates at most 16 words; smodd's cache
+   answers about a million calls in a 3 s session-churn run. *)
+let test_cache_hit_words () =
+  let clock = Clock.create ~jitter:0.0 () in
+  let cache = Policy_cache.create ~clock ~capacity:16 in
+  let cred_digest = String.make 32 'd' in
+  let probe () =
+    Policy_cache.lookup cache ~cred_digest ~origin:user_msgq ~func_name:"test_incr" ~m_id:1
+      ~policy_rev:1 ~keystore_gen:0
+  in
+  Policy_cache.store cache ~cred_digest ~origin:user_msgq ~func_name:"test_incr" ~m_id:1
+    ~policy_rev:1 ~keystore_gen:0 Policy_cache.Allow;
+  let hits = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to hits do
+    if probe () <> Some Policy_cache.Allow then Alcotest.fail "hit expected"
+  done;
+  let per_hit = (Gc.minor_words () -. w0) /. float hits in
+  let label = Printf.sprintf "%.1f words per hit, at most 16" per_hit in
+  Alcotest.(check bool) label true (per_hit <= 16.0)
 
 let test_keystore_change_flushes () =
   let world = World.create ~pool:Smodd.default_config ~with_rpc:false () in
@@ -944,6 +967,60 @@ let test_session_churn_keeps_exit_hooks_flat () =
     (List.length (Smod.active_sessions smod));
   Alcotest.(check int) "second half pooled" 1001 (brokered () - brokered0)
 
+(* A pooled world keeps its live state once: clients cycling sessions
+   (connect, 8 calls, close) through the pool retain nothing per session
+   served.  The machine's trace is a window of the newest events, full
+   well before 100 cycles, so a trace that kept every event would show
+   here as about 7 words per event.  The world's words are counted by
+   walking it, which unlike the GC's live count cannot depend on when
+   the last major cycle ran. *)
+let test_session_churn_live_words_flat () =
+  let world = World.create ~pool:Smodd.default_config ~with_rpc:false () in
+  let m = world.World.machine in
+  let clients = 4 and calls = 8 in
+  let owed = Array.make clients 0 and wqs = Array.init clients (fun _ -> Sched.waitq "churn") in
+  let served = ref 0 and wrong = ref 0 in
+  Array.iteri
+    (fun i wq ->
+      ignore
+        (M.spawn m ~name:(Printf.sprintf "churn-%d" i) (fun p ->
+             let rec serve () =
+               if owed.(i) = 0 then Sched.wait_on wq p.Proc.pid
+               else begin
+                 owed.(i) <- owed.(i) - 1;
+                 let conn =
+                   Stub.connect world.World.smod p ~module_name:Smod_libc.Seclibc.module_name
+                     ~version:Smod_libc.Seclibc.version ~credential:(World.credential world)
+                 in
+                 for k = 1 to calls do
+                   if Smod_libc.Seclibc.Client.test_incr conn k <> k + 1 then incr wrong
+                 done;
+                 Stub.close conn;
+                 incr served
+               end;
+               serve ()
+             in
+             serve ())))
+    wqs;
+  let cycle n =
+    for c = 0 to n - 1 do
+      owed.(c mod clients) <- owed.(c mod clients) + 1
+    done;
+    Array.iter (fun wq -> ignore (M.wake m wq)) wqs;
+    while M.step m do
+      ()
+    done
+  in
+  let live_words () = Obj.reachable_words (Obj.repr world) in
+  cycle 100;
+  let after_100 = live_words () in
+  cycle 900;
+  let after_1000 = live_words () in
+  Alcotest.(check (pair int int)) "cycles served, wrong results" (1000, 0) (!served, !wrong);
+  let grown = after_1000 - after_100 in
+  let label = Printf.sprintf "%d live words from 100 to 1,000 cycles, at most 128" grown in
+  Alcotest.(check bool) label true (abs grown <= 128)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "pool"
@@ -967,6 +1044,7 @@ let () =
           tc "TTL, FIFO eviction, invalidation" test_cache_ttl_and_eviction;
           tc "re-stored key keeps FIFO order" test_cache_refresh_keeps_fifo_order;
           tc "origins key separate decisions" test_cache_keys_origin;
+          tc "a hit formats nothing" test_cache_hit_words;
           tc "keystore change flushes" test_keystore_change_flushes;
           tc "revisions supersede in place" test_cache_revisions_supersede_in_place;
           tc "superseding store charges one insert" test_cache_supersede_charges_one_insert;
@@ -983,5 +1061,6 @@ let () =
           tc "handle death fails closed (poller)" test_handle_death_pooled_poller;
           tc "handle death before the handshake" test_handle_death_before_handshake_pooled;
           tc "session churn keeps exit hooks flat" test_session_churn_keeps_exit_hooks_flat;
+          tc "session churn keeps live words flat" test_session_churn_live_words_flat;
         ] );
     ]

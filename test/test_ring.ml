@@ -120,9 +120,44 @@ let test_shadow_claim_discipline () =
             forward — an executed seq can never be handed out again. *)
          Alcotest.(check bool) "no replay" true (M.ring_claim_next machine ~pid = None);
          Alcotest.(check bool) "drained" false (M.ring_claimable machine ~pid);
+         (* Seq 6 wraps onto seq 2's slot of the four.  The walk from seq
+            2 meets a record stamped for a later seq (slot 2), a slot
+            never stamped (3), seq 0's denial (seq 4) and seq 1's allow
+            record, stale for seq 5: only seq 6's own record is handed
+            out. *)
+         M.ring_record_stamp machine ~pid ~seq:6 ~m_id:1 ~func_id:8 ~allow:true;
+         (match M.ring_claim_next machine ~pid with
+         | Some (6, 1, 8) -> ()
+         | Some (s, m, f) -> Alcotest.failf "claimed (%d,%d,%d) past stale records" s m f
+         | None -> Alcotest.fail "wrapped allow record not claimable");
+         Alcotest.(check bool) "drained after the wrap" true
+           (M.ring_claim_next machine ~pid = None);
          checked := true));
   M.run machine;
   Alcotest.(check bool) "probe ran" true !checked
+
+(* The shadow is flat int columns, fixed at registration: registering a
+   16-slot ring and stamping every slot twice over retains at most 4
+   words per slot plus 8, registration record and table bucket included,
+   where a boxed record per stamped slot would cost 7 words a slot. *)
+let test_shadow_words () =
+  let machine = M.create () in
+  let nslots = 16 in
+  let p = M.spawn machine ~name:"shadow-words" ignore in
+  let pid = p.Proc.pid in
+  let base = (Aspace.brk p.Proc.aspace + 63) land lnot 63 in
+  Aspace.obreak p.Proc.aspace (base + Ring.size_bytes ~nslots);
+  (* Write the ring memory first, so the growth below is the kernel's. *)
+  ignore (Ring.init p.Proc.aspace ~base ~nslots);
+  let words () = Obj.reachable_words (Obj.repr machine) in
+  let before = words () in
+  ignore (M.syscall machine p Sysno.smod_ring_setup [| base; nslots |]);
+  for seq = 0 to (2 * nslots) - 1 do
+    M.ring_record_stamp machine ~pid ~seq ~m_id:1 ~func_id:seq ~allow:(seq mod 3 <> 0)
+  done;
+  let grown = words () - before and bound = (4 * nslots) + 8 in
+  let label = Printf.sprintf "%d words for a registered 16-slot ring, at most %d" grown bound in
+  Alcotest.(check bool) label true (grown <= bound)
 
 (* ------------------------- setup validation ------------------------- *)
 
@@ -373,6 +408,7 @@ let () =
           tc "wrap + full" test_wrap_and_full;
           tc "claim skips kernel-completed" test_kernel_complete_skipped_by_claim;
           tc "shadow claim discipline" test_shadow_claim_discipline;
+          tc "shadow words per slot" test_shadow_words;
         ] );
       ( "setup syscall",
         [
