@@ -25,6 +25,7 @@ let k =
 
 type ctx = {
   h : int array;
+  w : int array;  (* the message schedule, reused by every block of this context *)
   buf : Bytes.t;  (* one 64-byte block being assembled *)
   mutable buf_len : int;
   mutable total : int;  (* total message bytes *)
@@ -38,6 +39,7 @@ let init () =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
         0x5be0cd19;
       |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
@@ -45,7 +47,7 @@ let init () =
   }
 
 let compress ctx block off =
-  let w = Array.make 64 0 in
+  let w = ctx.w in
   for t = 0 to 15 do
     w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask32
   done;
@@ -72,15 +74,15 @@ let compress ctx block off =
     b := !a;
     a := (t1 + s0 + maj) land mask32
   done;
-  let add i v = ctx.h.(i) <- (ctx.h.(i) + v) land mask32 in
-  add 0 !a;
-  add 1 !b;
-  add 2 !c;
-  add 3 !d;
-  add 4 !e;
-  add 5 !f;
-  add 6 !g;
-  add 7 !h
+  let hs = ctx.h in
+  hs.(0) <- (hs.(0) + !a) land mask32;
+  hs.(1) <- (hs.(1) + !b) land mask32;
+  hs.(2) <- (hs.(2) + !c) land mask32;
+  hs.(3) <- (hs.(3) + !d) land mask32;
+  hs.(4) <- (hs.(4) + !e) land mask32;
+  hs.(5) <- (hs.(5) + !f) land mask32;
+  hs.(6) <- (hs.(6) + !g) land mask32;
+  hs.(7) <- (hs.(7) + !h) land mask32
 
 let update ctx data =
   assert (not ctx.finalized);

@@ -155,10 +155,11 @@ let bind_all smod m_id =
       Clock.charge clock Cost.Getpid_client_fixup;
       Aspace.read_word h.Proc.aspace ~addr:Smod.client_pid_cache_addr)
 
-(* The vendor's half of §4.1 runs once per program, not once per world:
-   both artifacts come from one build, at module initialisation, before
-   any domain exists, and nothing mutates them afterwards ([register]
-   copies their bytes into each entry).  Plain values rather than a
+(* The vendor's half of §4.1, and the host's link of its result, run
+   once per program, not once per world: both artifacts come from one
+   build, at module initialisation, before any domain exists, and nothing
+   mutates them afterwards ([register] copies their bytes into each
+   entry, which adopts the seal's link).  Plain values rather than a
    [Lazy.t], which two domains must not force at once. *)
 let sealed_encrypted, sealed_unmap_only =
   let image = image () in

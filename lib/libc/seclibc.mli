@@ -27,7 +27,8 @@ val install :
     module initialises; each install is only the kernel's half
     ({!Secmodule.Toolchain.register}), so its entry equals what
     [Toolchain.package smod ~image:(image ()) ~protection] would
-    register, in bytes it owns. *)
+    register, in bytes it owns, and maps the one text linked when the
+    module was sealed. *)
 
 (** Client-side wrappers (what the overriding include would generate). *)
 module Client : sig

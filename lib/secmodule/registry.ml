@@ -43,7 +43,46 @@ let find t ~name ~version =
       if e.image.Smof.mod_name = name && e.image.Smof.mod_version = version then Some e else acc)
     t.by_id None
 
-let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce () =
+(* A module as the kernel links it, with the image, key and nonce it was
+   linked from: those are what an entry must hold to adopt it. *)
+type link = {
+  lk_source : Smof.t;
+  lk_key : string option;
+  lk_nonce : bytes option;
+  lk_linked : Smof.t * Smod_vmem.Phys.image;
+}
+
+(* Decrypt with the kernel-held key, check the masked digest (in
+   [Smof.decrypt_text]) and relocate against the handle's text base.  The
+   text lives on only as the chunks handles map. *)
+let link_image image ~key ~nonce =
+  let plaintext =
+    match (image.Smof.encrypted, key, nonce) with
+    | false, _, _ -> image
+    | true, Some key, Some nonce -> Smof.decrypt_text image ~key ~nonce
+    | true, _, _ -> raise (Smof.Malformed "encrypted module has no kernel key")
+  in
+  let resolve name =
+    match Smof.find_symbol plaintext name with
+    | Some sym -> Smod_vmem.Layout.module_text_base + sym.Smof.sym_offset
+    | None -> 0
+  in
+  let relocated = Smof.apply_relocations plaintext ~resolve in
+  {
+    lk_source = image;
+    lk_key = key;
+    lk_nonce = nonce;
+    lk_linked =
+      ( { relocated with Smof.text = Bytes.empty },
+        Smod_vmem.Phys.image_of_bytes relocated.Smof.text );
+  }
+
+(* A link stands for an entry only if it was made from exactly the entry's
+   image (text, data, digest, symbols, relocations), key and nonce. *)
+let made_from lk ~image ~key ~nonce =
+  lk.lk_source = image && lk.lk_key = key && lk.lk_nonce = nonce
+
+let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce ?link () =
   (match find t ~name:image.Smof.mod_name ~version:image.Smof.mod_version with
   | Some _ ->
       raise
@@ -72,7 +111,11 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
       functions;
       native_images = [||];
       func_ids;
-      linked = None;
+      linked =
+        (match link with
+        | Some lk when made_from lk ~image ~key:kernel_key ~nonce:kernel_nonce ->
+            Some lk.lk_linked
+        | Some _ | None -> None);
       compiled_cache = Hashtbl.create 8;
       compile_hits = 0;
       compile_misses = 0;
@@ -97,23 +140,7 @@ let link e =
   match e.linked with
   | Some linked -> linked
   | None ->
-      let plaintext =
-        match (e.image.Smof.encrypted, e.kernel_key, e.kernel_nonce) with
-        | false, _, _ -> e.image
-        | true, Some key, Some nonce -> Smof.decrypt_text e.image ~key ~nonce
-        | true, _, _ -> raise (Smof.Malformed "encrypted module has no kernel key")
-      in
-      let resolve name =
-        match Smof.find_symbol plaintext name with
-        | Some sym -> Smod_vmem.Layout.module_text_base + sym.Smof.sym_offset
-        | None -> 0
-      in
-      let relocated = Smof.apply_relocations plaintext ~resolve in
-      (* The text lives on only as the chunks handles map. *)
-      let linked =
-        ( { relocated with Smof.text = Bytes.empty },
-          Smod_vmem.Phys.image_of_bytes relocated.Smof.text )
-      in
+      let linked = (link_image e.image ~key:e.kernel_key ~nonce:e.kernel_nonce).lk_linked in
       e.linked <- Some linked;
       linked
 

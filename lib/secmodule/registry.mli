@@ -35,10 +35,10 @@ type entry = {
       (** name → funcID, read by {!func_id}; a duplicate name maps to the
           last such symbol in text order *)
   mutable linked : (Smod_modfmt.Smof.t * Smod_vmem.Phys.image) option;
-      (** set once by {!linked_image} or {!linked_text}: the linked module
-          without its text, and the text as the read-only chunks every
-          handle maps, the one copy of it the entry keeps; neither is ever
-          written *)
+      (** the linked module without its text, and the text as the
+          read-only chunks every handle maps, the one copy of it the entry
+          keeps; neither is ever written.  Set by {!add} when it adopts a
+          {!link}, else once by {!linked_image} or {!linked_text} *)
   compiled_cache : (string, Policy.compiled) Hashtbl.t;
       (** compiled decision programs, keyed with {!compiled_key} *)
   mutable compile_hits : int;
@@ -53,6 +53,19 @@ exception Already_registered of string
 
 val create : unit -> t
 
+type link
+(** A module as the kernel links it, with the image, key and nonce it was
+    linked from.  Immutable and holding no kernel state, so one link can
+    back entries in any number of registries, on any domain. *)
+
+val link_image : Smod_modfmt.Smof.t -> key:string option -> nonce:bytes option -> link
+(** The kernel's link of an image, pure: decrypts the text with [key] and
+    [nonce] when the image is encrypted, checks it against the masked
+    digest, relocates it against {!Smod_vmem.Layout.module_text_base} and
+    builds its chunks ({!Smod_vmem.Phys.image_of_bytes}).  Charges
+    nothing and touches no entry or metric.  Raises
+    {!Smod_modfmt.Smof.Malformed} if the key is wrong or missing. *)
+
 val add :
   t ->
   image:Smod_modfmt.Smof.t ->
@@ -61,10 +74,15 @@ val add :
   admin_principal:string ->
   ?kernel_key:string ->
   ?kernel_nonce:bytes ->
+  ?link:link ->
   unit ->
   entry
 (** Raises {!Already_registered} on a (name, version) collision and
-    [Invalid_argument] if an encrypted image is added without a key. *)
+    [Invalid_argument] if an encrypted image is added without a key.  The
+    entry adopts [link] as its linked form only if the link was made from
+    an image equal to [image] (text, data, digest, symbols, relocations)
+    under the same key and nonce; otherwise, and without [link], it links
+    itself on first use. *)
 
 val remove : t -> m_id:int -> unit
 val find : t -> name:string -> version:int -> entry option
@@ -78,16 +96,19 @@ val linked_image : entry -> Smod_modfmt.Smof.t
     masked digest and relocated against
     {!Smod_vmem.Layout.module_text_base}.  Its [text] is empty: the
     linked text is kept once, as {!linked_text}, and has the registered
-    image's length.  Built on first use and returned physically equal
-    afterwards; installs charge the decryption per install, copy the data
-    segment into frames and map the text from {!linked_text}.  Raises
-    {!Smod_modfmt.Smof.Malformed} if the key is wrong, storing
+    image's length.  Set at registration for an entry that adopted a
+    {!link} (every sealed module, {!Toolchain.register}), otherwise built
+    with {!link_image} on first use; returned physically equal
+    afterwards.  Installs charge the decryption per install, copy the
+    data segment into frames and map the text from {!linked_text}.
+    Raises {!Smod_modfmt.Smof.Malformed} if the key is wrong, storing
     nothing. *)
 
 val linked_text : entry -> Smod_vmem.Phys.image
-(** The linked text as frame chunks, built with {!linked_image} and
-    returned physically equal afterwards: every handle's text pages
-    share these chunks ({!Smod_vmem.Aspace.map_image}), and a write to
+(** The linked text as frame chunks, set or built with {!linked_image}
+    and returned physically equal afterwards: every handle's text pages
+    share these chunks ({!Smod_vmem.Aspace.map_image}), and so do the
+    entries of every registry that adopted the same {!link}.  A write to
     one handle's text copies the chunk it touches, so it shows neither
     here nor in any other handle.  Read it back with
     {!Smod_vmem.Phys.read_image}.  Raises as {!linked_image} does. *)

@@ -293,10 +293,10 @@ let handle_alive t session =
    an [origin_module] literal naming the new module, so every program and
    every decision it made goes. *)
 let register t ~image ?(protection = Registry.Unmap_only) ?(policy = Policy.Session_lifetime)
-    ?(admin_principal = "root") ?kernel_key ?kernel_nonce () =
+    ?(admin_principal = "root") ?kernel_key ?kernel_nonce ?link () =
   let entry =
     Registry.add t.registry ~image ~protection ~policy ~admin_principal ?kernel_key
-      ?kernel_nonce ()
+      ?kernel_nonce ?link ()
   in
   drop_programs_and_decisions t;
   entry
@@ -960,11 +960,12 @@ let decide t a ~func_name =
    shared, never client-visible), with the client's pid cached at the
    segment's base once a client is known (§4.3).  Every install pays the
    kernel's decryption with the kernel-held key (§4.1) and a copy of the
-   text, but the host decrypts, verifies and links once per registry
-   entry: each handle's text pages map that one linked text's chunks, as
-   UVM maps one copy of an image's text into every process running it,
-   and a kernel write to one handle's text copies only the chunk it
-   touches.  The data segment is copied, since handles write it. *)
+   text, but the host decrypts, verifies and links once per seal, or
+   once per registry entry that has none: each handle's text pages map
+   that one linked text's chunks, as UVM maps one copy of an image's
+   text into every process running it, and a kernel write to one
+   handle's text copies only the chunk it touches.  The data segment is
+   copied, since handles write it. *)
 let handle_context t ~name ?client_pid entry =
   let clock = Machine.clock t.machine in
   let handle_aspace = Aspace.create ~phys:(Machine.phys t.machine) ~clock ~name in

@@ -136,13 +136,15 @@ val register :
   ?admin_principal:string ->
   ?kernel_key:string ->
   ?kernel_nonce:bytes ->
+  ?link:Registry.link ->
   unit ->
   Registry.entry
 (** Defaults: [Unmap_only], [Session_lifetime], admin "root".  For
     [Encrypted] protection the key/nonce must be supplied and stay
-    kernel-side.  Drops every compiled program, as a keystore change
-    does: one compiled earlier may deny an [origin_module] literal that
-    names the new module. *)
+    kernel-side.  [link] is adopted only as {!Registry.add} says; without
+    it the entry links on first use.  Drops every compiled program, as a
+    keystore change does: one compiled earlier may deny an
+    [origin_module] literal that names the new module. *)
 
 val bind_native : t -> m_id:int -> name:string -> Registry.native_fn -> unit
 

@@ -62,30 +62,43 @@ let assemble_module ~name ~version funcs =
     funcs;
   Smof.Builder.finish b
 
-(* The vendor's half of §4.1.  Nothing here touches a kernel, a clock or
-   a metric, so a sealed module can be built once and registered with any
-   number of kernels. *)
+(* The vendor's half of §4.1, plus the kernel's link of the sealed bytes,
+   done here once for every kernel that registers them.  Nothing here
+   touches a kernel, a clock or a metric, so a sealed module can be built
+   once and registered with any number of kernels. *)
 type sealed = {
   image : Smof.t;
   protection : Registry.protection;
   key : string option;
   nonce : bytes option;
+  link : Registry.link option;  (* none if the sealed text fails its link *)
 }
 
 let seal ~image ?(protection = Registry.Unmap_only) ?key_seed () =
-  match protection with
-  | Registry.Unmap_only -> { image; protection; key = None; nonce = None }
-  | Registry.Encrypted ->
-      let seed = match key_seed with Some s -> s | None -> image.Smof.mod_name in
-      let key = Bytes.to_string (Bytes.sub (Smod_crypto.Sha256.digest_string ("key:" ^ seed)) 0 16) in
-      let nonce = Bytes.sub (Smod_crypto.Sha256.digest_string ("nonce:" ^ seed)) 0 16 in
-      let encrypted = Smof.encrypt_text image ~key ~nonce in
-      { image = encrypted; protection; key = Some key; nonce = Some nonce }
+  let image, key, nonce =
+    match protection with
+    | Registry.Unmap_only -> (image, None, None)
+    | Registry.Encrypted ->
+        let seed = match key_seed with Some s -> s | None -> image.Smof.mod_name in
+        let key =
+          Bytes.to_string (Bytes.sub (Smod_crypto.Sha256.digest_string ("key:" ^ seed)) 0 16)
+        in
+        let nonce = Bytes.sub (Smod_crypto.Sha256.digest_string ("nonce:" ^ seed)) 0 16 in
+        (Smof.encrypt_text image ~key ~nonce, Some key, Some nonce)
+  in
+  let link =
+    match Registry.link_image image ~key ~nonce with
+    | link -> Some link
+    | exception Smof.Malformed _ -> None
+  in
+  { image; protection; key; nonce; link }
 
 (* The kernel's half.  Every entry gets its own copy of each mutable
    byte, so one sealed module can back entries in any number of worlds
-   (and domains) without any two of them sharing state. *)
-let register smod { image; protection; key; nonce } ?(policy = Policy.Session_lifetime)
+   (and domains) without any two of them sharing state; the entry adopts
+   the seal's link, never written, once it has checked the link was made
+   from those bytes. *)
+let register smod { image; protection; key; nonce; link } ?(policy = Policy.Session_lifetime)
     ?(admin_principal = "root") () =
   let image =
     {
@@ -96,7 +109,7 @@ let register smod { image; protection; key; nonce } ?(policy = Policy.Session_li
     }
   in
   Smod.register smod ~image ~protection ~policy ~admin_principal ?kernel_key:key
-    ?kernel_nonce:(Option.map Bytes.copy nonce) ()
+    ?kernel_nonce:(Option.map Bytes.copy nonce) ?link ()
 
 let package smod ~image ?protection ?policy ?admin_principal ?key_seed () =
   register smod (seal ~image ?protection ?key_seed ()) ?policy ?admin_principal ()

@@ -7,7 +7,9 @@
     {!stub_source} emits the (illustrative) per-function stub assembly.
     Registration has the paper's two halves (§4.1): the vendor's
     {!seal} encrypts the text once, and each kernel's {!register} installs
-    the sealed module with its kernel-held key.  {!package} does both. *)
+    the sealed module with its kernel-held key.  The host also links the
+    sealed text once, in {!seal}, and every entry registered from the
+    seal maps that one linked text.  {!package} does both. *)
 
 val scan_functions : Smod_modfmt.Smof.t -> string list
 (** Names extracted from the [objdump -t] listing's [' F '] lines. *)
@@ -33,8 +35,9 @@ val assemble_module :
 type sealed
 (** A module as the vendor ships it: the image, with its text encrypted
     for [Encrypted] protection, and the key material only a kernel will
-    hold.  Immutable, and it exposes no bytes, so one sealed value can be
-    shared by every kernel (world, domain) in a process. *)
+    hold, plus the kernel's link of those bytes ({!Registry.link}).
+    Immutable, and it exposes no bytes, so one sealed value can be shared
+    by every kernel (world, domain) in a process. *)
 
 val seal :
   image:Smod_modfmt.Smof.t ->
@@ -46,8 +49,12 @@ val seal :
     [Unmap_only]), derives the AES-128 key and CTR nonce from [key_seed]
     (default: the module name — change it in anything resembling
     production) and encrypts the text with relocation sites preserved;
-    with [Unmap_only], holds the plaintext image.  Charges nothing and
-    touches no kernel or metric.  [image] must not be mutated afterwards. *)
+    with [Unmap_only], holds the plaintext image.  Then links the sealed
+    bytes once ({!Registry.link_image}: decryption with the derived key,
+    the digest check, relocation), for every kernel that will register
+    them; a text that fails its link is sealed without one.  Charges
+    nothing and touches no kernel or metric.  [image] must not be mutated
+    afterwards. *)
 
 val register :
   Smod.t ->
@@ -59,7 +66,12 @@ val register :
 (** The kernel's half: {!Smod.register} with fresh copies of the sealed
     image's text, data and text digest and of the nonce, so no two
     registry entries share a mutable byte.  The key goes to the kernel
-    only. *)
+    only.  The seal's link goes with them, and the entry adopts it only
+    after checking that it was made from exactly the entry's image, key
+    and nonce ({!Registry.add}): its linked image and text are then set
+    at registration, never written, and shared with every other entry
+    registered from this seal.  Each install still charges the kernel's
+    decryption. *)
 
 val package :
   Smod.t ->

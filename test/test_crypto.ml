@@ -240,6 +240,34 @@ let test_sha256_block_boundaries () =
         (to_hex (Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
+let test_sha256_digest_words () =
+  (* The message schedule lives in the context: a 4 KiB digest (65
+     blocks) allocates the context and the padding, not one schedule per
+     block (about 4,600 words when each block made its own). *)
+  let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  ignore (Sha256.digest data);
+  let m0 = Gc.minor_words () in
+  ignore (Sha256.digest data);
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words, at most 200" words)
+    true (words <= 200.)
+
+let test_sha256_two_domains () =
+  (* Each context holds its own schedule: two domains hashing at once get
+     exactly the sequential digests. *)
+  let inputs =
+    List.init 8 (fun i -> Bytes.init (700 + (613 * i)) (fun j -> Char.chr ((i * j) land 0xff)))
+  in
+  let run () = List.map Sha256.digest inputs in
+  let sequential = run () in
+  let worker () =
+    List.for_all (fun _ -> List.for_all2 Bytes.equal sequential (run ())) (List.init 40 Fun.id)
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  Alcotest.(check bool) "domain 1 matches" true (Domain.join d1);
+  Alcotest.(check bool) "domain 2 matches" true (Domain.join d2)
+
 (* ------------------------ reference cipher -------------------------- *)
 
 (* The FIPS-197 forward cipher step by step on a byte state: its own
@@ -591,6 +619,8 @@ let () =
           tc "million a" test_sha256_million_a;
           tc "incremental" test_sha256_incremental;
           tc "padding boundaries" test_sha256_block_boundaries;
+          tc "4 KiB digest words" test_sha256_digest_words;
+          tc "digests on two domains" test_sha256_two_domains;
         ] );
       ( "oracle",
         [

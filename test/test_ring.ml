@@ -293,33 +293,6 @@ let test_stateful_policy_denies_per_slot () =
           (s = `Err Errno.EACCES))
     statuses
 
-let test_forged_verdict_overwritten () =
-  (* The client stamps its own slot "allowed" before trapping; the
-     session's quota is already exhausted, so policy denies the slot.
-     The kernel must rewrite the verdict: the forged allow never reaches
-     the handle. *)
-  let world = World.create ~with_rpc:false ~policy:(Policy.Call_quota 1) () in
-  let results = ref [] in
-  World.spawn_seclibc_client world ~name:"forger" (fun p conn ->
-      (* Consume the quota on the legacy path. *)
-      ignore (Stub.call conn ~func:"test_incr" [| 0 |]);
-      (* Submit one slot by hand so we can forge before the trap. *)
-      let r = Stub.arm_ring conn in
-      ignore
-        (Ring.try_submit r
-           ~m_id:(Stub.conn_info conn).Wire.m_id
-           ~func_id:0 ~client_sp:p.Proc.sp ~client_fp:p.Proc.fp ~args:[| 1 |]);
-      (* verdict word of slot 0: header (32 B) + 4 words in. *)
-      Aspace.write_word p.Proc.aspace ~addr:(Ring.base r + 32 + 16) 1;
-      ignore
-        (M.syscall world.World.machine p Sysno.smod_call_batch
-           [| (Stub.conn_info conn).Wire.m_id; 1 |]);
-      match Ring.reap r with
-      | Some (_, status, _) -> results := [ status ]
-      | None -> ());
-  World.run world;
-  Alcotest.(check (list int)) "forged slot denied kernel-side" [ 6 ] !results
-
 (* Busy-reap from a raw client ring view, yielding so the handle runs. *)
 let rec reap_yielding r budget =
   if budget = 0 then Alcotest.fail "no completion arrived"
@@ -329,6 +302,41 @@ let rec reap_yielding r budget =
     | None ->
         Smod_kern.Sched.yield ();
         reap_yielding r (budget - 1)
+
+let svm_runs () = Option.value ~default:0 (Smod_metrics.counter_value "svm.runs")
+
+let test_forged_verdict_overwritten () =
+  (* Two slots under a one-call quota: policy admits slot 0 and denies
+     slot 1, whose verdict word the client stamps "allowed" before
+     trapping and again after.  The kernel must complete slot 1 itself
+     with status 6, and the handle, woken for slot 0, must never run it.
+     Reaping slot 0 first lets the handle drain the ring before slot 1
+     is read, so a handle that claimed the denied slot would have
+     overwritten its status by then. *)
+  let world = World.create ~with_rpc:false ~policy:(Policy.Call_quota 1) () in
+  let results = ref [] and runs = ref 0 in
+  World.spawn_seclibc_client world ~name:"forger" (fun p conn ->
+      let r = Stub.arm_ring conn in
+      let m_id = (Stub.conn_info conn).Wire.m_id in
+      List.iter
+        (fun v ->
+          ignore
+            (Ring.try_submit r ~m_id ~func_id:0 ~client_sp:p.Proc.sp ~client_fp:p.Proc.fp
+               ~args:[| v |]))
+        [ 41; 1 ];
+      (* Slot 1's verdict word: header (32 B), one slot (64 B), 4 words in. *)
+      let forge () = Aspace.write_word p.Proc.aspace ~addr:(Ring.base r + 32 + 64 + 16) 1 in
+      forge ();
+      let runs0 = svm_runs () in
+      ignore (M.syscall world.World.machine p Sysno.smod_call_batch [| m_id; 2 |]);
+      forge ();
+      let first = reap_yielding r 10_000 in
+      results := [ first; reap_yielding r 10_000 ];
+      runs := svm_runs () - runs0);
+  World.run world;
+  Alcotest.(check (list (pair int int)))
+    "slot 0 served, forged slot 1 denied kernel-side" [ (0, 42); (6, 0) ] !results;
+  Alcotest.(check int) "the handle ran slot 0 only" 1 !runs
 
 let test_func_swap_after_stamp_ignored () =
   (* TOCTOU on the identity words: the client submits test_incr (func 0),

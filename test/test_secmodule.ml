@@ -710,6 +710,43 @@ let test_text_rewrite_stays_in_one_handle () =
   Alcotest.(check bool) "linked text unchanged" true
     (Bytes.length original > 0 && Bytes.equal original (linked_text ()))
 
+(* The cross-world twin: every world's seclibc handles map the one text
+   linked when seclibc was sealed, so the kernel rewriting a handle's
+   text in one world copies what it writes, and neither a handle of
+   another world nor the shared text sees the rewrite. *)
+let test_text_rewrite_stays_in_one_world () =
+  let rewriting = World.create ~jitter:0.0 ~with_rpc:false () in
+  let other = World.create ~jitter:0.0 ~with_rpc:false () in
+  let entry = rewriting.World.libc_entry in
+  let len = Bytes.length entry.Registry.image.Smof.text in
+  let shared () = Phys.read_image (Registry.linked_text entry) ~pos:0 ~len in
+  let original = shared () in
+  let handle_text world p =
+    let session = Option.get (Smod.session_of_client world.World.smod ~client_pid:p.Proc.pid) in
+    Smod.handle_aspace world.World.smod session
+  in
+  let test_incr conn = Smod_libc.Seclibc.Client.test_incr conn 41 in
+  let rewritten = ref 0 and served = ref 0 and other_text = ref Bytes.empty in
+  World.spawn_seclibc_client rewriting ~name:"rewriter" (fun p conn ->
+      let handle_as = handle_text rewriting p in
+      let sym = Option.get (Smof.find_symbol entry.Registry.image "test_incr") in
+      protect_module_text handle_as Prot.rw;
+      Aspace.write_word handle_as ~addr:(Layout.module_text_base + sym.Smof.sym_offset + 3) 100;
+      protect_module_text handle_as Prot.rx;
+      rewritten := test_incr conn);
+  World.run rewriting;
+  World.spawn_seclibc_client other ~name:"other" (fun p conn ->
+      other_text := Aspace.read_bytes (handle_text other p) ~addr:Layout.module_text_base ~len;
+      served := test_incr conn);
+  World.run other;
+  Alcotest.(check bool) "the worlds share one linked text" true
+    (Registry.linked_text entry == Registry.linked_text other.World.libc_entry);
+  Alcotest.(check int) "rewritten handle runs the rewrite" 141 !rewritten;
+  Alcotest.(check int) "the other world runs the original" 42 !served;
+  Alcotest.(check bool) "the other world's handle text is the original" true
+    (len > 0 && Bytes.equal original !other_text);
+  Alcotest.(check bool) "shared text unchanged" true (Bytes.equal original (shared ()))
+
 let test_native_integrity_check () =
   (* Swap the native binding's expected bytes by registering a module
      whose native symbol name does not match the stub image content. *)
@@ -796,7 +833,85 @@ let test_cold_installs_share_linked_image () =
 let test_mux_installs_share_linked_image () =
   Install_paths.check_installs_share_linked_image (mux_world ()) ~call:Install_paths.ring_call
 
-(* The host decrypts once per entry, but the kernel's decryption is
+(* Seclibc is sealed, and so linked, once per program: each world's entry
+   adopts that link when it registers, so every world maps one linked
+   text, whichever domain built it, and serves test_incr from it. *)
+let test_worlds_share_sealed_link () =
+  let serve () =
+    let world = World.create ~jitter:0.0 ~with_rpc:false () in
+    let entry = world.World.libc_entry in
+    let linked_at_registration = entry.Registry.linked <> None in
+    let served = ref 0 in
+    World.spawn_seclibc_client world ~name:"client" (fun _ conn ->
+        served := Smod_libc.Seclibc.Client.test_incr conn 41);
+    World.run world;
+    (linked_at_registration, Registry.linked_text entry, !served)
+  in
+  let _, text, _ = serve () in
+  List.iter
+    (fun (label, (linked_at_registration, text', served)) ->
+      Alcotest.(check bool) (label ^ ": linked at registration") true linked_at_registration;
+      Alcotest.(check bool) (label ^ ": the shared text") true (text' == text);
+      Alcotest.(check int) (label ^ ": test_incr 41") 42 served)
+    [
+      ("first world", serve ());
+      ("second world", serve ());
+      ("world on another domain", Domain.join (Domain.spawn serve));
+    ]
+
+(* Links offered to the kernel that were not made from the entry's own
+   image, key and nonce.  None is adopted: the entry stores no link at
+   registration and links itself on first use, serving its own code or,
+   when its text fails the digest check, failing closed with ENOEXEC and
+   storing nothing. *)
+let test_foreign_link_not_adopted () =
+  let key = "0123456789abcdef" and nonce = Bytes.make 16 'n' in
+  let encrypted name ~add =
+    Smof.encrypt_text
+      (Toolchain.assemble_module ~name ~version:1
+         [ ("f", Printf.sprintf "loadarg 0\npush %d\nadd\nret\n" add) ])
+      ~key ~nonce
+  in
+  let plus1 = encrypted "plus1" ~add:1 in
+  let flipped =
+    let text = Bytes.copy plus1.Smof.text in
+    Bytes.set text 0 (Char.chr (Char.code (Bytes.get text 0) lxor 1));
+    { plus1 with Smof.text }
+  in
+  let link = Registry.link_image plus1 ~key:(Some key) ~nonce:(Some nonce) in
+  List.iter
+    (fun (label, image, kernel_key, want) ->
+      let m = M.create ~jitter:0.0 () in
+      let smod = Smod.install m () in
+      let entry =
+        Smod.register smod ~image ~protection:Registry.Encrypted ~kernel_key ~kernel_nonce:nonce
+          ~link ()
+      in
+      Alcotest.(check bool) (label ^ ": not adopted") true (entry.Registry.linked = None);
+      let got = ref (Error "never ran") in
+      ignore
+        (M.spawn m ~name:"client" (fun p ->
+             got :=
+               match
+                 Stub.connect smod p ~module_name:image.Smof.mod_name ~version:1
+                   ~credential:(cred "alice")
+               with
+               | conn ->
+                   let r = Stub.call conn ~func:"f" [| 40 |] in
+                   Stub.close conn;
+                   Ok r
+               | exception Errno.Error (e, _) -> Error (Errno.to_string e)));
+      M.run m;
+      Alcotest.(check (result int string)) (label ^ ": f 40") want !got;
+      Alcotest.(check bool) (label ^ ": stores its own link once it links") (Result.is_ok want)
+        (entry.Registry.linked <> None))
+    [
+      ("another module's link", encrypted "plus2" ~add:2, key, Ok 42);
+      ("one ciphertext byte flipped", flipped, key, Error "ENOEXEC");
+      ("wrong kernel key", plus1, "fedcba9876543210", Error "ENOEXEC");
+    ]
+
+(* The host decrypts once per seal, but the kernel's decryption is
    charged per install: with jitter 0 the fifth cold session of an
    encrypted module takes as long to establish as the first, up to float
    rounding (one AES block is 360 cycles, 0.6 us).  The stack is touched
@@ -1615,6 +1730,7 @@ let () =
           tc "unreadable text -> EFAULT: forked" test_unreadable_text_efault_forked;
           tc "unreadable text -> EFAULT: pooled" test_unreadable_text_efault_pooled;
           tc "text rewrite stays in one handle" test_text_rewrite_stays_in_one_handle;
+          tc "text rewrite stays in one world" test_text_rewrite_stays_in_one_world;
           tc "unbound native" test_unbound_native_enosys;
           tc "unmap-only removes plain copy" test_unmap_only_removes_plain_library;
         ] );
@@ -1624,6 +1740,8 @@ let () =
           tc "wrong key fails closed: mux" test_wrong_key_fails_closed_mux;
           tc "cold installs share one linked image" test_cold_installs_share_linked_image;
           tc "mux installs share one linked image" test_mux_installs_share_linked_image;
+          tc "worlds share one sealed link" test_worlds_share_sealed_link;
+          tc "foreign links are not adopted" test_foreign_link_not_adopted;
           tc "every install charges decryption" test_every_install_charges_decryption;
           tc "duplicate names: last wins" test_duplicate_function_names_last_wins;
           tc "sealed seclibc equals a fresh package" test_sealed_seclibc_matches_package;
