@@ -394,12 +394,7 @@ let origin_value origin = function
   | OF_ring -> string_of_int origin.o_ring
   | OF_transport -> origin.o_transport
 
-(* [List.assoc_opt], a missing attribute reading [""], without the option. *)
-let rec attr_value name = function
-  | [] -> ""
-  | (k, v) :: rest -> if String.equal k name then v else attr_value name rest
-
-let operand_value attrs = function O_str s -> s | O_attr a -> attr_value a attrs
+let operand_value attrs = function O_str s -> s | O_attr a -> Eval.attr_value a attrs
 
 let test attrs a op b =
   holds op (Eval.compare_values (operand_value attrs a) (operand_value attrs b))

@@ -21,6 +21,11 @@ type result = {
           prediction (§5) *)
 }
 
+val attr_value : string -> (string * string) list -> string
+(** The value bound to an attribute name, the first binding if several,
+    and [""] when there is none: what every engine reads for an
+    attribute term. *)
+
 val compare_values : string -> string -> int
 (** The comparison rule shared by {!eval_expr} and the compiled, fused
     and vectorized engines: numeric iff both sides parse as integers

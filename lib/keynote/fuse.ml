@@ -268,6 +268,10 @@ let begin_batch t ~origin ~attrs =
   Smod_metrics.Counter.add m_fused_ops !ops;
   { s_nodes = nodes; s_setup_ops = !ops }
 
+let replay_batch snapshot =
+  Smod_metrics.Counter.incr m_fused_batches;
+  Smod_metrics.Counter.add m_fused_ops snapshot.s_setup_ops
+
 (* Per-slot residue replay.  Residue segments only ever write nodes that
    residue segments themselves define (a reader of a variant node is
    itself variant by construction), and each is rewritten before it is

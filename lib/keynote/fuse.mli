@@ -63,12 +63,20 @@ val begin_batch : t -> origin:origin -> attrs:(string * string) list -> snapshot
     origin pairs); varying attributes are absent by construction — no
     prefix opcode reads them. *)
 
+val replay_batch : snapshot -> unit
+(** Count a reuse of [snapshot] exactly as {!begin_batch} counted building
+    it: one [keynote.fused_batches] and [s_setup_ops] [keynote.fused_ops].
+    The dispatcher replays a snapshot it shares between sessions, so each
+    session counts (and is charged) the prefix it would have run. *)
+
 val run_slot :
   t -> snapshot -> origin:origin -> attrs:(string * string) list -> Compile.outcome
 (** Evaluate the per-slot residue against one slot's full attribute list.
     [ops] is the residue opcode count — the per-slot cost driver.  The
-    snapshot may be reused across any number of slots and batches until
-    the program it came from is invalidated. *)
+    snapshot may be reused across any number of slots, batches and
+    sessions until the program it came from is invalidated: every residue
+    segment rewrites the nodes it defines before it reads them, and a run
+    never suspends, so no run sees another's residue values. *)
 
 (** {2 Plan internals (consumed by {!Vexec})} *)
 

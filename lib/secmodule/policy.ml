@@ -276,6 +276,16 @@ let prepare ~clock ~origin ~attrs tree =
   in
   { tree; snapshots = Array.of_list (List.rev (walk [] tree)) }
 
+(* What [prepare] charged and counted building [prepared], in the same
+   order, for a session that takes a program another session prepared. *)
+let replay_prepare ~clock { snapshots; _ } =
+  Array.iter
+    (fun snapshot ->
+      Clock.charge clock Cost.Policy_fused_setup;
+      Fuse.replay_batch snapshot;
+      Clock.charge_n clock Cost.Policy_compiled_op snapshot.Fuse.s_setup_ops)
+    snapshots
+
 (* A compiled arm's verdict for the level index its program reached. *)
 let compiled_verdict denials index =
   if index >= Array.length denials then Ok () else Error denials.(index)

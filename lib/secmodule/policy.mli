@@ -86,9 +86,10 @@ type prepared
 (** A compiled policy prepared for one origin: the compiled tree plus,
     for every KeyNote arm that carries a fused plan, the snapshot its
     batch-invariant prefix produced.  Valid exactly as long as the
-    compiled policy it was built from — the dispatcher keeps one per
-    session beside that policy, re-prepared when the transport changes
-    because the origin differs per path. *)
+    compiled policy it was built from.  The registry entry's program
+    cache keeps one per origin, shared by the sessions of that origin;
+    each session keeps the one for its current transport, taken anew
+    when its transport changes because the origin differs per path. *)
 
 val prepare :
   clock:Smod_sim.Clock.t ->
@@ -101,6 +102,17 @@ val prepare :
     {!Smod_sim.Cost_model.Policy_compiled_op} per prefix opcode for each.
     [attrs] are the batch-invariant attributes (module, phase, origin
     pairs).  A policy compiled without [~fuse] prepares for free. *)
+
+val replay_prepare : clock:Smod_sim.Clock.t -> prepared -> unit
+(** Charge and count exactly what {!prepare} charged and counted building
+    [prepared], in the same order: per planned arm, one
+    {!Smod_sim.Cost_model.Policy_fused_setup}, the prefix's
+    [keynote.fused_batches]/[fused_ops] counts
+    ({!Smod_keynote.Fuse.replay_batch}) and its
+    {!Smod_sim.Cost_model.Policy_compiled_op}s.  For a session that takes
+    a program another session of the same origin prepared
+    ({!Registry.find_prepared}): the simulated cost of preparing stays
+    per session, the host runs no prefix. *)
 
 val check_compiled :
   clock:Smod_sim.Clock.t ->

@@ -21,9 +21,10 @@
     registration or removal, an engine switch).  Entries never expire:
     a cacheable policy reads no clock.
 
-    The cache holds decisions only.  Compiled programs are shared across
-    sessions by the registry entry's cache
-    ({!Registry.find_compiled}). *)
+    The cache holds decisions only.  Compiled programs, and the programs
+    prepared from them for each origin, are shared across sessions by
+    the registry entry's cache ({!Registry.find_compiled},
+    {!Registry.find_prepared}). *)
 
 type t
 

@@ -1,12 +1,21 @@
 module Smof = Smod_modfmt.Smof
+module Fuse = Smod_keynote.Fuse
 
 type protection = Encrypted | Unmap_only
 
 type native_fn = Smod_kern.Machine.t -> Smod_kern.Proc.t -> args_base:int -> int
 
+type program_key = { cred : string; policy_rev : int; keystore_gen : int }
+
+type program = {
+  compiled : Policy.compiled;
+  mutable prepared : (Fuse.origin * Policy.prepared) list;
+}
+
 type entry = {
   m_id : int;
   image : Smof.t;
+  text_len : int;
   protection : protection;
   mutable policy : Policy.t;
   mutable policy_rev : int;
@@ -18,13 +27,14 @@ type entry = {
   mutable native_images : bytes option array;
   func_ids : (string, int) Hashtbl.t;
   mutable linked : (Smof.t * Smod_vmem.Phys.image) option;
-  (* Compiled-policy cache: Policy.compiled keyed by
-     "<credential digest>\x00<policy_rev>\x00<keystore generation>", so a
-     stale program can never be returned — but stale entries are also
-     flushed eagerly (policy change here; keystore change, engine switch
-     and module registration or removal in Smod) to keep the table
-     bounded and the invalidation counters honest. *)
-  compiled_cache : (string, Policy.compiled) Hashtbl.t;
+  (* Program cache: each credential's compiled policy and the programs
+     prepared from it, keyed by the credential's canonical bytes, the
+     policy revision and the keystore generation, so a stale program can
+     never be returned — but stale entries are also flushed eagerly
+     (policy change here; keystore change, engine switch and module
+     registration or removal in Smod) to keep the table bounded and the
+     invalidation counters honest. *)
+  compiled_cache : (program_key, program) Hashtbl.t;
   mutable compile_hits : int;
   mutable compile_misses : int;
   mutable compile_invalidations : int;
@@ -97,10 +107,22 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
   Array.iteri
     (fun id (sym : Smof.symbol) -> Hashtbl.replace func_ids sym.Smof.sym_name id)
     functions;
+  (* An image offered with a link may share its text with the link's
+     source.  An adopted link holds the text as every handle maps it, so
+     the entry keeps none of those bytes, only their length; an entry that
+     refuses the link links itself from its own copy of them. *)
+  let linked, kept =
+    match link with
+    | Some lk when made_from lk ~image ~key:kernel_key ~nonce:kernel_nonce ->
+        (Some lk.lk_linked, { image with Smof.text = Bytes.empty })
+    | Some _ -> (None, { image with Smof.text = Bytes.copy image.Smof.text })
+    | None -> (None, image)
+  in
   let entry =
     {
       m_id = t.next_id;
-      image;
+      image = kept;
+      text_len = Bytes.length image.Smof.text;
       protection;
       policy;
       policy_rev = 1;
@@ -111,11 +133,7 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
       functions;
       native_images = [||];
       func_ids;
-      linked =
-        (match link with
-        | Some lk when made_from lk ~image ~key:kernel_key ~nonce:kernel_nonce ->
-            Some lk.lk_linked
-        | Some _ | None -> None);
+      linked;
       compiled_cache = Hashtbl.create 8;
       compile_hits = 0;
       compile_misses = 0;
@@ -192,21 +210,32 @@ let reset_compiled e =
 
 let flush_compiled e = Smod_metrics.Counter.add m_compile_invalidations (reset_compiled e)
 
-let compiled_key ~cred_digest ~policy_rev ~keystore_gen =
-  Printf.sprintf "%s\x00%d\x00%d" cred_digest policy_rev keystore_gen
-
 let find_compiled e key =
   match Hashtbl.find_opt e.compiled_cache key with
-  | Some c ->
+  | Some p ->
       e.compile_hits <- e.compile_hits + 1;
       Smod_metrics.Counter.incr m_compile_hits;
-      Some c
+      Some p
   | None -> None
 
 let store_compiled e key compiled =
   e.compile_misses <- e.compile_misses + 1;
   Smod_metrics.Counter.incr m_compile_misses;
-  Hashtbl.replace e.compiled_cache key compiled
+  let p = { compiled; prepared = [] } in
+  Hashtbl.replace e.compiled_cache key p;
+  p
+
+let same_origin (a : Fuse.origin) (b : Fuse.origin) =
+  Int.equal a.Fuse.o_ring b.Fuse.o_ring
+  && String.equal a.Fuse.o_transport b.Fuse.o_transport
+  && String.equal a.Fuse.o_module b.Fuse.o_module
+
+let find_prepared p ~origin =
+  List.find_map
+    (fun (o, prepared) -> if same_origin o origin then Some prepared else None)
+    p.prepared
+
+let store_prepared p ~origin prepared = p.prepared <- (origin, prepared) :: p.prepared
 
 let set_policy e policy =
   e.policy <- policy;

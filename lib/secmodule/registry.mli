@@ -15,9 +15,28 @@ type native_fn = Smod_kern.Machine.t -> Smod_kern.Proc.t -> args_base:int -> int
 (** Runs in handle context: the proc is the handle, whose address space
     shares the client's data/heap/stack. *)
 
+type program_key = {
+  cred : string;  (** the credential's canonical bytes ({!Credential.to_bytes}) *)
+  policy_rev : int;
+  keystore_gen : int;
+}
+(** What a compiled program's verdicts depend on besides per-call action
+    attributes and the call's origin. *)
+
+type program = {
+  compiled : Policy.compiled;
+  mutable prepared : (Smod_keynote.Fuse.origin * Policy.prepared) list;
+      (** [compiled] prepared for each origin a session has fetched it
+          for, newest first; shared by every session of that origin *)
+}
+(** One entry of the program cache. *)
+
 type entry = {
   m_id : int;
   image : Smod_modfmt.Smof.t;
+      (** the registered image; its text is empty once the entry adopted a
+          {!link}, which holds the text as handles map it *)
+  text_len : int;  (** the registered text's length, kept either way *)
   protection : protection;
   mutable policy : Policy.t;  (** swap with {!set_policy}, never directly *)
   mutable policy_rev : int;
@@ -39,8 +58,8 @@ type entry = {
           read-only chunks every handle maps, the one copy of it the entry
           keeps; neither is ever written.  Set by {!add} when it adopts a
           {!link}, else once by {!linked_image} or {!linked_text} *)
-  compiled_cache : (string, Policy.compiled) Hashtbl.t;
-      (** compiled decision programs, keyed with {!compiled_key} *)
+  compiled_cache : (program_key, program) Hashtbl.t;
+      (** compiled decision programs and the programs prepared from them *)
   mutable compile_hits : int;
   mutable compile_misses : int;
   mutable compile_invalidations : int;
@@ -81,8 +100,10 @@ val add :
     [Invalid_argument] if an encrypted image is added without a key.  The
     entry adopts [link] as its linked form only if the link was made from
     an image equal to [image] (text, data, digest, symbols, relocations)
-    under the same key and nonce; otherwise, and without [link], it links
-    itself on first use. *)
+    under the same key and nonce, and then keeps [image] without its text
+    (the link holds it); otherwise it keeps its own copy of the text, which
+    the caller may share with the link's source, and links itself on first
+    use.  Without [link] it keeps [image] as given. *)
 
 val remove : t -> m_id:int -> unit
 val find : t -> name:string -> version:int -> entry option
@@ -116,26 +137,35 @@ val linked_text : entry -> Smod_vmem.Phys.image
 val set_policy : entry -> Policy.t -> unit
 (** Replace the module's access policy and bump [policy_rev] so stale
     cached decisions can never be served against the new policy; also
-    drops the compiled-program cache, counting the dropped programs in
-    [compile_invalidations] only. *)
-
-val compiled_key : cred_digest:string -> policy_rev:int -> keystore_gen:int -> string
-(** Cache key for one compiled policy: everything a program's verdicts
-    depend on besides per-call action attributes. *)
+    drops the program cache, prepared programs included, counting the
+    dropped programs in [compile_invalidations] only. *)
 
 (** The program cache counts its own traffic, on the entry and in the
     [secmodule.policy_compile_hits], [policy_compile_misses] and
     [policy_compile_invalidations] metrics. *)
 
-val find_compiled : entry -> string -> Policy.compiled option
-(** Probe the compiled-program cache (counts a hit). *)
+val find_compiled : entry -> program_key -> program option
+(** Probe the program cache (counts a hit). *)
 
-val store_compiled : entry -> string -> Policy.compiled -> unit
-(** Insert a freshly compiled program (counts a miss). *)
+val store_compiled : entry -> program_key -> Policy.compiled -> program
+(** Insert a freshly compiled program, prepared for no origin yet (counts
+    a miss). *)
+
+val find_prepared : program -> origin:Smod_keynote.Fuse.origin -> Policy.prepared option
+(** The program prepared for [origin], if a session prepared it: the same
+    value for every session of that origin.  Sharing is sound because a
+    prepared program's only mutable state is its snapshots' residue
+    nodes, which every residue run rewrites before it reads them and
+    which no run leaves half written, since none suspends. *)
+
+val store_prepared : program -> origin:Smod_keynote.Fuse.origin -> Policy.prepared -> unit
+(** Keep the program prepared for [origin] (with [Policy.prepare]); the
+    caller prepares only for an origin {!find_prepared} has none for. *)
 
 val flush_compiled : entry -> unit
-(** Drop every cached program, e.g. after a keystore rotation, counting
-    each as an invalidation. *)
+(** Drop every cached program and the programs prepared from it, e.g.
+    after a keystore rotation, counting each compiled program as an
+    invalidation. *)
 
 val func_id : entry -> string -> int option
 (** One lookup in [func_ids]: the client stubs use the same table. *)

@@ -77,9 +77,10 @@ type session = {
   mutable handle_exec_us : float;
   mutable client_waiting_handshake : bool;
   mutable ring : ring_state option;
+  mutable cred_bytes : string option;
   mutable cred_digest : string option;
-  mutable program : (int * int * Policy.compiled * string * Policy.prepared) option;
-      (* (policy_rev, keystore_gen, compiled program, transport, the
+  mutable program : (int * int * Registry.program * string * Policy.prepared) option;
+      (* (policy_rev, keystore_gen, cached program, transport, the
          program prepared for that transport) *)
   mutable client_exit_hook : (Proc.t -> unit) option;
 }
@@ -481,7 +482,7 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
                  intra-module calls can land on sibling functions. *)
               Ok
                 (Interp.run env ~code_base:Layout.module_text_base
-                   ~code_len:(Bytes.length entry.Registry.image.Smof.text)
+                   ~code_len:entry.Registry.text_len
                    ~entry:sym.Smof.sym_offset ~args_base:req.Wire.args_base ())
             with
             | Interp.Fault _ -> Error 1
@@ -724,16 +725,24 @@ let read_descriptor clock (p : Proc.t) desc_addr =
   | Ok d -> d
   | Error m -> Errno.raise_errno Errno.EINVAL ("smod_start_session: " ^ m)
 
-(* SHA-256 over the credential's canonical byte form, memoised in the
-   session: the caches' identity for "same principal presenting the same
-   assertions". *)
+(* The credential's canonical byte form, serialised once per session:
+   the program cache's key for "same principal presenting the same
+   assertions" ([program_of]). *)
+let session_cred_bytes session =
+  match session.cred_bytes with
+  | Some b -> b
+  | None ->
+      let b = Bytes.unsafe_to_string (Credential.to_bytes session.credential) in
+      session.cred_bytes <- Some b;
+      b
+
+(* SHA-256 over those bytes, memoised in the session: smodd's decision
+   cache's identity for the same credential. *)
 let session_cred_digest session =
   match session.cred_digest with
   | Some d -> d
   | None ->
-      let d =
-        Bytes.to_string (Smod_crypto.Sha256.digest (Credential.to_bytes session.credential))
-      in
+      let d = Bytes.to_string (Smod_crypto.Sha256.digest_string (session_cred_bytes session)) in
       session.cred_digest <- Some d;
       d
 
@@ -775,9 +784,14 @@ let origin_attr_pairs (origin : Fuse.origin) =
    integer and one string compare).  A stale slot charges one
    [Policy_cache_probe] and takes the registry entry's program, the one
    program cache shared across sessions, or compiles, charging the
-   one-time flattening and hoisted signature checks.  A transport switch
-   re-prepares the slot's program without a probe: [origin_transport]
-   differs per admission path and one session can mix paths. *)
+   one-time flattening and hoisted signature checks; a transport switch
+   keeps the slot's program without a probe, as [origin_transport]
+   differs per admission path and one session can mix paths.  Either way
+   the session then takes the program the entry keeps prepared for
+   [origin], charged as preparing it again, or prepares it for the entry.
+   [attrs] are a function of [origin] and the entry (phase, module and
+   the origin pairs), so the origin alone names what a prepared program
+   was prepared from. *)
 let program_of t session ~origin ~attrs =
   if not t.compile_policies then None
   else begin
@@ -789,17 +803,20 @@ let program_of t session ~origin ~attrs =
     | Some (r, g, _, tr, prepared) when r = rev && g = gen && tr = transport -> Some prepared
     | slot ->
         let clock = Machine.clock t.machine in
-        let compiled =
+        let program =
           match slot with
-          | Some (r, g, compiled, _, _) when r = rev && g = gen -> compiled
+          | Some (r, g, program, _, _) when r = rev && g = gen -> program
           | Some _ | None -> (
               Clock.charge clock Cost.Policy_cache_probe;
               let key =
-                Registry.compiled_key ~cred_digest:(session_cred_digest session)
-                  ~policy_rev:rev ~keystore_gen:gen
+                {
+                  Registry.cred = session_cred_bytes session;
+                  policy_rev = rev;
+                  keystore_gen = gen;
+                }
               in
               match Registry.find_compiled entry key with
-              | Some c -> c
+              | Some program -> program
               | None ->
                   let origin_env =
                     {
@@ -809,15 +826,22 @@ let program_of t session ~origin ~attrs =
                           (Registry.entries t.registry);
                     }
                   in
-                  let c =
-                    Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock
-                      ~keystore:t.keystore ~credential:session.credential entry.Registry.policy
-                  in
-                  Registry.store_compiled entry key c;
-                  c)
+                  Registry.store_compiled entry key
+                    (Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock
+                       ~keystore:t.keystore ~credential:session.credential
+                       entry.Registry.policy))
         in
-        let prepared = Policy.prepare ~clock ~origin ~attrs compiled in
-        session.program <- Some (rev, gen, compiled, transport, prepared);
+        let prepared =
+          match Registry.find_prepared program ~origin with
+          | Some prepared ->
+              Policy.replay_prepare ~clock prepared;
+              prepared
+          | None ->
+              let prepared = Policy.prepare ~clock ~origin ~attrs program.Registry.compiled in
+              Registry.store_prepared program ~origin prepared;
+              prepared
+        in
+        session.program <- Some (rev, gen, program, transport, prepared);
         Some prepared
   end
 
@@ -971,7 +995,7 @@ let handle_context t ~name ?client_pid entry =
   let handle_aspace = Aspace.create ~phys:(Machine.phys t.machine) ~clock ~name in
   let image = entry.Registry.image in
   (* Decryption and relocation keep the text's length. *)
-  let text_len = Bytes.length image.Smof.text in
+  let text_len = entry.Registry.text_len in
   if image.Smof.encrypted then begin
     Clock.charge clock Cost.Aes_key_schedule;
     Clock.charge_n clock Cost.Aes_block ((text_len + 15) / 16)
@@ -1026,6 +1050,7 @@ let new_session ~sid ~entry ~client_pid ~credential ~handle_pid kind =
     handle_exec_us = 0.0;
     client_waiting_handshake = false;
     ring = None;
+    cred_bytes = None;
     cred_digest = None;
     program = None;
     client_exit_hook = None;
@@ -2227,14 +2252,16 @@ let policy_compile_status t =
   |> List.map (fun (e : Registry.entry) ->
          let stats =
            Hashtbl.fold
-             (fun _ c acc ->
-               match acc with Some _ -> acc | None -> Some (Policy.compiled_stats c))
+             (fun _ p acc ->
+               match acc with
+               | Some _ -> acc
+               | None -> Some (Policy.compiled_stats p.Registry.compiled))
              e.Registry.compiled_cache None
          in
          let fusion =
            Hashtbl.fold
-             (fun _ c acc ->
-               match acc with Some _ -> acc | None -> Policy.fusion_stats c)
+             (fun _ p acc ->
+               match acc with Some _ -> acc | None -> Policy.fusion_stats p.Registry.compiled)
              e.Registry.compiled_cache None
          in
          {

@@ -78,14 +78,17 @@ type session = {
       (** simulated time spent executing module code in the handle *)
   mutable client_waiting_handshake : bool;
   mutable ring : ring_state option;
+  mutable cred_bytes : string option;
+      (** the credential's canonical bytes, serialised on first use; part
+          of every key of the registry entry's program cache *)
   mutable cred_digest : string option;
-      (** lazily computed SHA-256 of the wire credential; part of every
-          policy-cache key *)
-  mutable program : (int * int * Policy.compiled * string * Policy.prepared) option;
+      (** lazily computed SHA-256 of [cred_bytes]; part of every key of
+          smodd's decision cache *)
+  mutable program : (int * int * Registry.program * string * Policy.prepared) option;
       (** the session's one program slot: (policy_rev, keystore
-          generation, compiled policy, transport, that policy prepared
-          for the transport).  The compiled policy is valid while the
-          (policy_rev, keystore generation) pair still matches; the
+          generation, the entry's cached program, transport, that program
+          prepared for the transport).  The cached program is valid while
+          the (policy_rev, keystore generation) pair still matches; the
           prepared one also needs the same transport
           (["msgq"]/["ring"]/["poller"]), because [origin_transport]
           differs per admission path.  Emptied whenever programs are
@@ -319,14 +322,17 @@ val set_policy_fuse : t -> bool -> unit
     compiled policies (requires {!set_policy_compile} on to take
     effect): each KeyNote arm is additionally lowered into
     superoperator-fused segments partitioned into a batch-invariant
-    prefix and a per-slot residue.  The prefix runs once per (session,
-    policy revision, keystore generation, transport) — charged
-    {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes — and
-    every admission (scalar call, ring batch slot, poller slot) then
-    pays residue opcodes only.  Origin predicates ([origin_module],
-    [origin_ring], [origin_transport]) resolve against kernel-held
-    session state on every engine; compilation fails closed when one
-    names an unknown module, ring, or transport.  Stateful arms
+    prefix and a per-slot residue.  The prefix is charged once per
+    (session, policy revision, keystore generation, transport) —
+    {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes — though
+    the host runs it once per (credential, policy revision, keystore
+    generation, origin): sessions share the registry entry's prepared
+    program ({!Registry.find_prepared}).  Every admission (scalar call,
+    ring batch slot, poller slot) then pays residue opcodes only.
+    Origin predicates ([origin_module], [origin_ring],
+    [origin_transport]) resolve against kernel-held session state on
+    every engine; compilation fails closed when one names an unknown
+    module, ring, or transport.  Stateful arms
     (quotas, rate limits) still evaluate per slot.  Changing the value
     drops every compiled program and session program slot, as a
     keystore change does, so the next call compiles with or without a

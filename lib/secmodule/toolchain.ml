@@ -93,17 +93,20 @@ let seal ~image ?(protection = Registry.Unmap_only) ?key_seed () =
   in
   { image; protection; key; nonce; link }
 
+let shipped_text { image; _ } = Bytes.to_string image.Smof.text
+
 (* The kernel's half.  Every entry gets its own copy of each mutable
-   byte, so one sealed module can back entries in any number of worlds
-   (and domains) without any two of them sharing state; the entry adopts
-   the seal's link, never written, once it has checked the link was made
-   from those bytes. *)
+   byte it keeps, so one sealed module can back entries in any number of
+   worlds (and domains) without any two of them sharing state.  The seal's
+   text goes with its link uncopied: [Registry.add] keeps none of it if it
+   adopts the link, never written, and copies it if it refuses the link.
+   Only a seal without a link has its text copied here. *)
 let register smod { image; protection; key; nonce; link } ?(policy = Policy.Session_lifetime)
     ?(admin_principal = "root") () =
   let image =
     {
       image with
-      Smof.text = Bytes.copy image.Smof.text;
+      Smof.text = (if Option.is_none link then Bytes.copy image.Smof.text else image.Smof.text);
       data = Bytes.copy image.Smof.data;
       text_digest = Bytes.copy image.Smof.text_digest;
     }

@@ -36,8 +36,9 @@ type sealed
 (** A module as the vendor ships it: the image, with its text encrypted
     for [Encrypted] protection, and the key material only a kernel will
     hold, plus the kernel's link of those bytes ({!Registry.link}).
-    Immutable, and it exposes no bytes, so one sealed value can be shared
-    by every kernel (world, domain) in a process. *)
+    Immutable, and it exposes no bytes ({!shipped_text} is a copy), so
+    one sealed value can be shared by every kernel (world, domain) in a
+    process. *)
 
 val seal :
   image:Smod_modfmt.Smof.t ->
@@ -56,6 +57,11 @@ val seal :
     nothing and touches no kernel or metric.  [image] must not be mutated
     afterwards. *)
 
+val shipped_text : sealed -> string
+(** The text as the vendor ships it, ciphertext under [Encrypted]
+    protection: the one readable part of a seal, copied, since an entry
+    that adopts the seal's link keeps none of it. *)
+
 val register :
   Smod.t ->
   sealed ->
@@ -64,14 +70,16 @@ val register :
   unit ->
   Registry.entry
 (** The kernel's half: {!Smod.register} with fresh copies of the sealed
-    image's text, data and text digest and of the nonce, so no two
-    registry entries share a mutable byte.  The key goes to the kernel
-    only.  The seal's link goes with them, and the entry adopts it only
-    after checking that it was made from exactly the entry's image, key
-    and nonce ({!Registry.add}): its linked image and text are then set
-    at registration, never written, and shared with every other entry
-    registered from this seal.  Each install still charges the kernel's
-    decryption. *)
+    image's data and text digest and of the nonce, so no two registry
+    entries share a mutable byte.  The key goes to the kernel only.  The
+    seal's link goes with them, with the text uncopied, and the entry
+    adopts it only after checking that it was made from exactly the
+    entry's image, key and nonce ({!Registry.add}): its linked image and
+    text are then set at registration, never written, and shared with
+    every other entry registered from this seal, and the entry keeps none
+    of the text; an entry that refuses the link copies the text.  A seal
+    without a link has its text copied here.  Each install still charges
+    the kernel's decryption. *)
 
 val package :
   Smod.t ->

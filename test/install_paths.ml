@@ -86,7 +86,7 @@ let check_installs_share_linked_image world ~call =
         let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
         let aspace = Smod.handle_aspace smod session in
         let linked = Registry.linked_image entry in
-        let len = Layout.page_align_up (Bytes.length entry.Registry.image.Smof.text) in
+        let len = Layout.page_align_up entry.Registry.text_len in
         let text = Phys.read_image (Registry.linked_text entry) ~pos:0 ~len in
         let mapped = Aspace.read_bytes aspace ~addr:Layout.module_text_base ~len in
         Alcotest.(check bool) "handle text is the linked text" true

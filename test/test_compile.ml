@@ -9,6 +9,7 @@
 module M = Smod_kern.Machine
 module Proc = Smod_kern.Proc
 module Errno = Smod_kern.Errno
+module Sched = Smod_kern.Sched
 module Clock = Smod_sim.Clock
 module Ast = Smod_keynote.Ast
 module Parse = Smod_keynote.Parse
@@ -2170,6 +2171,216 @@ let test_batch_volatile_credential_per_slot () =
         [ Ok 1; Ok 2; denied; denied; denied ]
         (two_call_license_verdicts engine transport))
 
+(* ------------------------------------------------------------------ *)
+(* Prepared programs shared per credential and origin                  *)
+(* ------------------------------------------------------------------ *)
+
+(* kn-5 with a volatile rung: module and origin hoist into the fused
+   prefix, function and calls_so_far stay per slot.  abs is refused,
+   everything else admitted. *)
+let shared_program_policy =
+  let rung cond =
+    Parse.assertion_of_string
+      (Printf.sprintf
+         "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+          conditions: %s -> \"allow\";\n"
+         cond)
+  in
+  Policy.Keynote
+    {
+      policy =
+        rung
+          "module == \"seclibc\" && origin_ring <= 3 && calls_so_far < 1000 && function != \
+           \"abs\""
+        :: List.init 4 (fun i ->
+               rung (Printf.sprintf "module == \"seclibc\" && clause == %d" i));
+      levels = [| "deny"; "allow" |];
+      min_level = "allow";
+      attrs = [];
+    }
+
+let shared_counters =
+  [
+    "keynote.fused_batches";
+    "keynote.fused_slots";
+    "keynote.fused_ops";
+    "secmodule.policy_compile_misses";
+    "secmodule.policy_compile_hits";
+    "secmodule.policy_checks";
+    "poller.slots_stamped";
+  ]
+
+let read_counters names =
+  List.map (fun n -> Option.value ~default:0 (Smod_metrics.counter_value n)) names
+
+type shared_run = {
+  sr_verdicts : (string * string list) list;  (** each client's results, in order *)
+  sr_now_us : float;  (** the clock once every client has finished *)
+  sr_counters : int list;  (** what the run added to [shared_counters] *)
+  sr_first : (string * Policy.prepared) list;
+      (** each client's program right after its first admission *)
+  sr_last : (string * Policy.prepared) list;  (** and after its last, a ring batch *)
+}
+
+(* Five sessions under one credential: three open with a msgq call and two
+   with a ring batch, then all interleave msgq calls (one refused) with
+   mixed ring batches, over the batch trap or the kernel poller. *)
+let run_shared_script ~poller =
+  let world = World.create ~with_rpc:false ~policy:shared_program_policy () in
+  let smod = world.World.smod in
+  Smod.set_policy_compile smod true;
+  Smod.set_policy_fuse smod true;
+  if poller then Smod.set_kernel_poller smod true;
+  let before = read_counters shared_counters in
+  let verdicts = ref [] and first = ref [] and last = ref [] in
+  let client name ~ring_first =
+    World.spawn_seclibc_client world ~name (fun p conn ->
+        let got = ref [] in
+        let log v = got := v :: !got in
+        let call func arg =
+          match Stub.call conn ~func [| arg |] with
+          | v -> log (string_of_int v)
+          | exception Errno.Error (e, _) -> log (Errno.to_string e)
+        in
+        let batch () =
+          let id f = Option.get (Stub.func_id conn f) in
+          List.iter
+            (function Ok v -> log (string_of_int v) | Error (e, _) -> log (Errno.to_string e))
+            (Stub.call_batch_funcs conn
+               [ (id "test_incr", [| 1 |]); (id "abs", [| 5 |]); (id "test_incr", [| 2 |]) ])
+        in
+        let program into =
+          match Smod.session_of_client smod ~client_pid:p.Proc.pid with
+          | Some { Smod.program = Some (_, _, _, _, prepared); _ } ->
+              into := (name, prepared) :: !into
+          | Some _ | None -> Alcotest.failf "%s: no program" name
+        in
+        if ring_first then batch () else call "test_incr" 40;
+        program first;
+        for round = 1 to 3 do
+          Sched.yield ();
+          call "test_incr" round;
+          call "abs" round;
+          Sched.yield ();
+          batch ()
+        done;
+        program last;
+        verdicts := (name, List.rev !got) :: !verdicts)
+  in
+  List.iter
+    (fun (name, ring_first) -> client name ~ring_first)
+    [
+      ("msgq-a", false);
+      ("ring-a", true);
+      ("msgq-b", false);
+      ("ring-b", true);
+      ("msgq-c", false);
+    ];
+  World.run world;
+  {
+    sr_verdicts = List.sort compare !verdicts;
+    sr_now_us = Clock.now_us (M.clock world.World.machine);
+    sr_counters = List.map2 ( - ) (read_counters shared_counters) before;
+    sr_first = !first;
+    sr_last = !last;
+  }
+
+let msgq_verdicts = "41 2 EACCES 2 EACCES 3 3 EACCES 2 EACCES 3 4 EACCES 2 EACCES 3"
+let ring_verdicts = "2 EACCES 3 2 EACCES 2 EACCES 3 3 EACCES 2 EACCES 3 4 EACCES 2 EACCES 3"
+
+(* Sessions of one credential and one origin take one prepared program,
+   the same value; a session that opens on another transport prepares its
+   own, which the next session on that transport shares, and so does a
+   session that switches to that transport.  Every verdict,
+   the clock and the prefix counts are what the same script gave while
+   each session prepared its own program (the figures below): a session
+   that takes a shared program is charged and counted the prefix it did
+   not run. *)
+let test_shared_prepared_programs () =
+  List.iter
+    (fun (poller, now_us, counters) ->
+      let label = if poller then "poller" else "batch trap" in
+      let r = run_shared_script ~poller in
+      let first name = List.assoc name r.sr_first in
+      Alcotest.(check bool) (label ^ ": msgq sessions share one program") true
+        (first "msgq-a" == first "msgq-b" && first "msgq-b" == first "msgq-c");
+      Alcotest.(check bool) (label ^ ": ring sessions share one program") true
+        (first "ring-a" == first "ring-b");
+      Alcotest.(check bool) (label ^ ": another transport, another program") true
+        (first "msgq-a" != first "ring-a");
+      Alcotest.(check (list string))
+        (label ^ ": sessions that switched to ring batches share its program")
+        [ "msgq-a"; "msgq-b"; "msgq-c"; "ring-a"; "ring-b" ]
+        (List.sort compare
+           (List.filter_map
+              (fun (name, prepared) -> if prepared == first "ring-a" then Some name else None)
+              r.sr_last));
+      Alcotest.(check (list (pair string string)))
+        (label ^ ": verdicts")
+        [
+          ("msgq-a", msgq_verdicts);
+          ("msgq-b", msgq_verdicts);
+          ("msgq-c", msgq_verdicts);
+          ("ring-a", ring_verdicts);
+          ("ring-b", ring_verdicts);
+        ]
+        (List.map (fun (n, vs) -> (n, String.concat " " vs)) r.sr_verdicts);
+      Alcotest.(check (float 0.0)) (label ^ ": clock") now_us r.sr_now_us;
+      Alcotest.(check (list int)) (label ^ ": " ^ String.concat ", " shared_counters) counters
+        r.sr_counters)
+    [
+      (false, 0x1.43cb7a6620e27p+10, [ 32; 84; 1312; 1; 4; 89; 0 ]);
+      (true, 0x1.548b9c89d8bbdp+10, [ 32; 84; 1312; 1; 4; 89; 51 ]);
+    ]
+
+(* A policy swap, a keystore change and a fuse switch each drop the
+   programs sessions shared: the next session compiles and prepares anew
+   (fused batches +1, or +0 once fusion is off), and its program is not
+   the one the earlier session left in the cache. *)
+let prepare_counters = [ "keynote.fused_batches"; "secmodule.policy_compile_misses" ]
+
+let test_shared_programs_dropped () =
+  List.iter
+    (fun (what, invalidate, fused_batches) ->
+      let world = World.create ~with_rpc:false ~policy:shared_program_policy () in
+      let smod = world.World.smod and entry = world.World.libc_entry in
+      Smod.set_policy_compile smod true;
+      Smod.set_policy_fuse smod true;
+      let open_session name =
+        let prepared = ref None in
+        let before = read_counters prepare_counters in
+        World.spawn_seclibc_client world ~name (fun p conn ->
+            ignore (Smod_libc.Seclibc.Client.test_incr conn 1);
+            match Smod.session_of_client smod ~client_pid:p.Proc.pid with
+            | Some { Smod.program = Some (_, _, _, _, program); _ } -> prepared := Some program
+            | Some _ | None -> Alcotest.failf "%s: no program" name);
+        World.run world;
+        let counts =
+          List.map2 ( - ) (read_counters prepare_counters) before
+        in
+        (Option.get !prepared, counts)
+      in
+      let shared, counts = open_session "first" in
+      Alcotest.(check (list int)) (what ^ ": first session prepares") [ 1; 1 ] counts;
+      let again, counts = open_session "second" in
+      Alcotest.(check bool) (what ^ ": second session shares it") true (again == shared);
+      Alcotest.(check (list int)) (what ^ ": and counts its prefix") [ 1; 0 ] counts;
+      invalidate smod entry;
+      Alcotest.(check int) (what ^ ": programs dropped") 0
+        (Hashtbl.length entry.Registry.compiled_cache);
+      let fresh, counts = open_session "after" in
+      Alcotest.(check bool) (what ^ ": next session prepares its own") true (fresh != shared);
+      Alcotest.(check (list int))
+        (what ^ ": fused batches, compile misses")
+        [ fused_batches; 1 ] counts)
+    [
+      ("set_policy", (fun _ entry -> Registry.set_policy entry shared_program_policy), 1);
+      ( "keystore change",
+        (fun smod _ -> Keystore.add_principal (Smod.keystore smod) ~name:"vendor" ~secret:"s"),
+        1 );
+      ("fuse switch", (fun smod _ -> Smod.set_policy_fuse smod false), 0);
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "compile"
@@ -2243,6 +2454,7 @@ let () =
           tc "batch volatile fused per slot" test_batch_volatile_fused_per_slot;
           tc "batch volatile credential per slot" test_batch_volatile_credential_per_slot;
           tc "program slot across transports" test_program_slot_across_transports;
+          tc "shared prepared programs" test_shared_prepared_programs;
         ] );
       ( "invalidation",
         [
@@ -2254,5 +2466,6 @@ let () =
           tc "registration drops programs" test_registration_drops_programs;
           tc "revisions free fused plans" test_revisions_free_plans;
           tc "late fusion takes effect" test_late_fusion_takes_effect;
+          tc "shared programs dropped" test_shared_programs_dropped;
         ] );
     ]

@@ -446,6 +446,164 @@ let prop_signature_covers_body =
       let swapped = { b with Ast.signature = signed.Ast.signature } in
       Keystore.verify ks signed && not (Keystore.verify ks swapped))
 
+(* ------------------- query = the reference evaluator ---------------- *)
+
+(* Queries over a closed world where guards compare integer literals with
+   the values that read differently as ints and as text ([""], ["-0"],
+   ["+7"], ["007"], ["x1"], numbers beyond the int range), attributes
+   with attributes, clauses name levels outside [levels] and licensees
+   take k-of.  Three principals, several credentials and few requesters
+   make delegations cycle often enough that evaluating an [&&]'s or an
+   [||]'s operands in the other order, which changes what a cycle
+   memoises, fails the property. *)
+let gen_reference_query =
+  let open QCheck.Gen in
+  let principals = [ "alice"; "kp0"; "kp1" ] in
+  let gen_principal = oneofl principals in
+  let gen_value =
+    oneof
+      [
+        oneofl
+          [ ""; "-0"; "+7"; "007"; "x1"; "0"; "7"; "-3"; "abc"; "0x1F"; "1_000";
+            "4611686018427387904"; "-4611686018427387905"; "99999999999999999999" ];
+        map string_of_int (int_range (-3) 8);
+      ]
+  in
+  let gen_attr_name = oneofl [ "a"; "b"; "c"; "d" ] in
+  let gen_term =
+    frequency
+      [
+        (3, map (fun n -> Ast.Attr n) gen_attr_name);
+        (1, map (fun s -> Ast.Str s) gen_value);
+        (3, map (fun i -> Ast.Int i) (oneof [ int_range (-3) 8; oneofl [ max_int; min_int ] ]));
+      ]
+  in
+  let gen_cmp = oneofl [ Ast.Eq; Ast.Ne; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+  let gen_cmp_expr = map3 (fun a o b -> Ast.Cmp (a, o, b)) gen_term gen_cmp gen_term in
+  let rec gen_expr n =
+    if n = 0 then frequency [ (1, return Ast.True); (1, return Ast.False); (6, gen_cmp_expr) ]
+    else
+      frequency
+        [
+          (4, gen_cmp_expr);
+          (1, map (fun e -> Ast.Not e) (gen_expr (n - 1)));
+          (1, map2 (fun a b -> Ast.And (a, b)) (gen_expr (n - 1)) (gen_expr (n - 1)));
+          (1, map2 (fun a b -> Ast.Or (a, b)) (gen_expr (n - 1)) (gen_expr (n - 1)));
+        ]
+  in
+  let rec gen_lic n =
+    if n = 0 then
+      frequency [ (5, map (fun p -> Ast.L_principal p) gen_principal); (1, return Ast.L_empty) ]
+    else
+      frequency
+        [
+          (2, map (fun p -> Ast.L_principal p) gen_principal);
+          (2, map2 (fun a b -> Ast.L_and (a, b)) (gen_lic (n - 1)) (gen_lic (n - 1)));
+          (2, map2 (fun a b -> Ast.L_or (a, b)) (gen_lic (n - 1)) (gen_lic (n - 1)));
+          ( 2,
+            list_size (2 -- 4) (gen_lic (n - 1)) >>= fun ls ->
+            int_range 1 (List.length ls + 1) >|= fun k -> Ast.L_kof (k, ls) );
+        ]
+  in
+  let gen_level =
+    frequency [ (12, oneofl [ "deny"; "review"; "allow" ]); (1, oneofl [ "sudo"; "root" ]) ]
+  in
+  let gen_clauses =
+    list_size (0 -- 3) (map2 (fun guard value -> { Ast.guard; value }) (gen_expr 2) gen_level)
+  in
+  let gen_assertion authorizer =
+    map2
+      (fun licensees conditions ->
+        { Ast.authorizer; licensees; conditions; comment = None; signature = None })
+      (gen_lic 2) gen_clauses
+  in
+  list_size (1 -- 4)
+    (frequency [ (5, return "POLICY"); (1, gen_principal) ] >>= gen_assertion)
+  >>= fun policy ->
+  list_size (1 -- 8) (gen_principal >>= gen_assertion) >>= fun credentials ->
+  list_size (0 -- 4) (pair gen_attr_name gen_value) >>= fun attrs ->
+  list_size (0 -- 1) gen_principal >>= fun requesters ->
+  frequency [ (20, return levels); (1, return [||]) ] >|= fun levels ->
+  (policy, credentials, attrs, requesters, levels)
+
+let print_reference_query (policy, credentials, attrs, requesters, levels) =
+  Printf.sprintf "policy:\n%s\ncredentials:\n%s\nattrs: %s\nrequesters: %s\nlevels: %s"
+    (String.concat "---\n" (List.map Ast.canonical_body policy))
+    (String.concat "---\n" (List.map Ast.canonical_body credentials))
+    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) attrs))
+    (String.concat ", " requesters)
+    (String.concat ", " (Array.to_list levels))
+
+let counter name = Option.value ~default:0 (Smod_metrics.counter_value name)
+
+(* One run's outcome and what it added to the keynote counters. *)
+let counted_outcome query =
+  let q0 = counter "keynote.queries" and e0 = counter "keynote.assertions_evaluated" in
+  let outcome = match query () with r -> Ok r | exception Invalid_argument m -> Error m in
+  ( outcome,
+    counter "keynote.queries" - q0,
+    counter "keynote.assertions_evaluated" - e0 )
+
+let prop_query_matches_reference =
+  QCheck.Test.make ~name:"query = reference evaluator" ~count:3000
+    (QCheck.make ~print:print_reference_query gen_reference_query)
+    (fun (policy, credentials, attrs, requesters, levels) ->
+      let want =
+        counted_outcome (fun () ->
+            let r = Eval_reference.query ~policy ~credentials ~attrs ~requesters ~levels in
+            ( r.Eval_reference.level,
+              r.Eval_reference.index,
+              r.Eval_reference.assertions_evaluated ))
+      and got =
+        counted_outcome (fun () ->
+            let r = Eval.query ~policy ~credentials ~attrs ~requesters ~levels in
+            (r.Eval.level, r.Eval.index, r.Eval.assertions_evaluated))
+      in
+      want = got)
+
+(* The establishment check of a session on a kn-16 policy whose guards
+   compare integer literals with absent attributes: its words are the
+   query record, the result and a few parsed values (280 while each query
+   built two hash tables and formatted every literal). *)
+let test_kn16_query_words () =
+  let assertion cond =
+    parse
+      (Printf.sprintf
+         "keynote-version: 2\n\
+          authorizer: \"POLICY\"\n\
+          licensees: \"client\"\n\
+          conditions: %s -> \"allow\";\n"
+         cond)
+  in
+  let policy =
+    assertion "module == \"seclibc\" && calls_so_far < 1000000000 && function != \"abs\""
+    :: List.init 15 (fun i ->
+           assertion (Printf.sprintf "module == \"seclibc\" && clause == %d" i))
+  in
+  let attrs =
+    [
+      ("phase", "session");
+      ("module", "seclibc");
+      ("principal", "client");
+      ("origin_module", "user");
+      ("origin_ring", "3");
+      ("origin_transport", "attach");
+    ]
+  in
+  let query () =
+    Eval.query ~policy ~credentials:[] ~attrs ~requesters:[ "client" ]
+      ~levels:[| "deny"; "allow" |]
+  in
+  ignore (query ());
+  let m0 = Gc.minor_words () in
+  let r = query () in
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check string) "admitted" "allow" r.Eval.level;
+  Alcotest.(check int) "sixteen assertions" 16 r.Eval.assertions_evaluated;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words, at most 40" words)
+    true (words <= 40.)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "keynote"
@@ -492,8 +650,10 @@ let () =
           tc "unknown level" test_query_unknown_level;
           tc "empty levels" test_query_empty_levels;
           tc "rogue root ignored" test_non_policy_assertions_ignored_at_root;
+          tc "kn-16 query words" test_kn16_query_words;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_requesters_monotone ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_requesters_monotone; prop_query_matches_reference ] );
       ( "keystore",
         [
           tc "sign and verify" test_sign_and_verify;

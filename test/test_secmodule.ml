@@ -531,14 +531,36 @@ let test_encrypted_module_executes () =
   in_client m smod (fun _p conn -> result := Stub.call conn ~func:"test_incr" [| 41 |]);
   Alcotest.(check int) "works through decryption" 42 !result
 
+(* The seal ships ciphertext.  A packaged entry adopts the seal's link,
+   made by decrypting that ciphertext, and keeps none of the text but its
+   length; an entry registered from the shipped bytes without the link
+   links itself from them to the same text. *)
 let test_registered_image_is_ciphertext () =
-  let _, smod, entry = setup ~protection:Registry.Encrypted () in
-  ignore smod;
-  Alcotest.(check bool) "flag" true entry.Registry.image.Smof.encrypted;
-  (* The stored text must differ from the plaintext build. *)
   let plain = test_image () in
+  let sealed = Toolchain.seal ~image:plain ~protection:Registry.Encrypted () in
+  let shipped = Toolchain.shipped_text sealed in
+  Alcotest.(check int) "shipped text length" (Bytes.length plain.Smof.text)
+    (String.length shipped);
   Alcotest.(check bool) "ciphertext differs" false
-    (Bytes.equal entry.Registry.image.Smof.text plain.Smof.text)
+    (String.equal shipped (Bytes.to_string plain.Smof.text));
+  let smod = Smod.install (M.create ~jitter:0.0 ()) () in
+  let entry = Toolchain.register smod sealed () in
+  Alcotest.(check bool) "flag" true entry.Registry.image.Smof.encrypted;
+  Alcotest.(check bool) "adopts the seal's link" true (entry.Registry.linked <> None);
+  Alcotest.(check int) "keeps no text" 0 (Bytes.length entry.Registry.image.Smof.text);
+  Alcotest.(check int) "text length" (Bytes.length plain.Smof.text) entry.Registry.text_len;
+  let bare =
+    Smod.register
+      (Smod.install (M.create ~jitter:0.0 ()) ())
+      ~image:{ entry.Registry.image with Smof.text = Bytes.of_string shipped }
+      ~protection:Registry.Encrypted ?kernel_key:entry.Registry.kernel_key
+      ?kernel_nonce:entry.Registry.kernel_nonce ()
+  in
+  let linked_text (e : Registry.entry) =
+    Phys.read_image (Registry.linked_text e) ~pos:0 ~len:e.Registry.text_len
+  in
+  Alcotest.(check bool) "the shipped bytes link to the adopted text" true
+    (Bytes.equal (linked_text bare) (linked_text entry))
 
 let test_tampered_handle_text_detected () =
   (* What runs is what is mapped: a native's stand-in text is compared
@@ -676,7 +698,7 @@ let test_text_rewrite_stays_in_one_handle () =
   let smod = world.World.smod and entry = world.World.libc_entry in
   let linked_text () =
     Phys.read_image (Registry.linked_text entry) ~pos:0
-      ~len:(Bytes.length entry.Registry.image.Smof.text)
+      ~len:entry.Registry.text_len
   in
   let original = linked_text () in
   let test_incr conn = Smod_libc.Seclibc.Client.test_incr conn 41 in
@@ -718,7 +740,7 @@ let test_text_rewrite_stays_in_one_world () =
   let rewriting = World.create ~jitter:0.0 ~with_rpc:false () in
   let other = World.create ~jitter:0.0 ~with_rpc:false () in
   let entry = rewriting.World.libc_entry in
-  let len = Bytes.length entry.Registry.image.Smof.text in
+  let len = entry.Registry.text_len in
   let shared () = Phys.read_image (Registry.linked_text entry) ~pos:0 ~len in
   let original = shared () in
   let handle_text world p =
@@ -888,6 +910,9 @@ let test_foreign_link_not_adopted () =
           ~link ()
       in
       Alcotest.(check bool) (label ^ ": not adopted") true (entry.Registry.linked = None);
+      Alcotest.(check bool) (label ^ ": keeps its own copy of the text") true
+        (entry.Registry.image.Smof.text != image.Smof.text
+        && Bytes.equal entry.Registry.image.Smof.text image.Smof.text);
       let got = ref (Error "never ran") in
       ignore
         (M.spawn m ~name:"client" (fun p ->
@@ -952,7 +977,13 @@ let seclibc_entry ?(packaged = false) protection =
 let check_same_entry what (expected : Registry.entry) (actual : Registry.entry) =
   let e = expected.Registry.image and a = actual.Registry.image in
   let bytes field x y = Alcotest.(check bool) (what ^ ": " ^ field) true (Bytes.equal x y) in
+  let linked_text (entry : Registry.entry) =
+    Phys.read_image (Registry.linked_text entry) ~pos:0 ~len:entry.Registry.text_len
+  in
   bytes "text" e.Smof.text a.Smof.text;
+  Alcotest.(check int) (what ^ ": text length") expected.Registry.text_len
+    actual.Registry.text_len;
+  bytes "linked text" (linked_text expected) (linked_text actual);
   bytes "data" e.Smof.data a.Smof.data;
   bytes "text digest" e.Smof.text_digest a.Smof.text_digest;
   Alcotest.(check bool) (what ^ ": encrypted flag") e.Smof.encrypted a.Smof.encrypted;
@@ -972,15 +1003,21 @@ let test_sealed_seclibc_matches_package () =
       check_same_entry label packaged (seclibc_entry protection))
     protections
 
+(* An entry that adopted its seal's link reads the text only through the
+   link's chunks, which every world maps copy-on-write: it keeps no text
+   buffer of its own, only the text's length, so there is no text to
+   share or to scribble on. *)
 let test_sealed_seclibc_not_shared () =
   List.iter
     (fun (label, protection) ->
       let reference = seclibc_entry ~packaged:true protection in
       let scribbled = seclibc_entry protection and other = seclibc_entry protection in
-      Alcotest.(check bool) (label ^ ": distinct text buffers") true
-        (scribbled.Registry.image.Smof.text != other.Registry.image.Smof.text);
+      Alcotest.(check int) (label ^ ": no text buffer") 0
+        (Bytes.length scribbled.Registry.image.Smof.text);
+      Alcotest.(check int) (label ^ ": the text's length")
+        (Bytes.length (Smod_libc.Seclibc.image ()).Smof.text)
+        scribbled.Registry.text_len;
       let zero b = Bytes.fill b 0 (Bytes.length b) '\000' in
-      zero scribbled.Registry.image.Smof.text;
       zero scribbled.Registry.image.Smof.data;
       zero scribbled.Registry.image.Smof.text_digest;
       Option.iter zero scribbled.Registry.kernel_nonce;
